@@ -33,14 +33,6 @@
 //! * `WFIT_BANDIT`    — add a C²UCB bandit session to every tenant's fleet
 //!   (default 0), measuring the contextual-bandit arm head-to-head against
 //!   WFIT/BC under the same shared-cache what-if accounting
-//! * `WFIT_POLICY`    — cache eviction policy, `clock` (default) or `arc`
-//!   (scan-resistant adaptive replacement with ghost lists)
-//! * `WFIT_ADAPT`     — enable the working-set capacity controller
-//!   (default 0): the daemon resizes each tenant's cache at drain-round
-//!   boundaries from its eviction/ghost-hit ledgers
-//! * `WFIT_EPOCH`     — cut scheduling epochs every this-many completed
-//!   session-runs and re-plan against absorbed weight (default 0 = one-shot
-//!   round planning)
 //!
 //! The acceptance experiment for the work-stealing scheduler:
 //!
@@ -59,22 +51,8 @@
 //!
 //! prints the shed rate and the pending-memory high-water mark, which stays
 //! at the configured budget no matter how hard the producers push.
-//!
-//! The self-tuning experiment (the adversarial-skew acceptance pair):
-//!
-//! ```sh
-//! WFIT_SKEW=8 WFIT_CACHE_CAP=16                                   cargo bench --bench service_throughput
-//! WFIT_SKEW=8 WFIT_CACHE_CAP=16 WFIT_POLICY=arc WFIT_ADAPT=1 WFIT_EPOCH=4 cargo bench --bench service_throughput
-//! ```
-//!
-//! Both invocations merge their headline metrics (events/sec, hit rate,
-//! p99, imbalance) into `target/bench-reports/BENCH_service.json`, one
-//! arm per configuration, which CI uploads as a side-by-side artifact.
 
-use bench::{
-    phase_len_from_env, print_summaries, run_service_scenario, scenarios,
-    write_service_bench_report, AdaptiveCacheConfig, CachePolicy,
-};
+use bench::{phase_len_from_env, print_summaries, run_service_scenario, scenarios};
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -84,28 +62,17 @@ fn env_usize(name: &str, default: usize) -> usize {
 }
 
 fn main() {
-    let policy = std::env::var("WFIT_POLICY")
-        .ok()
-        .map(|v| CachePolicy::parse(&v).expect("WFIT_POLICY must be `clock` or `arc`"))
-        .unwrap_or_default();
-    let adapt = env_usize("WFIT_ADAPT", 0) != 0;
-    let mut spec =
-        scenarios::service_throughput(env_usize("WFIT_TENANTS", 4), phase_len_from_env())
-            .with_cache_capacity(env_usize("WFIT_CACHE_CAP", 0))
-            .with_batch_size(env_usize("WFIT_BATCH", 1))
-            .with_ibg_reuse(env_usize("WFIT_IBG_REUSE", 0) != 0)
-            .with_workers(env_usize("WFIT_WORKERS", 0))
-            .with_steal(env_usize("WFIT_STEAL", 0) != 0)
-            .with_skew(env_usize("WFIT_SKEW", 1))
-            .with_ingress_depths(env_usize("WFIT_DEPTH", 0), 0)
-            .with_offered_multiplier(env_usize("WFIT_OFFERED", 1))
-            .with_persist(env_usize("WFIT_PERSIST", 0) != 0)
-            .with_bandit(env_usize("WFIT_BANDIT", 0) != 0)
-            .with_cache_policy(policy)
-            .with_epoch_runs(env_usize("WFIT_EPOCH", 0));
-    if adapt {
-        spec = spec.with_adaptive_cache(AdaptiveCacheConfig::default());
-    }
+    let spec = scenarios::service_throughput(env_usize("WFIT_TENANTS", 4), phase_len_from_env())
+        .with_cache_capacity(env_usize("WFIT_CACHE_CAP", 0))
+        .with_batch_size(env_usize("WFIT_BATCH", 1))
+        .with_ibg_reuse(env_usize("WFIT_IBG_REUSE", 0) != 0)
+        .with_workers(env_usize("WFIT_WORKERS", 0))
+        .with_steal(env_usize("WFIT_STEAL", 0) != 0)
+        .with_skew(env_usize("WFIT_SKEW", 1))
+        .with_ingress_depths(env_usize("WFIT_DEPTH", 0), 0)
+        .with_offered_multiplier(env_usize("WFIT_OFFERED", 1))
+        .with_persist(env_usize("WFIT_PERSIST", 0) != 0)
+        .with_bandit(env_usize("WFIT_BANDIT", 0) != 0);
     let tenants = spec.tenants;
     let cap = match spec.cache_capacity {
         0 => "unbounded".to_string(),
@@ -163,27 +130,13 @@ fn main() {
         service.session_runs, service.stolen_runs, service.max_queue_depth, service.load_imbalance
     );
     println!(
-        "what-if cache   {:>12} requests, hit rate {:.3}  ({} policy)",
-        service.cache_requests,
-        service.cache_hit_rate,
-        spec.cache_policy.name()
+        "what-if cache   {:>12} requests, hit rate {:.3}",
+        service.cache_requests, service.cache_hit_rate
     );
     println!(
-        "cache eviction  {:>12} evicted, {} resident, {} ghost hits",
-        service.cache_evictions, service.cache_entries, service.ghost_hits
+        "cache eviction  {:>12} evicted, {} resident",
+        service.cache_evictions, service.cache_entries
     );
-    if spec.adaptive_cache.is_some() {
-        println!(
-            "adaptive cache  {:>12} entries final capacity (working-set controller on)",
-            service.capacity_final
-        );
-    }
-    if spec.epoch_runs > 0 {
-        println!(
-            "epoch planning  {:>12} epochs cut, {} re-plans (every {} session-runs)",
-            service.epochs, service.replans, spec.epoch_runs
-        );
-    }
     println!(
         "ibg store       {:>12} built, {} reused",
         service.ibg_builds, service.ibg_reuses
@@ -217,16 +170,4 @@ fn main() {
     );
     println!();
     print_summaries(&report);
-    let arm = format!(
-        "{}-{}",
-        spec.cache_policy.name(),
-        if adapt || spec.epoch_runs > 0 {
-            "adaptive"
-        } else {
-            "static"
-        }
-    );
-    let path = write_service_bench_report(&arm, service);
-    println!();
-    println!("arm `{arm}` merged into {}", path.display());
 }

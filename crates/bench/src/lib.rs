@@ -16,9 +16,8 @@
 //! reproduce the paper-scale runs.
 
 pub use harness::{
-    run_scenario, run_service_scenario, scenarios, AdaptiveCacheConfig, AdvisorSpec, CachePolicy,
-    CellReport, CellSpec, FeedbackSpec, RunReport, ScenarioContext, ScenarioSpec,
-    ServiceScenarioSpec, ServiceSessionSpec, ServiceSummary,
+    run_scenario, run_service_scenario, scenarios, AdvisorSpec, CellReport, CellSpec, FeedbackSpec,
+    RunReport, ScenarioContext, ScenarioSpec, ServiceScenarioSpec, ServiceSessionSpec,
 };
 
 /// Statements per phase for a bench run: the `WFIT_PHASE_LEN` override, or
@@ -71,44 +70,6 @@ pub fn summary_line(cell: &CellReport) -> String {
         "{:<12} totalWork = {:>14.0}   OPT-ratio = {:.3}",
         cell.label, cell.total_work, cell.opt_ratio
     )
-}
-
-/// Merge one arm's headline service metrics into
-/// `target/bench-reports/BENCH_service.json`, keyed by `arm` (e.g.
-/// `clock-static` vs `arc-adaptive`).  Each bench invocation replaces its
-/// own arm and leaves the others in place, so CI can run the service bench
-/// once per configuration and upload a single side-by-side artifact; arms
-/// are kept key-sorted so the file is deterministic for a given set of
-/// runs.  Returns the path written.
-pub fn write_service_bench_report(arm: &str, service: &ServiceSummary) -> std::path::PathBuf {
-    use harness::Json;
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/bench-reports");
-    std::fs::create_dir_all(&dir).expect("create bench-reports dir");
-    let path = dir.join("BENCH_service.json");
-    let mut arms: Vec<(String, Json)> = match std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|text| Json::parse(&text).ok())
-    {
-        Some(Json::Obj(fields)) => fields.into_iter().filter(|(k, _)| k != arm).collect(),
-        _ => Vec::new(),
-    };
-    arms.push((
-        arm.to_string(),
-        Json::obj(vec![
-            ("events_per_sec", Json::Num(service.events_per_sec)),
-            ("cache_hit_rate", Json::Num(service.cache_hit_rate)),
-            ("latency_p99_us", Json::Num(service.latency_p99_us as f64)),
-            ("load_imbalance", Json::Num(service.load_imbalance)),
-            ("ghost_hits", Json::Num(service.ghost_hits as f64)),
-            ("capacity_final", Json::Num(service.capacity_final as f64)),
-            ("epochs", Json::Num(service.epochs as f64)),
-            ("replans", Json::Num(service.replans as f64)),
-        ]),
-    ));
-    arms.sort_by(|a, b| a.0.cmp(&b.0));
-    let rendered = Json::Obj(arms).render().expect("metrics are finite");
-    std::fs::write(&path, rendered).expect("write BENCH_service.json");
-    path
 }
 
 #[cfg(test)]

@@ -403,12 +403,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
+                    // Consume the whole run up to the next quote or backslash
+                    // in one step.  Both are ASCII, so a run never splits a
+                    // UTF-8 sequence.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -573,6 +579,21 @@ mod tests {
         assert!(Json::parse("\"\\ud83d\"").is_err());
         assert!(Json::parse("\"\\ud83dx\"").is_err());
         assert!(Json::parse("\"\\ud83d\\u0041\"").is_err());
+    }
+
+    #[test]
+    fn raw_multibyte_text_round_trips_next_to_quotes_and_escapes() {
+        let text = "é\"ü\\→\n日本\"\u{1F600}\\\"ß\tend ñ";
+        let doc = Json::obj(vec![(text, Json::Str(text.into()))]);
+        let rendered = doc.render().unwrap();
+        // Non-ASCII characters are written raw, not as \u escapes.
+        assert!(rendered.contains("日本") && rendered.contains('\u{1F600}'));
+        assert_eq!(Json::parse(&rendered).unwrap(), doc);
+        // Raw characters mixed with escapes parse to the same string.
+        let v = Json::parse("\"ü\\u00e9→\\\"日\\\\\"").unwrap();
+        assert_eq!(v, Json::Str("üé→\"日\\".into()));
+        // A string cut inside a raw run is unterminated, not a panic.
+        assert!(Json::parse("\"日本").is_err());
     }
 
     #[test]

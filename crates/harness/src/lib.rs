@@ -44,10 +44,8 @@ pub mod spec;
 pub use json::Json;
 pub use report::{CellReport, RunReport, ServiceSummary};
 pub use runner::{run_scenario, ScenarioContext};
-pub use service::AdaptiveCacheConfig;
 pub use service_run::{
     run_service_control, run_service_scenario, run_service_scenario_traced, ServiceEventKind,
     ServiceScenarioSpec, ServiceSessionSpec, ServiceTrace,
 };
-pub use simdb::cache::CachePolicy;
 pub use spec::{AcceptanceSpec, AdvisorSpec, CellSpec, FeedbackEvent, FeedbackSpec, ScenarioSpec};

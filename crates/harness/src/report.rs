@@ -169,19 +169,6 @@ pub struct ServiceSummary {
     /// to the same log, so this total is identical whether or not the run
     /// was interrupted — which is what lets it live in the golden files.
     pub wal_rounds: u64,
-    /// ARC ghost-list hits across the tenants' shared caches (summed; 0 for
-    /// CLOCK and unbounded caches) — the "evicted too early" signal the
-    /// working-set controller feeds on.
-    pub ghost_hits: u64,
-    /// Summed live capacity of the tenants' bounded caches at the end of
-    /// the run — under adaptation this is the controller's final verdict;
-    /// static runs echo the configured capacities.
-    pub capacity_final: u64,
-    /// Epoch segments executed by the scheduler (0 with epochs off).
-    pub epochs: u64,
-    /// Mid-round re-plans (epoch segments beyond each round's first; 0 with
-    /// epochs off).
-    pub replans: u64,
     /// Events processed per wall-clock second (timing JSON only).
     pub events_per_sec: f64,
     /// Median per-event latency in microseconds (timing JSON only).
@@ -226,10 +213,6 @@ impl ServiceSummary {
             ("peak_pending", Json::Num(self.peak_pending as f64)),
             ("persist", Json::Bool(self.persist)),
             ("wal_rounds", Json::Num(self.wal_rounds as f64)),
-            ("ghost_hits", Json::Num(self.ghost_hits as f64)),
-            ("capacity_final", Json::Num(self.capacity_final as f64)),
-            ("epochs", Json::Num(self.epochs as f64)),
-            ("replans", Json::Num(self.replans as f64)),
         ];
         if with_timing {
             let latencies = |samples: &[u64]| {
@@ -433,10 +416,6 @@ mod tests {
             peak_pending: 20,
             persist: true,
             wal_rounds: 17,
-            ghost_hits: 31,
-            capacity_final: 96,
-            epochs: 5,
-            replans: 4,
             events_per_sec: 123.4,
             latency_p50_us: 10,
             latency_p99_us: 50,
@@ -457,10 +436,6 @@ mod tests {
         // Persistence counters are deterministic (the WAL-round total is the
         // same whether or not the run was interrupted mid-way).
         assert!(stable.contains("\"persist\": true") && stable.contains("wal_rounds"));
-        // Adaptive-control counters (ARC ghosts, controller verdict, epoch
-        // ledger) are pure functions of the event sequence — golden too.
-        assert!(stable.contains("\"ghost_hits\": 31") && stable.contains("\"capacity_final\": 96"));
-        assert!(stable.contains("\"epochs\": 5") && stable.contains("\"replans\": 4"));
         // Wall-clock service metrics never reach the golden-file rendering.
         assert!(!stable.contains("events_per_sec"));
         assert!(!stable.contains("latency_p99_us"));

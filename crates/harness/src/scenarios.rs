@@ -9,8 +9,6 @@
 
 use crate::service_run::{ServiceScenarioSpec, ServiceSessionSpec};
 use crate::spec::{AdvisorSpec, CellSpec, FeedbackEvent, FeedbackSpec, ScenarioSpec};
-use service::AdaptiveCacheConfig;
-use simdb::cache::CachePolicy;
 use wfit_core::config::WfitConfig;
 use workload::{Dataset, PhaseSpec};
 
@@ -413,80 +411,6 @@ pub fn service_overload_mini() -> ServiceScenarioSpec {
         .with_offered_multiplier(OVERLOAD_MINI_OFFERED)
 }
 
-/// Initial per-tenant cache capacity of [`service_adversarial_skew`]:
-/// deliberately far below the hot tenants' working sets, so a static cache
-/// thrashes and the working-set controller has evidence to grow on.
-pub const ADVERSARIAL_CACHE_CAPACITY: usize = 16;
-
-/// Global cache-memory budget of [`service_adversarial_skew`]: enough for
-/// the controller to grow the hot tenants several times over, but a hard
-/// ceiling the golden pins (`capacity_final ≤` this).
-pub const ADVERSARIAL_CACHE_BUDGET: usize = 768;
-
-/// Capacity floor of the adaptive arm's [`AdaptiveCacheConfig`]: the
-/// controller jumpstarts every tenant from the undersized
-/// [`ADVERSARIAL_CACHE_CAPACITY`] straight to this floor at the first
-/// round boundary, then grows on eviction/ghost-hit evidence.  The floor
-/// must be big enough that a session-run moved to a *later* epoch segment
-/// still finds the earlier segment's what-if fills resident — that is what
-/// lets the adaptive arm win hit rate and load balance at the same time.
-pub const ADVERSARIAL_MIN_CAPACITY: usize = 128;
-
-/// Epoch cadence of [`service_adversarial_skew`]: cut a scheduling epoch
-/// every this-many completed session-runs.  With three tenants running a
-/// three-session fleet (nine session-runs a round), cadence four yields
-/// three segments whose weight quota splits each hot tenant's runs 2 + 1:
-/// two runs stay co-located (preserving their batch-major cache sharing)
-/// while the third re-plans onto the other worker and flattens the round.
-/// A finer cadence would separate *all* runs and thrash the shared cache;
-/// a coarser one would let a single quota chunk lump the whole tenant back
-/// onto one worker, reproducing the one-shot imbalance.
-pub const ADVERSARIAL_EPOCH_RUNS: usize = 4;
-
-/// Miniature *adversarial* self-tuning scenario for the golden suite: the
-/// hot spot migrates from tenant 0 to the last tenant mid-run
-/// ([`ServiceScenarioSpec::hot_flip`]) and both hot tenants replay a
-/// cache-flushing scan burst, against deliberately undersized
-/// ([`ADVERSARIAL_CACHE_CAPACITY`]) caches.  The golden arm runs the full
-/// adaptive stack — scan-resistant ARC policy, working-set capacity
-/// controller under [`ADVERSARIAL_CACHE_BUDGET`], epoch re-planning every
-/// [`ADVERSARIAL_EPOCH_RUNS`] completed session-runs — and the golden
-/// snapshot pins its `ghost_hits`, `capacity_final`, `epochs` and
-/// `replans`.  `tests/scenarios.rs` additionally replays the static
-/// control arm ([`service_adversarial_skew_control`]) and asserts every
-/// advisor cost cell is bit-equal while hit rate and `load_imbalance`
-/// strictly improve under adaptation.
-pub fn service_adversarial_skew() -> ServiceScenarioSpec {
-    service_adversarial_skew_control()
-        .with_cache_policy(CachePolicy::Arc)
-        .with_adaptive_cache(AdaptiveCacheConfig {
-            min_capacity: ADVERSARIAL_MIN_CAPACITY,
-            ..AdaptiveCacheConfig::default()
-        })
-        .with_cache_budget(ADVERSARIAL_CACHE_BUDGET)
-        .with_epoch_runs(ADVERSARIAL_EPOCH_RUNS)
-        .with_name("service-adversarial-skew")
-}
-
-/// The static control arm of [`service_adversarial_skew`]: identical
-/// workload, fleet and hot-flip schedule, but CLOCK caches at fixed
-/// capacity and one-shot round planning — the baseline the adaptive arm
-/// must strictly beat on hit rate and `load_imbalance` while reproducing
-/// its cost cells bit-for-bit.
-pub fn service_adversarial_skew_control() -> ServiceScenarioSpec {
-    ServiceScenarioSpec::new("service-adversarial-skew-control", 3, 2)
-        .with_sessions(vec![
-            ServiceSessionSpec::WfitFixed { state_cnt: 500 },
-            ServiceSessionSpec::WfitIndependent,
-            ServiceSessionSpec::Bc,
-        ])
-        .with_feedback_every(8)
-        .with_skew(SKEW_FACTOR)
-        .with_workers(2)
-        .with_cache_capacity(ADVERSARIAL_CACHE_CAPACITY)
-        .with_hot_flip(true)
-}
-
 /// Kill-and-restore point of the crash arm of [`service_restore_mini`]: the
 /// service dies before submitting wave 4, i.e. with a snapshot from wave 3
 /// *and* one logged-but-unsnapshotted WAL round behind it — restore must
@@ -652,49 +576,6 @@ mod tests {
         assert!(!service_mini().is_bounded());
         assert!(!service_skew_mini().is_bounded());
         assert_eq!(service_mini().offered_multiplier, 1);
-    }
-
-    #[test]
-    fn adversarial_skew_arms_differ_only_in_the_adaptive_stack() {
-        let adaptive = service_adversarial_skew();
-        let control = service_adversarial_skew_control();
-        // The adaptive stack is the only difference between the arms: same
-        // workload, fleet, schedule shape and initial capacity.
-        assert!(adaptive.hot_flip && control.hot_flip);
-        assert_eq!(adaptive.seed, control.seed);
-        assert_eq!(adaptive.tenants, control.tenants);
-        assert_eq!(adaptive.sessions.len(), control.sessions.len());
-        assert_eq!(adaptive.skew, control.skew);
-        assert_eq!(adaptive.cache_capacity, ADVERSARIAL_CACHE_CAPACITY);
-        assert_eq!(control.cache_capacity, ADVERSARIAL_CACHE_CAPACITY);
-        assert_eq!(adaptive.resolved_workers(), control.resolved_workers());
-        assert_eq!(adaptive.cache_policy, CachePolicy::Arc);
-        assert_eq!(control.cache_policy, CachePolicy::Clock);
-        assert!(control.adaptive_cache.is_none());
-        let bounds = adaptive
-            .adaptive_cache
-            .expect("adaptive arm has a controller");
-        assert_eq!(bounds.min_capacity, ADVERSARIAL_MIN_CAPACITY);
-        // The floor jumpstart stays below the global budget, and the
-        // epoch cadence splits the nine session-runs into three segments.
-        assert!(adaptive.tenants * ADVERSARIAL_MIN_CAPACITY < ADVERSARIAL_CACHE_BUDGET);
-        assert_eq!(adaptive.sessions.len(), 3);
-        assert_eq!(adaptive.epoch_runs, ADVERSARIAL_EPOCH_RUNS);
-        assert_eq!(control.epoch_runs, 0);
-        // Both hot tenants carry the skew; the middle tenant stays cold.
-        assert_eq!(
-            adaptive.statements_for_tenant(0),
-            adaptive.statements_for_tenant(2)
-        );
-        assert_eq!(
-            adaptive.statements_for_tenant(0),
-            SKEW_FACTOR * adaptive.statements_for_tenant(1)
-        );
-        // Neither steals (cache determinism comes from whole-tenant bins /
-        // epoch segments, not from disabling the cache).
-        assert!(!adaptive.steal && adaptive.shared_cache);
-        // The budget leaves the controller real headroom above the floor.
-        assert!(ADVERSARIAL_CACHE_BUDGET > adaptive.tenants * ADVERSARIAL_CACHE_CAPACITY);
     }
 
     #[test]

@@ -25,8 +25,7 @@ use std::sync::Arc;
 
 use advisors::{compute_optimal, OptSchedule};
 use advisors::{BanditAdvisor, BanditConfig, BruchoChaudhuriAdvisor};
-use service::{AdaptiveCacheConfig, Event, IngressConfig, TenantEnv, TenantOptions, TuningService};
-use simdb::cache::CachePolicy;
+use service::{Event, IngressConfig, TenantEnv, TenantOptions, TuningService};
 use simdb::index::IndexSet;
 use wfit_core::candidates::{offline_selection, OfflineSelection};
 use wfit_core::config::WfitConfig;
@@ -143,31 +142,6 @@ pub struct ServiceScenarioSpec {
     /// snapshot + WAL.  The recovered run must render the same report as an
     /// uninterrupted one — that equality is what the restore golden pins.
     pub crash_at: Option<usize>,
-    /// Eviction policy of each tenant's bounded shared cache
-    /// ([`CachePolicy::Clock`] is the historical default;
-    /// [`CachePolicy::Arc`] adds scan resistance).  Inert while the cache
-    /// is unbounded or disabled.
-    pub cache_policy: CachePolicy,
-    /// Bounds for the daemon's working-set capacity controller; `None`
-    /// (the default) keeps every cache at its configured capacity.
-    pub adaptive_cache: Option<AdaptiveCacheConfig>,
-    /// Global cache-memory budget (total entries across tenants) the
-    /// capacity controller must respect; 0 leaves growth unbudgeted.
-    pub cache_budget: usize,
-    /// Cut scheduler epochs every this-many completed session-runs and
-    /// re-plan the rest of each drain round against the weight every
-    /// worker actually absorbed; 0 (the default) keeps one-shot planning.
-    pub epoch_runs: usize,
-    /// Adversarial **hot-flip** shape: tenants `0` and `tenants-1` both
-    /// carry the skew multiplier, but tenant 0 spends it in the first half
-    /// of the run (emitting `2·skew−1` statements per row) while the last
-    /// tenant mirrors it in the second half — the hot spot migrates
-    /// mid-run.  Both hot tenants also replay a **cache-flushing scan**: a
-    /// contiguous burst of final-phase statements delivered once, mid-run,
-    /// ahead of their natural position.  Each row is drained by exactly
-    /// one `poll` round, so per-round controllers (capacity adaptation,
-    /// epoch re-planning) see the flip as it happens.
-    pub hot_flip: bool,
 }
 
 /// Events submitted per wave of a persistent ([`ServiceScenarioSpec::persist`])
@@ -206,23 +180,12 @@ impl ServiceScenarioSpec {
             offered_multiplier: 1,
             persist: false,
             crash_at: None,
-            cache_policy: CachePolicy::Clock,
-            adaptive_cache: None,
-            cache_budget: 0,
-            epoch_runs: 0,
-            hot_flip: false,
         }
     }
 
     /// Override the base seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Rename the scenario (reports and golden files use the name).
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
         self
     }
 
@@ -339,38 +302,6 @@ impl ServiceScenarioSpec {
         self
     }
 
-    /// Select the eviction policy of every tenant's bounded cache.
-    pub fn with_cache_policy(mut self, policy: CachePolicy) -> Self {
-        self.cache_policy = policy;
-        self
-    }
-
-    /// Enable the working-set capacity controller with the given bounds.
-    pub fn with_adaptive_cache(mut self, adaptive: AdaptiveCacheConfig) -> Self {
-        self.adaptive_cache = Some(adaptive);
-        self
-    }
-
-    /// Bound the capacity controller's total growth across tenants.
-    pub fn with_cache_budget(mut self, budget: usize) -> Self {
-        self.cache_budget = budget;
-        self
-    }
-
-    /// Re-plan drain rounds at epoch boundaries cut every `runs` completed
-    /// session-runs (0 disables epoch planning).
-    pub fn with_epoch_runs(mut self, runs: usize) -> Self {
-        self.epoch_runs = runs;
-        self
-    }
-
-    /// Switch the replay into the adversarial hot-flip shape (see
-    /// [`ServiceScenarioSpec::hot_flip`]).
-    pub fn with_hot_flip(mut self, hot_flip: bool) -> Self {
-        self.hot_flip = hot_flip;
-        self
-    }
-
     /// Whether the spec replays in the bounded/overload shape.
     pub fn is_bounded(&self) -> bool {
         self.per_tenant_depth > 0 || self.global_depth > 0
@@ -389,10 +320,9 @@ impl ServiceScenarioSpec {
     }
 
     /// Statements per phase for one tenant (tenant 0 carries the skew
-    /// multiplier; in the hot-flip shape the last tenant carries it too).
+    /// multiplier).
     pub fn statements_per_phase_for(&self, tenant: usize) -> usize {
-        let hot = tenant == 0 || (self.hot_flip && tenant + 1 == self.tenants);
-        if hot {
+        if tenant == 0 {
             self.statements_per_phase * self.skew.max(1)
         } else {
             self.statements_per_phase
@@ -435,77 +365,6 @@ fn persist_scratch_dir(name: &str) -> std::path::PathBuf {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir().join(format!("wfit-harness-{name}-{}-{n}", std::process::id()))
-}
-
-/// Delivery order of a hot tenant's statement stream in the hot-flip
-/// shape: identity, except that a contiguous block of final-phase
-/// positions (an eighth of the stream) is pulled forward to the midpoint —
-/// a burst of statements the tenant sees exactly once, far from their
-/// natural neighbourhood, flooding a recency-only cache while a
-/// scan-resistant one keeps its frequent set.  Every position is still
-/// delivered exactly once.
-fn scan_order(len: usize) -> Vec<usize> {
-    let scan = len / 8;
-    let half = (len - scan) / 2;
-    let mut order: Vec<usize> = (0..half).collect();
-    order.extend(len - scan..len);
-    order.extend(half..len - scan);
-    order
-}
-
-/// The hot-flip submission schedule, grouped into rows (one drain round
-/// each): tenant 0 emits `2·skew−1` statements per row for the first half
-/// of the run and 1 afterwards, the last tenant mirrors it, and every
-/// other tenant emits 1 per row — total volume matches
-/// [`ServiceScenarioSpec::statements_per_phase_for`] exactly.  Votes keep
-/// the spec's per-tenant cadence.
-fn hot_flip_rows(
-    spec: &ServiceScenarioSpec,
-    prepared: &[PreparedTenant],
-) -> Vec<Vec<(usize, ServiceEventKind)>> {
-    let order: Vec<Vec<usize>> = prepared
-        .iter()
-        .enumerate()
-        .map(|(t, prep)| {
-            let hot = t == 0 || t + 1 == spec.tenants;
-            if hot && spec.skew > 1 {
-                scan_order(prep.statements.len())
-            } else {
-                (0..prep.statements.len()).collect()
-            }
-        })
-        .collect();
-    let half = spec.statements_per_tenant() / 2;
-    let burst = 2 * spec.skew.max(1) - 1;
-    let mut next = vec![0usize; spec.tenants];
-    let mut delivered = vec![0usize; spec.tenants];
-    let mut rows = Vec::new();
-    while (0..spec.tenants).any(|t| next[t] < order[t].len()) {
-        let row = rows.len();
-        let mut events = Vec::new();
-        for t in 0..spec.tenants {
-            let first_half_hot = t == 0;
-            let second_half_hot = t + 1 == spec.tenants;
-            let quota = if (first_half_hot && row < half) || (second_half_hot && row >= half) {
-                burst
-            } else {
-                1
-            };
-            for _ in 0..quota {
-                if next[t] >= order[t].len() {
-                    break;
-                }
-                events.push((t, ServiceEventKind::Query(order[t][next[t]])));
-                next[t] += 1;
-                delivered[t] += 1;
-                if spec.feedback_every > 0 && delivered[t].is_multiple_of(spec.feedback_every) {
-                    events.push((t, ServiceEventKind::Vote));
-                }
-            }
-        }
-        rows.push(events);
-    }
-    rows
 }
 
 /// One tenant's prepared state: the database (ready to be shared with the
@@ -710,11 +569,6 @@ fn run_internal(
         spec.crash_at.is_none() || spec.persist,
         "a crash point needs persistence to recover from"
     );
-    assert!(
-        !spec.hot_flip || (!spec.is_bounded() && !spec.persist && replay.is_none()),
-        "the hot-flip shape is its own submission schedule — it composes with \
-         neither the overload nor the persistence shape"
-    );
 
     // Per-tenant offline preparation, in parallel (order restored by index).
     let prepared: Vec<PreparedTenant> = std::thread::scope(|scope| {
@@ -736,9 +590,7 @@ fn run_internal(
     let assemble = || {
         let mut svc = TuningService::with_workers(spec.resolved_workers())
             .with_batch_size(spec.batch_size)
-            .with_steal(spec.steal)
-            .with_epoch_runs(spec.epoch_runs)
-            .with_cache_budget(spec.cache_budget);
+            .with_steal(spec.steal);
         if spec.is_bounded() {
             svc = svc.with_ingress(IngressConfig::bounded(
                 spec.per_tenant_depth,
@@ -748,13 +600,7 @@ fn run_internal(
         let mut tenant_ids = Vec::with_capacity(spec.tenants);
         for (t, prep) in prepared.iter().enumerate() {
             let options = if spec.shared_cache {
-                let mut options = TenantOptions::default()
-                    .with_cache_capacity(spec.cache_capacity)
-                    .with_cache_policy(spec.cache_policy);
-                if let Some(adaptive) = spec.adaptive_cache {
-                    options = options.with_adaptive_cache(adaptive);
-                }
-                options
+                TenantOptions::default().with_cache_capacity(spec.cache_capacity)
             } else {
                 TenantOptions {
                     cache: None,
@@ -799,7 +645,6 @@ fn run_internal(
                 }
             }
         }
-        None if spec.hot_flip => {} // the hot-flip shape builds rows below
         None => {
             let max_per_tenant = prepared
                 .iter()
@@ -896,22 +741,6 @@ fn run_internal(
         for (t, pending) in mirror.iter_mut().enumerate() {
             survivors[t].extend(pending.drain(..));
         }
-        batch
-    } else if spec.hot_flip {
-        // Adversarial hot-flip shape: each row is submitted and drained by
-        // exactly one poll round, so the drain-round controllers (capacity
-        // adaptation, epoch re-planning) observe the hot spot migrating
-        // from tenant 0 to the last tenant and the mid-run scan bursts as
-        // they happen instead of one all-at-once drain.
-        let mut batch = service::BatchReport::default();
-        for row in hot_flip_rows(spec, &prepared) {
-            for &(t, kind) in &row {
-                svc.submit(make_event(t, kind));
-                survivors[t].push(kind);
-            }
-            batch.absorb(svc.poll());
-        }
-        batch.absorb(svc.process_pending());
         batch
     } else if spec.persist {
         // Durable wave shape: every wave is submitted, drained by one poll
@@ -1078,10 +907,6 @@ fn run_internal(
             peak_pending: istats.peak_pending,
             persist: spec.persist,
             wal_rounds: svc.wal_rounds(),
-            ghost_hits: cache.ghost_hits,
-            capacity_final: svc.cache_capacity_total(),
-            epochs: sched.epochs,
-            replans: sched.replans,
             events_per_sec: batch.events_per_sec(),
             latency_p50_us: batch.p50_us(),
             latency_p99_us: batch.p99_us(),
@@ -1261,57 +1086,6 @@ mod tests {
         // the *byte-identical* deterministic report.
         let crashed = run_service_scenario(&tiny("svc-persist").with_crash_at(1));
         assert_eq!(durable.to_json(), crashed.to_json());
-    }
-
-    #[test]
-    fn hot_flip_adaptive_arm_agrees_on_costs_with_static_arm() {
-        // The adversarial shape delivers every (tenant, position) exactly
-        // once in both arms, and adaptation/epoch-replanning only move
-        // overhead counters — so every cost cell is bit-equal between the
-        // self-tuning arm and the static control arm.
-        let base = ServiceScenarioSpec::new("svc-hotflip", 3, 2)
-            .with_skew(4)
-            .with_workers(2)
-            .with_cache_capacity(8)
-            .with_hot_flip(true);
-        let adaptive = base
-            .clone()
-            .with_cache_policy(CachePolicy::Arc)
-            .with_adaptive_cache(AdaptiveCacheConfig::default())
-            .with_cache_budget(96)
-            .with_epoch_runs(4);
-        let static_arm = run_service_scenario(&base);
-        let tuned = run_service_scenario(&adaptive);
-        assert_eq!(static_arm.cells.len(), tuned.cells.len());
-        for (s, a) in static_arm.cells.iter().zip(&tuned.cells) {
-            assert_eq!(s.label, a.label);
-            assert_eq!(
-                s.total_work.to_bits(),
-                a.total_work.to_bits(),
-                "{}",
-                s.label
-            );
-            assert_eq!(s.ratio_series, a.ratio_series, "{}", s.label);
-        }
-        // Both hot tenants carry the skew volume; total = (2·skew + cold).
-        assert_eq!(
-            static_arm.statements,
-            (4 + 1 + 4) * base.statements_per_tenant()
-        );
-        let ssum = static_arm.service.as_ref().unwrap();
-        let asum = tuned.service.as_ref().unwrap();
-        assert_eq!(ssum.query_events, asum.query_events);
-        assert_eq!(ssum.epochs + ssum.replans, 0, "static arm never re-plans");
-        assert_eq!(ssum.capacity_final, 3 * 8, "static capacities stay put");
-        assert!(asum.replans > 0, "epoch mode must re-plan mid-round");
-        assert!(
-            asum.capacity_final > ssum.capacity_final,
-            "thrash at capacity 8 must grow the adaptive caches"
-        );
-        assert!(asum.capacity_final <= 96, "the global budget binds growth");
-        // Self-tuning replays byte-identically.
-        let rerun = run_service_scenario(&adaptive);
-        assert_eq!(tuned.to_json(), rerun.to_json());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! `std::thread::scope` worker pool, and keeps the books
 //! ([`BatchReport`], [`SchedStats`], per-tenant counters).
 
-use crate::env::{AdaptiveCacheConfig, TenantEnv, TenantOptions};
+use crate::env::{TenantEnv, TenantOptions};
 use crate::event::{Event, SessionId, TenantId};
 use crate::ibg_store::IbgStats;
 use crate::ingress::{Ingress, IngressConfig, IngressStats, ServiceHandle, SubmitOutcome};
@@ -76,12 +76,6 @@ struct Tenant {
     env: TenantEnv,
     slots: Vec<SessionSlot>,
     processed: u64,
-    /// Bounds of the working-set capacity controller (`None` = static).
-    adaptive: Option<AdaptiveCacheConfig>,
-    /// Cache counters at the previous drain-round boundary — the
-    /// controller works on per-round deltas, so its decisions are a pure
-    /// function of the event sequence.
-    last_cache: WhatIfStats,
 }
 
 /// Replay one event run against every session of a tenant, **grouped**:
@@ -349,12 +343,6 @@ pub struct TuningService {
     max_workers: usize,
     batch_size: usize,
     steal: bool,
-    /// Cut an epoch boundary every this many completed session-runs
-    /// (0 = single-shot plans, the historical behaviour).
-    epoch_runs: usize,
-    /// Global cap on the summed capacity of all adaptively-sized caches
-    /// (0 = unlimited).  Limits controller *growth* only.
-    cache_budget: usize,
     sched: SchedStats,
     persist: Option<PersistState>,
 }
@@ -394,8 +382,6 @@ impl TuningService {
             max_workers: max_workers.max(1),
             batch_size: 1,
             steal: false,
-            epoch_runs: 0,
-            cache_budget: 0,
             sched: SchedStats::default(),
             persist: None,
         }
@@ -419,28 +405,6 @@ impl TuningService {
         self
     }
 
-    /// Re-plan each round at epoch boundaries cut every `epoch_runs`
-    /// completed session-runs (see [`crate::scheduler::epoch_plan`]): the
-    /// remaining runs of a round are re-placed against the *actual*
-    /// cumulative weight each worker bin has absorbed, so a static plan's
-    /// cost-skew misestimates self-correct mid-round.  In epoch mode a
-    /// tenant's session-runs never execute concurrently, so per-tenant
-    /// cache counters stay deterministic at any worker count.  `0` (the
-    /// default) keeps single-shot plans — the historical behaviour.
-    pub fn with_epoch_runs(mut self, epoch_runs: usize) -> Self {
-        self.epoch_runs = epoch_runs;
-        self
-    }
-
-    /// Cap the summed live capacity of all adaptively-sized tenant caches
-    /// at `budget` entries (0 = unlimited).  The working-set controller
-    /// stops growing a cache when the budget is exhausted; it never
-    /// force-shrinks below a tenant's current capacity.
-    pub fn with_cache_budget(mut self, budget: usize) -> Self {
-        self.cache_budget = budget;
-        self
-    }
-
     /// The configured query-batch size.
     pub fn batch_size(&self) -> usize {
         self.batch_size
@@ -449,26 +413,6 @@ impl TuningService {
     /// Whether work-stealing is enabled.
     pub fn steal(&self) -> bool {
         self.steal
-    }
-
-    /// The configured epoch length in session-runs (0 = epochs off).
-    pub fn epoch_runs(&self) -> usize {
-        self.epoch_runs
-    }
-
-    /// The configured global adaptive-cache budget (0 = unlimited).
-    pub fn cache_budget(&self) -> usize {
-        self.cache_budget
-    }
-
-    /// Summed live capacity of every tenant's bounded cache, in entries —
-    /// the quantity the working-set controller steers (unbounded and
-    /// disabled caches contribute 0).
-    pub fn cache_capacity_total(&self) -> u64 {
-        self.tenants
-            .iter()
-            .map(|t| t.env.cache_capacity().unwrap_or(0) as u64)
-            .sum()
     }
 
     /// The configured maximum worker count.
@@ -499,7 +443,7 @@ impl TuningService {
 
     /// Register a tenant with a shared what-if cache over its database.
     pub fn add_tenant(&mut self, name: impl Into<String>, db: Arc<Database>) -> TenantId {
-        self.register(name, TenantEnv::cached(db), None, None)
+        self.register(name, TenantEnv::cached(db), None)
     }
 
     /// Register a tenant with explicit cache/IBG-sharing/ingress options.
@@ -510,14 +454,13 @@ impl TuningService {
         options: TenantOptions,
     ) -> TenantId {
         let depth = options.ingress_depth;
-        let adaptive = options.adaptive;
-        self.register(name, TenantEnv::with_options(db, options), depth, adaptive)
+        self.register(name, TenantEnv::with_options(db, options), depth)
     }
 
     /// Register a tenant **without** a shared cache (every what-if request
     /// runs the optimizer) — the control arm for cache-effect studies.
     pub fn add_tenant_uncached(&mut self, name: impl Into<String>, db: Arc<Database>) -> TenantId {
-        self.register(name, TenantEnv::uncached(db), None, None)
+        self.register(name, TenantEnv::uncached(db), None)
     }
 
     fn register(
@@ -525,7 +468,6 @@ impl TuningService {
         name: impl Into<String>,
         env: TenantEnv,
         ingress_depth: Option<usize>,
-        adaptive: Option<AdaptiveCacheConfig>,
     ) -> TenantId {
         let shard = self.ingress.add_shard_with(ingress_depth);
         debug_assert_eq!(shard, self.tenants.len(), "shards mirror the registry");
@@ -535,8 +477,6 @@ impl TuningService {
             env,
             slots: Vec::new(),
             processed: 0,
-            adaptive,
-            last_cache: WhatIfStats::default(),
         });
         id
     }
@@ -661,64 +601,18 @@ impl TuningService {
             })
             .collect();
         let max_depth = loads.iter().map(|l| l.depth as u64).max().unwrap_or(0);
+        let plan = scheduler::plan(
+            &loads,
+            &SchedulerConfig {
+                workers: self.max_workers,
+                steal: self.steal,
+            },
+        );
+        self.sched.absorb_round(&plan, max_depth);
+
         // Event runs are shared (not copied) between the session-runs of a
         // split tenant.
         let events: Vec<Arc<Vec<Event>>> = runs.into_iter().map(Arc::new).collect();
-        let config = SchedulerConfig {
-            workers: self.max_workers,
-            steal: self.steal,
-        };
-
-        let results = if self.epoch_runs > 0 {
-            self.execute_epoch_round(&loads, &config, &events, max_depth)
-        } else {
-            self.execute_single_plan(&loads, &config, &events, max_depth)
-        };
-
-        // Round bookkeeping on the main thread, where it is deterministic:
-        // per-tenant processed counters, then the working-set controller
-        // (which only ever acts on drain-round boundaries).
-        for (t, tenant) in self.tenants.iter_mut().enumerate() {
-            tenant.processed += events[t].len() as u64;
-        }
-        self.run_adaptive_controllers();
-
-        let mut all = Vec::new();
-        let mut per_tenant: Vec<Vec<u64>> = vec![Vec::new(); self.tenants.len()];
-        for (t, latencies) in results {
-            all.extend_from_slice(&latencies);
-            per_tenant[t].extend(latencies);
-        }
-        all.sort_unstable();
-        let tenant_latencies_us = per_tenant
-            .into_iter()
-            .enumerate()
-            .filter(|(_, samples)| !samples.is_empty())
-            .map(|(t, mut samples)| {
-                samples.sort_unstable();
-                (TenantId(t as u32), samples)
-            })
-            .collect();
-        BatchReport {
-            events: total,
-            wall_seconds: start.elapsed().as_secs_f64(),
-            latencies_us: all,
-            tenant_latencies_us,
-        }
-    }
-
-    /// Plan and execute one round the single-shot way ([`scheduler::plan`]):
-    /// one plan per round, pinned bins or work-stealing.  Returns the
-    /// per-task `(tenant, latencies)` pairs.
-    fn execute_single_plan(
-        &mut self,
-        loads: &[TenantLoad],
-        config: &SchedulerConfig,
-        events: &[Arc<Vec<Event>>],
-        max_depth: u64,
-    ) -> Vec<(usize, Vec<u64>)> {
-        let plan = scheduler::plan(loads, config);
-        self.sched.absorb_round(&plan, max_depth);
         let mut placement_of: Vec<Option<&Placement>> = vec![None; self.tenants.len()];
         for (t, p) in &plan.placements {
             placement_of[*t] = Some(p);
@@ -794,139 +688,37 @@ impl TuningService {
                 .collect()
         });
 
-        // One IBG generation advance per split tenant, on the main thread
-        // (grouped drains advance per batch themselves).
+        // Round bookkeeping on the main thread, where it is deterministic:
+        // per-tenant processed counters, and one IBG generation advance per
+        // split tenant (grouped drains advance per batch themselves).
         for &t in &split_tenants {
             self.tenants[t].env.advance_ibg_generation();
         }
-        results
-    }
-
-    /// Plan and execute one round in epochs ([`scheduler::epoch_plan`]):
-    /// segments run **sequentially**, each on its own worker scope, and
-    /// every segment's placements already account for the cumulative weight
-    /// earlier segments put on each bin.  A tenant appears at most once per
-    /// segment, so its session-runs never execute concurrently — cache and
-    /// IBG counters stay deterministic at any worker count.
-    fn execute_epoch_round(
-        &mut self,
-        loads: &[TenantLoad],
-        config: &SchedulerConfig,
-        events: &[Arc<Vec<Event>>],
-        max_depth: u64,
-    ) -> Vec<(usize, Vec<u64>)> {
-        let plan = scheduler::epoch_plan(loads, config, self.epoch_runs);
-        self.sched.absorb_epoch_round(&plan, max_depth);
-        let batch_size = self.batch_size;
-        let mut results: Vec<(usize, Vec<u64>)> = Vec::new();
-        for segment in &plan.segments {
-            let mut chunk_of: Vec<Option<&scheduler::EpochChunk>> = vec![None; self.tenants.len()];
-            for chunk in &segment.chunks {
-                chunk_of[chunk.tenant] = Some(chunk);
-            }
-            // A chunk drains a contiguous slice of its tenant's sessions
-            // through the normal grouped path; a session-less tenant gets
-            // an empty slice, which still advances its IBG generations
-            // exactly like a whole-tenant drain.
-            type ChunkWork<'a> = (usize, TenantEnv, &'a mut [SessionSlot], &'a Arc<Vec<Event>>);
-            let mut bins: Vec<Vec<ChunkWork<'_>>> =
-                (0..plan.workers_used).map(|_| Vec::new()).collect();
-            for (t, tenant) in self.tenants.iter_mut().enumerate() {
-                let Some(chunk) = chunk_of[t] else { continue };
-                let len = tenant.slots.len();
-                let lo = chunk.first_session.min(len);
-                let hi = (chunk.first_session + chunk.runs).min(len);
-                bins[chunk.worker].push((
-                    t,
-                    tenant.env.clone(),
-                    &mut tenant.slots[lo..hi],
-                    &events[t],
-                ));
-            }
-            let segment_results: Vec<(usize, Vec<u64>)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = bins
-                    .into_iter()
-                    .map(|bin| {
-                        scope.spawn(move || {
-                            bin.into_iter()
-                                .map(|(tenant, env, slots, events)| {
-                                    (tenant, drain_grouped(&env, slots, events, batch_size))
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("service worker panicked"))
-                    .collect()
-            });
-            results.extend(segment_results);
+        for (t, tenant) in self.tenants.iter_mut().enumerate() {
+            tenant.processed += events[t].len() as u64;
         }
-        results
-    }
 
-    /// The working-set capacity controller: at each drain-round boundary,
-    /// resize every adaptively-configured tenant cache from its own
-    /// per-round counter deltas.  Runs on the main thread in registration
-    /// order, so with a fixed event sequence the whole capacity trajectory
-    /// replays bit-identically.
-    ///
-    /// Per tenant (skipped entirely when the round issued no requests):
-    /// *grow* by half (at least 8 entries) when the round saw ghost hits
-    /// (keys evicted too early) or evicted more than half the capacity;
-    /// *shrink* by a quarter when nothing was evicted and occupancy is
-    /// below half.  The result is clamped to the tenant's
-    /// [`AdaptiveCacheConfig`] bounds, and growth additionally to the
-    /// service-wide [`TuningService::with_cache_budget`].
-    fn run_adaptive_controllers(&mut self) {
-        let adaptive_caps: u64 = self
-            .tenants
-            .iter()
-            .filter(|t| t.adaptive.is_some())
-            .map(|t| t.env.cache_capacity().unwrap_or(0) as u64)
-            .sum();
-        let mut adaptive_caps = adaptive_caps as usize;
-        for tenant in &mut self.tenants {
-            let Some(bounds) = tenant.adaptive else {
-                continue;
-            };
-            let Some(cache) = tenant.env.shared_cache() else {
-                continue;
-            };
-            let stats = cache.stats();
-            let last = tenant.last_cache;
-            tenant.last_cache = stats;
-            if stats.requests.saturating_sub(last.requests) == 0 {
-                continue; // idle round: no evidence, no action
-            }
-            let Some(cap) = cache.capacity() else {
-                continue; // unbounded caches are not resizable
-            };
-            let ghost_delta = stats.ghost_hits.saturating_sub(last.ghost_hits);
-            let evict_delta = stats.evictions.saturating_sub(last.evictions);
-            let mut target = if ghost_delta > 0 || evict_delta > cap as u64 / 2 {
-                cap + (cap / 2).max(8)
-            } else if evict_delta == 0 && stats.entries.saturating_mul(2) < cap as u64 {
-                cap - cap / 4
-            } else {
-                cap
-            };
-            target = target.clamp(bounds.min_capacity, bounds.max_capacity.max(1));
-            if self.cache_budget > 0 && target > cap {
-                let headroom = self.cache_budget.saturating_sub(adaptive_caps - cap);
-                target = target.min(headroom.max(cap));
-            }
-            if target != cap {
-                cache.resize(target);
-            }
-            // The cache clamps resizes to its shard topology; account for
-            // what actually happened, not what was requested.
-            let now = tenant.env.cache_capacity().unwrap_or(cap);
-            adaptive_caps = adaptive_caps - cap + now;
-            // Resizing moves the eviction/entry counters; re-baseline so
-            // the next round's deltas reflect only that round's traffic.
-            tenant.last_cache = tenant.env.cache_stats();
+        let mut all = Vec::new();
+        let mut per_tenant: Vec<Vec<u64>> = vec![Vec::new(); self.tenants.len()];
+        for (t, latencies) in results {
+            all.extend_from_slice(&latencies);
+            per_tenant[t].extend(latencies);
+        }
+        all.sort_unstable();
+        let tenant_latencies_us = per_tenant
+            .into_iter()
+            .enumerate()
+            .filter(|(_, samples)| !samples.is_empty())
+            .map(|(t, mut samples)| {
+                samples.sort_unstable();
+                (TenantId(t as u32), samples)
+            })
+            .collect();
+        BatchReport {
+            events: total,
+            wall_seconds: start.elapsed().as_secs_f64(),
+            latencies_us: all,
+            tenant_latencies_us,
         }
     }
 
@@ -1176,14 +968,10 @@ impl TuningService {
             workers: self.max_workers as u64,
             batch_size: self.batch_size as u64,
             steal: self.steal,
-            epoch_runs: self.epoch_runs as u64,
-            cache_budget: self.cache_budget as u64,
             peak_pending: self.ingress.stats().peak_pending,
             sched_rounds: self.sched.rounds,
             sched_session_runs: self.sched.session_runs,
             sched_stolen_runs: self.sched.stolen_runs,
-            sched_epochs: self.sched.epochs,
-            sched_replans: self.sched.replans,
             tenants: self
                 .tenants
                 .iter()
@@ -1323,18 +1111,6 @@ impl TuningService {
                 snap.steal, self.steal
             ));
         }
-        if snap.epoch_runs != self.epoch_runs as u64 {
-            return mismatch(format!(
-                "snapshot used epoch_runs={}, this service has {}",
-                snap.epoch_runs, self.epoch_runs
-            ));
-        }
-        if snap.cache_budget != self.cache_budget as u64 {
-            return mismatch(format!(
-                "snapshot used cache_budget={}, this service has {}",
-                snap.cache_budget, self.cache_budget
-            ));
-        }
         if snap.tenants.len() != self.tenants.len() {
             return mismatch(format!(
                 "snapshot had {} tenant(s), this service has {}",
@@ -1407,28 +1183,19 @@ impl TuningService {
             self.sched.rounds,
             self.sched.session_runs,
             self.sched.stolen_runs,
-            self.sched.epochs,
-            self.sched.replans,
         ) != (
             snap.sched_rounds,
             snap.sched_session_runs,
             snap.sched_stolen_runs,
-            snap.sched_epochs,
-            snap.sched_replans,
         ) {
             return Err(PersistError::Divergence(format!(
-                "scheduler ledger mismatch: snapshot ({}, {}, {}, {}, {}), \
-                 replayed ({}, {}, {}, {}, {})",
+                "scheduler ledger mismatch: snapshot ({}, {}, {}), replayed ({}, {}, {})",
                 snap.sched_rounds,
                 snap.sched_session_runs,
                 snap.sched_stolen_runs,
-                snap.sched_epochs,
-                snap.sched_replans,
                 self.sched.rounds,
                 self.sched.session_runs,
-                self.sched.stolen_runs,
-                self.sched.epochs,
-                self.sched.replans
+                self.sched.stolen_runs
             )));
         }
         Ok(())
@@ -1940,125 +1707,6 @@ mod tests {
         // the depth snapshot.
         let (_, again) = run(true, 4);
         assert_eq!(stolen_sched, again);
-    }
-
-    /// Epoch mode's contract, analogous to stealing's: re-planning may only
-    /// change scheduler/wall-clock metrics, never session state — and
-    /// because a tenant's runs never execute concurrently, even the shared
-    /// cache counters are deterministic at every worker count.
-    #[test]
-    fn epoch_mode_preserves_session_state_and_cache_determinism() {
-        use simdb::cache::CachePolicy;
-        let run = |epoch_runs: usize, workers: usize| {
-            let mut svc = TuningService::with_workers(workers).with_epoch_runs(epoch_runs);
-            let mut caches = Vec::new();
-            for t in 0..3 {
-                let handle = db();
-                let id = svc.add_tenant_with(
-                    format!("tenant-{t}"),
-                    handle.clone(),
-                    TenantOptions::default()
-                        .with_cache_capacity(8)
-                        .with_cache_policy(CachePolicy::Arc),
-                );
-                for s in 0..3 {
-                    svc.add_session(id, format!("s{s}"), wfit_builder);
-                }
-                let q = Arc::new(
-                    handle
-                        .parse(&format!("SELECT b FROM t WHERE a = {}", t + 1))
-                        .unwrap(),
-                );
-                // Skew: tenant 0 dominates the round.
-                let n = if t == 0 { 16 } else { 2 };
-                for _ in 0..n {
-                    svc.submit(Event::query(id, q.clone()));
-                }
-                caches.push(id);
-            }
-            svc.process_pending();
-            let state: Vec<(u64, u64)> = svc
-                .session_ids()
-                .iter()
-                .map(|&sid| {
-                    let stats = svc.session_stats(sid);
-                    (stats.queries, stats.total_work.to_bits())
-                })
-                .collect();
-            let cache: Vec<WhatIfStats> = caches.iter().map(|&id| svc.cache_stats(id)).collect();
-            (state, cache, svc.sched_stats())
-        };
-        let (base_state, _, base_sched) = run(0, 4);
-        let (epoch_state, epoch_cache, epoch_sched) = run(2, 4);
-        assert_eq!(
-            base_state, epoch_state,
-            "epochs must not change session state"
-        );
-        assert_eq!(base_sched.epochs, 0);
-        assert!(epoch_sched.epochs > 1, "sched = {epoch_sched:?}");
-        assert!(epoch_sched.replans > 0, "sched = {epoch_sched:?}");
-        // Worker count may move work between bins but never changes what a
-        // tenant's cache observes.
-        let (solo_state, solo_cache, _) = run(2, 1);
-        assert_eq!(epoch_state, solo_state);
-        assert_eq!(epoch_cache, solo_cache);
-        // And the whole epoch ledger replays bit-identically.
-        assert_eq!(epoch_sched, run(2, 4).2);
-    }
-
-    /// The working-set controller grows a thrashing cache, respects the
-    /// global budget, and — being a pure function of the event sequence —
-    /// replays to the bit-identical capacity trajectory.
-    #[test]
-    fn adaptive_controller_resizes_deterministically_within_budget() {
-        use simdb::cache::CachePolicy;
-        let run = || {
-            let mut svc = TuningService::with_workers(2).with_cache_budget(64);
-            let handle = db();
-            let id = svc.add_tenant_with(
-                "t",
-                handle.clone(),
-                TenantOptions::default()
-                    .with_cache_capacity(8)
-                    .with_cache_policy(CachePolicy::Arc)
-                    .with_adaptive_cache(AdaptiveCacheConfig {
-                        min_capacity: 4,
-                        max_capacity: 256,
-                    }),
-            );
-            svc.add_session(id, "wfit", wfit_builder);
-            // Structurally distinct shapes; WFIT's config exploration per
-            // statement makes the (stmt, config) working set far exceed
-            // capacity 8, so every round churns the cache.
-            let queries: Vec<_> = [
-                "SELECT b FROM t WHERE a = 1",
-                "SELECT a FROM t WHERE b = 2",
-                "SELECT b FROM t WHERE a < 5",
-                "SELECT a FROM t WHERE b < 9",
-            ]
-            .iter()
-            .map(|sql| Arc::new(handle.parse(sql).unwrap()))
-            .collect();
-            for _ in 0..4 {
-                for q in &queries {
-                    svc.submit(Event::query(id, q.clone()));
-                }
-                svc.poll();
-            }
-            let env = svc.env(id);
-            (
-                env.cache_capacity(),
-                env.shared_cache().unwrap().export().digest(),
-                svc.cache_capacity_total(),
-            )
-        };
-        let (capacity, digest, total) = run();
-        let capacity = capacity.expect("cache stays bounded");
-        assert!(capacity > 8, "a thrashing cache must grow, got {capacity}");
-        assert!(capacity <= 64, "the budget caps growth, got {capacity}");
-        assert_eq!(total, capacity as u64);
-        // Replay-twice bit-identity: same trajectory, same final state.
-        assert_eq!(run(), (Some(capacity), digest, total));
     }
 
     struct PanickyAdvisor {

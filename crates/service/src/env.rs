@@ -3,7 +3,7 @@
 
 use crate::ibg_store::{IbgStats, IbgStore};
 use ibg::IndexBenefitGraph;
-use simdb::cache::{CacheConfig, CachePolicy, SharedWhatIfCache};
+use simdb::cache::{CacheConfig, SharedWhatIfCache};
 use simdb::database::Database;
 use simdb::index::{IndexId, IndexSet};
 use simdb::optimizer::PlanCost;
@@ -12,29 +12,6 @@ use simdb::whatif::WhatIfStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wfit_core::{SharedIbg, TuningEnv};
-
-/// Bounds of the working-set-driven cache capacity controller (see
-/// `TuningService` in [`crate::daemon`]).  The controller itself lives in
-/// the daemon — it resizes the tenant's shared cache on drain-round
-/// boundaries from the cache's own occupancy/eviction/ghost-hit ledgers,
-/// which makes every decision a pure function of the observed event
-/// sequence (never wall clock) and therefore bit-replayable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveCacheConfig {
-    /// The controller never shrinks the cache below this many entries.
-    pub min_capacity: usize,
-    /// The controller never grows the cache above this many entries.
-    pub max_capacity: usize,
-}
-
-impl Default for AdaptiveCacheConfig {
-    fn default() -> Self {
-        Self {
-            min_capacity: 8,
-            max_capacity: 4096,
-        }
-    }
-}
 
 /// Knobs of a tenant's environment: how what-if answers are cached and
 /// whether built IBGs are shared across the tenant's sessions.
@@ -61,9 +38,6 @@ pub struct TenantOptions {
     /// default, `Some(0)` makes this tenant's queue unbounded, `Some(n)`
     /// caps it at `n` pending events (see [`crate::ingress`]).
     pub ingress_depth: Option<usize>,
-    /// Bounds for the daemon's working-set capacity controller; `None`
-    /// (the default) keeps the cache capacity static.
-    pub adaptive: Option<AdaptiveCacheConfig>,
 }
 
 impl Default for TenantOptions {
@@ -73,25 +47,19 @@ impl Default for TenantOptions {
             ibg_reuse: false,
             ibg_keep_generations: IbgStore::KEEP_GENERATIONS,
             ingress_depth: None,
-            adaptive: None,
         }
     }
 }
 
 impl TenantOptions {
     /// Bound the shared cache to `capacity` resident entries (0 keeps it
-    /// unbounded).  Any policy already chosen with
-    /// [`TenantOptions::with_cache_policy`] is preserved.
+    /// unbounded).
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        let policy = self.cache.map(|c| c.policy).unwrap_or_default();
-        self.cache = Some(
-            if capacity == 0 {
-                CacheConfig::unbounded()
-            } else {
-                CacheConfig::bounded(capacity)
-            }
-            .with_policy(policy),
-        );
+        self.cache = Some(if capacity == 0 {
+            CacheConfig::unbounded()
+        } else {
+            CacheConfig::bounded(capacity)
+        });
         self
     }
 
@@ -116,24 +84,6 @@ impl TenantOptions {
     /// this tenant).
     pub fn with_ingress_depth(mut self, depth: usize) -> Self {
         self.ingress_depth = Some(depth);
-        self
-    }
-
-    /// Select the shared cache's eviction policy (CLOCK or scan-resistant
-    /// ARC), keeping any capacity already set by
-    /// [`TenantOptions::with_cache_capacity`].  A policy on an unbounded
-    /// (or disabled) cache is inert but preserved, so builder order does
-    /// not matter.
-    pub fn with_cache_policy(mut self, policy: CachePolicy) -> Self {
-        let config = self.cache.unwrap_or_else(CacheConfig::unbounded);
-        self.cache = Some(config.with_policy(policy));
-        self
-    }
-
-    /// Let the daemon's working-set controller resize this tenant's cache
-    /// on drain-round boundaries, within `config`'s bounds.
-    pub fn with_adaptive_cache(mut self, config: AdaptiveCacheConfig) -> Self {
-        self.adaptive = Some(config);
         self
     }
 }

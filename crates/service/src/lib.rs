@@ -40,18 +40,7 @@
 //!   [`TuningService::with_steal`]) — each drain round plans worker bins
 //!   from the queue-depth snapshot, and a worker that would idle takes
 //!   whole *session-runs* from the most-loaded bin, so one hot tenant no
-//!   longer serializes behind a single thread;
-//! * **adaptive self-tuning** (opt-in) — a tenant can select the
-//!   scan-resistant ARC cache policy
-//!   ([`TenantOptions::with_cache_policy`]), let the daemon's working-set
-//!   controller resize its cache at drain-round boundaries from the
-//!   cache's own eviction/ghost-hit ledgers ([`AdaptiveCacheConfig`],
-//!   globally bounded by [`TuningService::with_cache_budget`]), and rounds
-//!   can re-plan at epoch boundaries cut every K completed session-runs
-//!   ([`TuningService::with_epoch_runs`], [`scheduler::epoch_plan`])
-//!   against the actual weight each worker absorbed — every decision is a
-//!   pure function of observed event counts, so the whole control loop
-//!   replays bit-identically.
+//!   longer serializes behind a single thread.
 //!
 //! Per-session results are bit-deterministic: every session processes its
 //! tenant's events in submission order (stealing moves whole session-runs,
@@ -117,13 +106,11 @@ pub mod persist;
 pub mod scheduler;
 
 pub use daemon::{BatchReport, ServiceSession, TuningService};
-pub use env::{AdaptiveCacheConfig, TenantEnv, TenantOptions};
+pub use env::{TenantEnv, TenantOptions};
 pub use event::{Event, SessionId, TenantId};
 pub use ibg_store::{IbgStats, IbgStore};
 pub use ingress::{
     Ingress, IngressConfig, IngressStats, RejectReason, ServiceHandle, SubmitOutcome,
 };
 pub use persist::{PersistError, RestoreReport, Snapshot};
-pub use scheduler::{
-    epoch_plan, EpochChunk, EpochPlan, EpochSegment, SchedStats, SchedulePlan, SchedulerConfig,
-};
+pub use scheduler::{SchedStats, SchedulePlan, SchedulerConfig};

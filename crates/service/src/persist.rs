@@ -43,7 +43,7 @@
 //! discarded as a torn tail, which is the documented contract.
 
 use crate::event::Event;
-use simdb::cache::{CacheExport, CachePolicy, ShardExport, SlotExport};
+use simdb::cache::{CacheExport, ShardExport, SlotExport};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
@@ -55,8 +55,11 @@ pub const WAL_FILE: &str = "events.wal";
 pub const SNAPSHOT_FILE: &str = "snapshot.json";
 /// Magic bytes opening every WAL file.
 pub const WAL_MAGIC: [u8; 8] = *b"WFITWAL1";
-/// Snapshot manifest format version.
-pub const SNAPSHOT_VERSION: u64 = 1;
+/// Snapshot manifest format version.  A manifest of any other version is
+/// rejected as [`PersistError::Corrupt`]: a version-1 manifest holds every
+/// field this format reads, but its cache exports may describe ARC state
+/// and resized capacities that this format cannot represent.
+pub const SNAPSHOT_VERSION: u64 = 2;
 
 /// Why a persistence operation failed.  Recovery paths return these as
 /// typed errors — corruption and divergence are reported, never panicked.
@@ -525,10 +528,6 @@ pub struct Snapshot {
     pub batch_size: u64,
     /// Work-stealing configuration echo.
     pub steal: bool,
-    /// Epoch re-planning configuration echo (0 = single-shot plans).
-    pub epoch_runs: u64,
-    /// Global adaptive-cache memory budget echo (0 = unlimited).
-    pub cache_budget: u64,
     /// Global ingress high-water mark (not replayable round-by-round).
     pub peak_pending: u64,
     /// Scheduler ledger echo, verified after replay: non-empty rounds.
@@ -537,10 +536,6 @@ pub struct Snapshot {
     pub sched_session_runs: u64,
     /// Scheduler ledger echo: session-runs stolen.
     pub sched_stolen_runs: u64,
-    /// Scheduler ledger echo: epoch segments executed.
-    pub sched_epochs: u64,
-    /// Scheduler ledger echo: epoch re-plans (segments beyond the first).
-    pub sched_replans: u64,
     /// Per-tenant state, in registration order.
     pub tenants: Vec<TenantSnapshot>,
 }
@@ -576,8 +571,6 @@ impl Snapshot {
             ("workers", Json::Num(self.workers as f64)),
             ("batch_size", Json::Num(self.batch_size as f64)),
             ("steal", Json::Bool(self.steal)),
-            ("epoch_runs", Json::Num(self.epoch_runs as f64)),
-            ("cache_budget", Json::Num(self.cache_budget as f64)),
             ("peak_pending", Json::Num(self.peak_pending as f64)),
             ("sched_rounds", Json::Num(self.sched_rounds as f64)),
             (
@@ -588,8 +581,6 @@ impl Snapshot {
                 "sched_stolen_runs",
                 Json::Num(self.sched_stolen_runs as f64),
             ),
-            ("sched_epochs", Json::Num(self.sched_epochs as f64)),
-            ("sched_replans", Json::Num(self.sched_replans as f64)),
             (
                 "tenants",
                 Json::Arr(self.tenants.iter().map(tenant_to_json).collect()),
@@ -609,14 +600,10 @@ impl Snapshot {
             workers: get_u64(doc, "workers")?,
             batch_size: get_u64(doc, "batch_size")?,
             steal: get_bool(doc, "steal")?,
-            epoch_runs: get_u64(doc, "epoch_runs")?,
-            cache_budget: get_u64(doc, "cache_budget")?,
             peak_pending: get_u64(doc, "peak_pending")?,
             sched_rounds: get_u64(doc, "sched_rounds")?,
             sched_session_runs: get_u64(doc, "sched_session_runs")?,
             sched_stolen_runs: get_u64(doc, "sched_stolen_runs")?,
-            sched_epochs: get_u64(doc, "sched_epochs")?,
-            sched_replans: get_u64(doc, "sched_replans")?,
             tenants: get_arr(doc, "tenants")?
                 .iter()
                 .map(tenant_from_json)
@@ -716,17 +703,11 @@ fn cache_to_json(c: &CacheExport) -> Json {
             Json::obj(vec![
                 ("hand", Json::Num(s.hand as f64)),
                 ("slots", Json::Arr(slots)),
-                ("p", Json::Num(s.p as f64)),
-                ("t1_len", Json::Num(s.t1_len as f64)),
-                ("b1", ghost_array(&s.b1)),
-                ("b2", ghost_array(&s.b2)),
             ])
         })
         .collect();
     Json::obj(vec![
         ("capacity", Json::Num(c.capacity as f64)),
-        ("policy", Json::Str(c.policy.name().to_string())),
-        ("live_capacity", Json::Num(c.live_capacity as f64)),
         (
             "statements",
             Json::Arr(c.statements.iter().map(|&f| hex(f)).collect()),
@@ -740,34 +721,7 @@ fn cache_to_json(c: &CacheExport) -> Json {
         ("optimizer_calls", Json::Num(c.optimizer_calls as f64)),
         ("cache_hits", Json::Num(c.cache_hits as f64)),
         ("evictions", Json::Num(c.evictions as f64)),
-        ("ghost_hits", Json::Num(c.ghost_hits as f64)),
-        ("policy_promotions", Json::Num(c.policy_promotions as f64)),
     ])
-}
-
-/// ARC ghost list as an array of `[stmt, config]` id pairs.
-fn ghost_array(ghosts: &[(u32, u32)]) -> Json {
-    Json::Arr(
-        ghosts
-            .iter()
-            .map(|&(s, c)| Json::Arr(vec![Json::Num(s as f64), Json::Num(c as f64)]))
-            .collect(),
-    )
-}
-
-fn ghost_vec(doc: &Json, key: &str) -> Result<Vec<(u32, u32)>, PersistError> {
-    get_arr(doc, key)?
-        .iter()
-        .map(|pair| {
-            let ids = json_u32_vec(pair)?;
-            if ids.len() != 2 {
-                return Err(PersistError::Corrupt(format!(
-                    "field {key:?}: ghost entry must be a [stmt, config] pair"
-                )));
-            }
-            Ok((ids[0], ids[1]))
-        })
-        .collect()
 }
 
 fn cache_from_json(doc: &Json) -> Result<CacheExport, PersistError> {
@@ -795,20 +749,10 @@ fn cache_from_json(doc: &Json) -> Result<CacheExport, PersistError> {
         shards.push(ShardExport {
             hand: get_u64(shard, "hand")?,
             slots,
-            p: get_u64(shard, "p")?,
-            t1_len: get_u64(shard, "t1_len")?,
-            b1: ghost_vec(shard, "b1")?,
-            b2: ghost_vec(shard, "b2")?,
         });
     }
-    let policy_name = get_str(doc, "policy")?;
-    let policy = CachePolicy::parse(&policy_name).ok_or_else(|| {
-        PersistError::Corrupt(format!("unknown cache policy {policy_name:?} in snapshot"))
-    })?;
     Ok(CacheExport {
         capacity: get_u64(doc, "capacity")?,
-        policy,
-        live_capacity: get_u64(doc, "live_capacity")?,
         statements,
         configs,
         shards,
@@ -816,8 +760,6 @@ fn cache_from_json(doc: &Json) -> Result<CacheExport, PersistError> {
         optimizer_calls: get_u64(doc, "optimizer_calls")?,
         cache_hits: get_u64(doc, "cache_hits")?,
         evictions: get_u64(doc, "evictions")?,
-        ghost_hits: get_u64(doc, "ghost_hits")?,
-        policy_promotions: get_u64(doc, "policy_promotions")?,
     })
 }
 
@@ -1040,14 +982,10 @@ mod tests {
             workers: 4,
             batch_size: 8,
             steal: false,
-            epoch_runs: 2,
-            cache_budget: 256,
             peak_pending: 12,
             sched_rounds: 7,
             sched_session_runs: 21,
             sched_stolen_runs: 0,
-            sched_epochs: 9,
-            sched_replans: 2,
             tenants: vec![TenantSnapshot {
                 name: "tenant-0".into(),
                 shed: 3,

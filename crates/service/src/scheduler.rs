@@ -146,14 +146,6 @@ pub struct SchedStats {
     /// Worst planned load imbalance across rounds (see
     /// [`SchedulePlan::imbalance`]); 1.0 when no round ran.
     pub max_imbalance: f64,
-    /// Epoch segments executed across all rounds (0 unless epoch
-    /// re-planning is enabled; see [`epoch_plan`]).
-    pub epochs: u64,
-    /// Mid-round re-planning decisions: segments whose placement was
-    /// recomputed against the completed-weight ledger (`epochs - rounds`
-    /// for epoch rounds, since the first segment of a round is the initial
-    /// plan, not a re-plan).
-    pub replans: u64,
 }
 
 impl Default for SchedStats {
@@ -167,8 +159,6 @@ impl Default for SchedStats {
             // a service that never polled does not report a nonsensical
             // "better than perfect" 0.0.
             max_imbalance: 1.0,
-            epochs: 0,
-            replans: 0,
         }
     }
 }
@@ -181,176 +171,6 @@ impl SchedStats {
         self.stolen_runs += plan.stolen_runs;
         self.max_queue_depth = self.max_queue_depth.max(max_depth);
         self.max_imbalance = self.max_imbalance.max(plan.imbalance());
-    }
-
-    /// Fold one epoch-mode round into the counters.
-    pub fn absorb_epoch_round(&mut self, plan: &EpochPlan, max_depth: u64) {
-        self.rounds += 1;
-        self.session_runs += plan.session_runs;
-        self.max_queue_depth = self.max_queue_depth.max(max_depth);
-        self.max_imbalance = self.max_imbalance.max(plan.imbalance());
-        self.epochs += plan.epochs();
-        self.replans += plan.replans();
-    }
-}
-
-/// One tenant's share of an epoch segment: `runs` consecutive session-runs
-/// starting at `first_session`, all on one worker.  Keeping a tenant's
-/// segment-runs on a single worker (and tenants unique within a segment)
-/// means a tenant's sessions never execute concurrently in epoch mode — its
-/// shared-cache counters stay a pure function of the event order even with
-/// many workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EpochChunk {
-    /// Tenant index in the service registry.
-    pub tenant: usize,
-    /// First session index of the chunk (sessions are consumed in order
-    /// across segments, so runs are never split or duplicated).
-    pub first_session: usize,
-    /// Session-runs in the chunk (≥ 1).
-    pub runs: usize,
-    /// Worker executing the chunk.
-    pub worker: usize,
-}
-
-/// One epoch segment: chunks that execute concurrently, followed by a
-/// barrier before the next segment is released.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct EpochSegment {
-    /// The segment's chunks, in tenant order.  Each tenant appears at most
-    /// once.
-    pub chunks: Vec<EpochChunk>,
-}
-
-/// The deterministic outcome of epoch-planning one drain round: session-runs
-/// cut into weight-balanced segments, each segment's chunks placed against
-/// the cumulative completed-weight of every worker bin.  Because execution
-/// is deterministic, the planned completed-weight ledger *is* the actual
-/// one, so re-planning at each boundary corrects real skew (a bin that
-/// absorbed a heavy chunk receives less later work) without any wall-clock
-/// feedback.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EpochPlan {
-    /// Segments in execution order.
-    pub segments: Vec<EpochSegment>,
-    /// Workers the plan uses (≤ the configured maximum).
-    pub workers_used: usize,
-    /// Session-runs scheduled across all segments.
-    pub session_runs: u64,
-    /// Largest cumulative per-worker load (in event-replays).
-    pub max_load: u64,
-    /// Total load across workers (in event-replays).
-    pub total_load: u64,
-}
-
-impl EpochPlan {
-    /// Epoch segments in the round.
-    pub fn epochs(&self) -> u64 {
-        self.segments.len() as u64
-    }
-
-    /// Re-planning decisions: every segment after the first re-places
-    /// against the completed-weight ledger.
-    pub fn replans(&self) -> u64 {
-        (self.segments.len() as u64).saturating_sub(1)
-    }
-
-    /// Cumulative load imbalance across the whole round (same scale as
-    /// [`SchedulePlan::imbalance`]).
-    pub fn imbalance(&self) -> f64 {
-        if self.total_load == 0 || self.workers_used == 0 {
-            1.0
-        } else {
-            self.max_load as f64 * self.workers_used as f64 / self.total_load as f64
-        }
-    }
-}
-
-/// Plan one drain round with epoch re-planning: cut the round's session-runs
-/// into segments of roughly `total_weight / ceil(total_runs / epoch_runs)`
-/// event-replays each (so the boundary falls every ~`epoch_runs` completed
-/// runs, weighted by actual cost), and place each segment's chunks on the
-/// least-loaded worker **by cumulative completed weight** — the bins carry
-/// the weight of every earlier segment, which is what makes the second and
-/// later segments genuine re-plans rather than a static split.
-///
-/// The plan is a pure function of `loads`, `config` and `epoch_runs`:
-/// tenants are taken heaviest-remaining-first (ties toward the lower id),
-/// every chunk lands on the least-loaded bin (ties toward the lower worker
-/// index), and each segment takes at least one run, so the plan always
-/// terminates with every run placed exactly once.
-pub fn epoch_plan(loads: &[TenantLoad], config: &SchedulerConfig, epoch_runs: usize) -> EpochPlan {
-    let busy: Vec<TenantLoad> = loads.iter().filter(|l| l.depth > 0).copied().collect();
-    if busy.is_empty() {
-        return EpochPlan {
-            segments: Vec::new(),
-            workers_used: 0,
-            session_runs: 0,
-            max_load: 0,
-            total_load: 0,
-        };
-    }
-    let total_runs: usize = busy.iter().map(|l| l.runs()).sum();
-    let total_weight: u64 = busy.iter().map(|l| l.weight()).sum();
-    let workers_used = config.workers.max(1).min(total_runs).max(1);
-    let epoch_runs = epoch_runs.max(1);
-    let segments_target = total_runs.div_ceil(epoch_runs).max(1);
-    let segment_weight = total_weight.div_ceil(segments_target as u64).max(1);
-
-    // remaining[i] = session-runs of busy tenant i not yet placed;
-    // next_session[i] = first unplaced session index.
-    let mut remaining: Vec<usize> = busy.iter().map(|l| l.runs()).collect();
-    let mut next_session: Vec<usize> = vec![0; busy.len()];
-    let mut bin_load = vec![0u64; workers_used];
-    let mut segments = Vec::new();
-
-    while remaining.iter().any(|&r| r > 0) {
-        // Re-plan: order tenants by remaining weight, heaviest first (ties
-        // toward the lower tenant id).
-        let mut order: Vec<usize> = (0..busy.len()).filter(|&i| remaining[i] > 0).collect();
-        order.sort_by_key(|&i| {
-            (
-                std::cmp::Reverse(remaining[i] as u64 * busy[i].depth as u64),
-                busy[i].tenant,
-            )
-        });
-        let mut segment = EpochSegment::default();
-        let mut quota = segment_weight;
-        for &i in &order {
-            if quota == 0 && !segment.chunks.is_empty() {
-                break;
-            }
-            let per_run = busy[i].depth as u64;
-            // Take enough runs to cover the remaining quota (at least one).
-            let take = remaining[i].min((quota.div_ceil(per_run) as usize).max(1));
-            let worker = bin_load
-                .iter()
-                .enumerate()
-                .min_by_key(|&(w, &l)| (l, w))
-                .map(|(w, _)| w)
-                .unwrap_or(0);
-            let chunk_weight = take as u64 * per_run;
-            bin_load[worker] += chunk_weight;
-            quota = quota.saturating_sub(chunk_weight);
-            segment.chunks.push(EpochChunk {
-                tenant: busy[i].tenant,
-                first_session: next_session[i],
-                runs: take,
-                worker,
-            });
-            next_session[i] += take;
-            remaining[i] -= take;
-        }
-        segment.chunks.sort_by_key(|c| c.tenant);
-        segments.push(segment);
-    }
-
-    EpochPlan {
-        segments,
-        workers_used,
-        session_runs: total_runs as u64,
-        max_load: bin_load.iter().copied().max().unwrap_or(0),
-        total_load: bin_load.iter().sum(),
     }
 }
 
@@ -579,100 +399,6 @@ mod tests {
         assert_eq!(plan.session_runs, 1);
         assert_eq!(plan.placements.len(), 1);
         assert!(matches!(plan.placements[0].1, Placement::Whole { .. }));
-    }
-
-    /// Every session-run placed exactly once, contiguously, with each
-    /// tenant at most once per segment — the epoch-mode expression of the
-    /// "sessions never split / order preserved" invariants.
-    fn assert_epoch_invariants(plan: &EpochPlan, loads: &[TenantLoad]) {
-        let mut placed: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-        for segment in &plan.segments {
-            let mut seen = std::collections::HashSet::new();
-            for chunk in &segment.chunks {
-                assert!(chunk.runs >= 1);
-                assert!(chunk.worker < plan.workers_used);
-                assert!(seen.insert(chunk.tenant), "tenant twice in one segment");
-                let next = placed.entry(chunk.tenant).or_insert(0);
-                assert_eq!(
-                    chunk.first_session, *next,
-                    "runs must be consumed contiguously in session order"
-                );
-                *next += chunk.runs;
-            }
-        }
-        for load in loads.iter().filter(|l| l.depth > 0) {
-            assert_eq!(
-                placed.get(&load.tenant).copied().unwrap_or(0),
-                load.sessions.max(1),
-                "tenant {} runs placed exactly once",
-                load.tenant
-            );
-        }
-    }
-
-    #[test]
-    fn epoch_plan_preserves_run_atomicity_and_is_pure() {
-        let loads = [load(0, 40, 3), load(1, 8, 2), load(2, 8, 2), load(3, 0, 5)];
-        let a = epoch_plan(&loads, &cfg(3, true), 2);
-        assert_epoch_invariants(&a, &loads);
-        assert!(a.epochs() > 1, "seven runs at K=2 must cut segments");
-        assert_eq!(a.replans(), a.epochs() - 1);
-        assert_eq!(a.session_runs, 7);
-        assert_eq!(a.total_load, 3 * 40 + 2 * 8 + 2 * 8);
-        // Pure function: identical inputs and shuffled tenant listing give
-        // the identical plan.
-        assert_eq!(a, epoch_plan(&loads, &cfg(3, true), 2));
-        let shuffled = [loads[2], loads[3], loads[0], loads[1]];
-        assert_eq!(a, epoch_plan(&shuffled, &cfg(3, true), 2));
-    }
-
-    #[test]
-    fn epoch_replanning_flattens_skew_against_completed_weight() {
-        // One heavy tenant (3 sessions × 60) among light ones: a single
-        // static segment pins all heavy runs at once, while epoch cuts let
-        // later segments route around the bin that absorbed the first
-        // heavy chunk.
-        let loads = [load(0, 60, 3), load(1, 10, 2), load(2, 10, 2)];
-        let one_shot = epoch_plan(&loads, &cfg(4, true), usize::MAX);
-        assert_eq!(one_shot.epochs(), 1);
-        let epoched = epoch_plan(&loads, &cfg(4, true), 2);
-        assert_epoch_invariants(&epoched, &loads);
-        assert!(epoched.epochs() > 1);
-        assert!(
-            epoched.imbalance() <= one_shot.imbalance(),
-            "re-planning must not worsen the makespan: {} > {}",
-            epoched.imbalance(),
-            one_shot.imbalance()
-        );
-    }
-
-    #[test]
-    fn epoch_plan_handles_edge_shapes() {
-        // Empty snapshot.
-        let empty = epoch_plan(&[load(0, 0, 3)], &cfg(4, true), 2);
-        assert_eq!(empty.epochs(), 0);
-        assert_eq!(empty.imbalance(), 1.0);
-        // Session-less tenant gets one pseudo-run; K=1 cuts per run.
-        let single = epoch_plan(&[load(0, 5, 0), load(1, 3, 1)], &cfg(2, false), 1);
-        assert_epoch_invariants(&single, &[load(0, 5, 0), load(1, 3, 1)]);
-        assert_eq!(single.session_runs, 2);
-        // K larger than the round degenerates to one segment, zero replans.
-        let big_k = epoch_plan(&[load(0, 5, 2)], &cfg(2, true), 100);
-        assert_eq!(big_k.epochs(), 1);
-        assert_eq!(big_k.replans(), 0);
-    }
-
-    #[test]
-    fn epoch_stats_fold_into_sched_stats() {
-        let loads = [load(0, 40, 3), load(1, 8, 2)];
-        let plan = epoch_plan(&loads, &cfg(2, true), 2);
-        let mut stats = SchedStats::default();
-        stats.absorb_epoch_round(&plan, 40);
-        assert_eq!(stats.rounds, 1);
-        assert_eq!(stats.session_runs, 5);
-        assert_eq!(stats.epochs, plan.epochs());
-        assert_eq!(stats.replans, plan.replans());
-        assert_eq!(stats.max_queue_depth, 40);
     }
 
     #[test]

@@ -42,8 +42,8 @@
 //! per-database cache, so reports can present both layers uniformly.
 
 use parking_lot::RwLock;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::index::IndexSet;
 use crate::optimizer::PlanCost;
@@ -55,51 +55,12 @@ use crate::whatif::WhatIfStats;
 /// the per-shard capacities can sum to exactly the configured capacity.
 pub const SHARD_COUNT: usize = 16;
 
-/// Eviction policy of a bounded [`SharedWhatIfCache`].
-///
-/// Both policies are deterministic for a fixed per-shard request order; the
-/// difference is scan resistance.  [`CachePolicy::Clock`] gives every hit a
-/// second chance but lets a long scan of one-off keys flush the resident
-/// set; [`CachePolicy::Arc`] partitions each shard into a recency list (T1)
-/// and a frequency list (T2) with ghost lists (B1/B2) remembering recently
-/// evicted keys, adapting the recency target `p` on ghost hits — so keys
-/// requested more than once are protected from one-off floods.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CachePolicy {
-    /// Sharded CLOCK (second chance) — the historical policy.
-    #[default]
-    Clock,
-    /// Sharded ARC-style adaptive replacement with ghost lists.
-    Arc,
-}
-
-impl CachePolicy {
-    /// Stable name for reports and snapshots (`"clock"` / `"arc"`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            CachePolicy::Clock => "clock",
-            CachePolicy::Arc => "arc",
-        }
-    }
-
-    /// Parse a [`CachePolicy::name`] back (case-insensitive); `None` for
-    /// anything else.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
-            "clock" => Some(CachePolicy::Clock),
-            "arc" => Some(CachePolicy::Arc),
-            _ => None,
-        }
-    }
-}
-
 /// Capacity policy of a [`SharedWhatIfCache`].
 ///
 /// The default is [`CacheConfig::unbounded`], which reproduces the historical
 /// grow-forever behaviour bit-for-bit; [`CacheConfig::bounded`] caps the
-/// number of resident plan costs and evicts with the configured
-/// [`CachePolicy`] (deterministic sharded CLOCK by default, scan-resistant
-/// ARC via [`CacheConfig::with_policy`]).
+/// number of resident plan costs and evicts with a deterministic sharded
+/// CLOCK sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Maximum number of resident plan-cost entries; `0` means unbounded.
@@ -110,33 +71,20 @@ pub struct CacheConfig {
     /// configuration) and are not evicted, so interned ids stay stable for
     /// the lifetime of the cache.
     pub capacity: usize,
-    /// Eviction policy applied when `capacity` is in force; inert (no
-    /// entries are ever evicted) for unbounded caches.
-    pub policy: CachePolicy,
 }
 
 impl CacheConfig {
     /// No capacity bound: entries are never evicted.
     pub fn unbounded() -> Self {
-        Self {
-            capacity: 0,
-            policy: CachePolicy::Clock,
-        }
+        Self { capacity: 0 }
     }
 
     /// Bound the cache to at most `capacity` resident entries (clamped to at
-    /// least 1), evicting with the CLOCK sweep.
+    /// least 1).
     pub fn bounded(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
-            policy: CachePolicy::Clock,
         }
-    }
-
-    /// Replace the eviction policy (meaningful only for bounded caches).
-    pub fn with_policy(mut self, policy: CachePolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Whether a capacity bound is in force.
@@ -169,179 +117,13 @@ struct Slot {
 }
 
 /// One independent shard: a key → slot index map plus the slot arena the
-/// eviction policy manages.  Under CLOCK, slot order is insertion order and
-/// the hand sweeps it; under ARC the arena is a free-listed store and the
-/// `t1`/`t2` deques carry the recency/frequency orders (front = LRU).
-/// Either way victim selection is a pure function of the request order
-/// against this shard.
+/// CLOCK hand sweeps.  Slot order is insertion order, so victim selection is
+/// a pure function of the request order against this shard.
 #[derive(Debug, Default)]
 struct Shard {
     map: HashMap<(StmtId, ConfigId), usize>,
     slots: Vec<Slot>,
     hand: usize,
-    /// Current capacity of this shard (`usize::MAX` when unbounded).  Lives
-    /// under the shard lock so [`SharedWhatIfCache::resize`] swaps it
-    /// atomically with the overflow eviction.
-    cap: usize,
-    /// ARC recency list: slot indices of entries seen exactly once since
-    /// admission (front = LRU).  Empty under CLOCK.
-    t1: VecDeque<usize>,
-    /// ARC frequency list: slot indices of entries hit at least twice.
-    t2: VecDeque<usize>,
-    /// ARC ghost list shadowing T1: keys recently evicted from T1.
-    b1: VecDeque<(StmtId, ConfigId)>,
-    /// ARC ghost list shadowing T2.
-    b2: VecDeque<(StmtId, ConfigId)>,
-    /// ARC adaptation target: the desired size of T1 (0 ≤ p ≤ cap).
-    p: usize,
-    /// Free slot-arena indices available for reuse (ARC only; CLOCK
-    /// replaces victims in place).
-    free: Vec<usize>,
-}
-
-impl Shard {
-    /// Store `value` in the arena (reusing a free slot if any) and append it
-    /// to the MRU end of T1, or T2 for ghost-hit resurrections.
-    fn arc_admit(&mut self, key: (StmtId, ConfigId), value: PlanCost, into_t2: bool) {
-        let slot = Slot {
-            key,
-            value,
-            referenced: AtomicBool::new(false),
-        };
-        let idx = if let Some(i) = self.free.pop() {
-            self.slots[i] = slot;
-            i
-        } else {
-            self.slots.push(slot);
-            self.slots.len() - 1
-        };
-        self.map.insert(key, idx);
-        if into_t2 {
-            self.t2.push_back(idx);
-        } else {
-            self.t1.push_back(idx);
-        }
-    }
-
-    /// Move a hit entry to the MRU end of T2.  Returns `true` when the entry
-    /// was promoted out of T1 (a second reference earned protection).
-    fn arc_promote(&mut self, idx: usize) -> bool {
-        if let Some(pos) = self.t1.iter().position(|&i| i == idx) {
-            self.t1.remove(pos);
-            self.t2.push_back(idx);
-            true
-        } else {
-            if let Some(pos) = self.t2.iter().position(|&i| i == idx) {
-                self.t2.remove(pos);
-                self.t2.push_back(idx);
-            }
-            false
-        }
-    }
-
-    /// Remove the slot at `idx` from the map and return its arena index to
-    /// the free list, releasing the memoized value's memory.
-    fn drop_slot(&mut self, idx: usize) {
-        let key = self.slots[idx].key;
-        self.map.remove(&key);
-        self.slots[idx].value = PlanCost {
-            total: 0.0,
-            used_indexes: IndexSet::empty(),
-            description: String::new(),
-        };
-        self.free.push(idx);
-    }
-
-    /// ARC's REPLACE: evict the T1 LRU into ghost list B1 when T1 exceeds
-    /// the target `p` (or ties it on a B2 ghost hit), otherwise the T2 LRU
-    /// into B2.  Evicts nothing while the shard has headroom (`|T1|+|T2| <
-    /// cap`), so residency can only shrink when the shard is actually full.
-    /// Returns the number of evictions (0 or 1).
-    fn arc_replace(&mut self, ghost_in_b2: bool, cap: usize) -> u64 {
-        if self.t1.len() + self.t2.len() < cap {
-            return 0;
-        }
-        let from_t1 = !self.t1.is_empty()
-            && (self.t1.len() > self.p || (ghost_in_b2 && self.t1.len() == self.p));
-        if from_t1 {
-            let idx = self.t1.pop_front().expect("t1 checked non-empty");
-            let key = self.slots[idx].key;
-            self.drop_slot(idx);
-            self.b1.push_back(key);
-        } else if let Some(idx) = self.t2.pop_front() {
-            let key = self.slots[idx].key;
-            self.drop_slot(idx);
-            self.b2.push_back(key);
-        } else if let Some(idx) = self.t1.pop_front() {
-            // T2 empty and T1 within target: fall back to the T1 LRU.
-            let key = self.slots[idx].key;
-            self.drop_slot(idx);
-            self.b1.push_back(key);
-        } else {
-            return 0;
-        }
-        1
-    }
-
-    /// Evict CLOCK victims until at most `cap` entries remain, preserving
-    /// arena (sweep) order for the survivors.  Returns the eviction count.
-    fn clock_shrink_to(&mut self, cap: usize) -> u64 {
-        let mut evicted = 0u64;
-        while self.slots.len() > cap {
-            let victim = loop {
-                let hand = self.hand;
-                self.hand = (self.hand + 1) % self.slots.len();
-                if self.slots[hand].referenced.swap(false, Ordering::Relaxed) {
-                    continue;
-                }
-                break hand;
-            };
-            let slot = self.slots.remove(victim);
-            self.map.remove(&slot.key);
-            for idx in self.map.values_mut() {
-                if *idx > victim {
-                    *idx -= 1;
-                }
-            }
-            if self.hand > victim {
-                self.hand -= 1;
-            }
-            if self.slots.is_empty() {
-                self.hand = 0;
-            } else {
-                self.hand %= self.slots.len();
-            }
-            evicted += 1;
-        }
-        evicted
-    }
-
-    /// Evict ARC entries (REPLACE order) until at most `cap` are resident,
-    /// then trim the ghost directory back inside its invariants
-    /// (`|T1|+|B1| ≤ cap`, everything ≤ `2·cap`) and clamp `p`.  Returns the
-    /// eviction count.
-    fn arc_shrink_to(&mut self, cap: usize) -> u64 {
-        let mut evicted = 0u64;
-        while self.t1.len() + self.t2.len() > cap {
-            let step = self.arc_replace(false, cap);
-            if step == 0 {
-                break;
-            }
-            evicted += step;
-        }
-        while self.t1.len() + self.b1.len() > cap {
-            if self.b1.pop_front().is_none() {
-                break;
-            }
-        }
-        while self.t1.len() + self.t2.len() + self.b1.len() + self.b2.len() > 2 * cap {
-            if self.b2.pop_front().is_none() && self.b1.pop_front().is_none() {
-                break;
-            }
-        }
-        self.p = self.p.min(cap);
-        evicted
-    }
 }
 
 /// A concurrent what-if cost cache with interned keys and optional capacity
@@ -372,25 +154,16 @@ impl Shard {
 #[derive(Debug)]
 pub struct SharedWhatIfCache {
     config: CacheConfig,
-    /// Current total capacity (resizable for bounded caches; equals
-    /// `config.capacity` until [`SharedWhatIfCache::resize`] changes it).
-    /// The shard topology — shard count and key placement — is fixed by the
-    /// construction capacity, so interned keys never migrate on resize.
-    live_capacity: AtomicUsize,
     stmts: RwLock<HashMap<u64, StmtId>>,
     configs: RwLock<HashMap<IndexSet, ConfigId>>,
     shards: Vec<RwLock<Shard>>,
+    /// Per-shard capacity (`usize::MAX` when unbounded); the values sum to
+    /// exactly `config.capacity` when bounded.
+    shard_caps: Vec<usize>,
     requests: AtomicU64,
     optimizer_calls: AtomicU64,
     cache_hits: AtomicU64,
     evictions: AtomicU64,
-    /// ARC only: misses whose key was still remembered by a ghost list —
-    /// the "evicted too early" signal the adaptive capacity controller
-    /// feeds on.
-    ghost_hits: AtomicU64,
-    /// ARC only: hits that promoted an entry from the recency list T1 into
-    /// the protected frequency list T2.
-    policy_promotions: AtomicU64,
 }
 
 impl Default for SharedWhatIfCache {
@@ -405,14 +178,6 @@ impl SharedWhatIfCache {
         Self::with_config(CacheConfig::unbounded())
     }
 
-    /// Per-shard capacities for `capacity` total over `shard_count` shards:
-    /// the values sum to exactly `capacity` (the first
-    /// `capacity % shard_count` shards get one extra slot).
-    fn cap_distribution(capacity: usize, shard_count: usize) -> impl Iterator<Item = usize> {
-        (0..shard_count)
-            .map(move |i| capacity / shard_count + usize::from(i < capacity % shard_count))
-    }
-
     /// Create an empty cache with the given capacity policy.
     pub fn with_config(config: CacheConfig) -> Self {
         let shard_count = if config.is_bounded() {
@@ -424,90 +189,39 @@ impl SharedWhatIfCache {
         } else {
             SHARD_COUNT
         };
-        let shards: Vec<RwLock<Shard>> = if config.is_bounded() {
-            Self::cap_distribution(config.capacity, shard_count)
-                .map(|cap| {
-                    RwLock::new(Shard {
-                        cap,
-                        ..Shard::default()
-                    })
+        let shard_caps: Vec<usize> = if config.is_bounded() {
+            // Distribute the capacity so the per-shard caps sum to exactly
+            // `capacity` (the first `capacity % shard_count` shards get one
+            // extra slot).
+            (0..shard_count)
+                .map(|i| {
+                    config.capacity / shard_count + usize::from(i < config.capacity % shard_count)
                 })
                 .collect()
         } else {
-            (0..shard_count)
-                .map(|_| {
-                    RwLock::new(Shard {
-                        cap: usize::MAX,
-                        ..Shard::default()
-                    })
-                })
-                .collect()
+            vec![usize::MAX; shard_count]
         };
         Self {
             config,
-            live_capacity: AtomicUsize::new(config.capacity),
             stmts: RwLock::new(HashMap::new()),
             configs: RwLock::new(HashMap::new()),
-            shards,
+            shards: (0..shard_count).map(|_| RwLock::default()).collect(),
+            shard_caps,
             requests: AtomicU64::new(0),
             optimizer_calls: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            ghost_hits: AtomicU64::new(0),
-            policy_promotions: AtomicU64::new(0),
         }
     }
 
-    /// The capacity policy the cache was created with.  The *capacity* field
-    /// reflects construction time; [`SharedWhatIfCache::capacity`] reports
-    /// the live (possibly resized) bound.
+    /// The capacity policy the cache was created with.
     pub fn config(&self) -> CacheConfig {
         self.config
     }
 
-    /// The eviction policy in force.
-    pub fn policy(&self) -> CachePolicy {
-        self.config.policy
-    }
-
-    /// Maximum number of resident entries (`None` when unbounded).  Reflects
-    /// the live bound after any [`SharedWhatIfCache::resize`].
+    /// Maximum number of resident entries (`None` when unbounded).
     pub fn capacity(&self) -> Option<usize> {
-        self.config
-            .is_bounded()
-            .then(|| self.live_capacity.load(Ordering::Relaxed))
-    }
-
-    /// Resize a bounded cache to `capacity` resident entries, evicting
-    /// overflow with the configured policy.  Deterministic: shards are
-    /// resized in index order and victim selection follows the same rules as
-    /// insertion-time eviction.  The shard topology is fixed at construction,
-    /// so the target is clamped to at least one slot per shard; unbounded
-    /// caches ignore the call.  Returns the applied capacity.
-    ///
-    /// Callers that need determinism must quiesce the cache first (no
-    /// requests in flight) — the service's adaptive controller runs between
-    /// drain rounds, which satisfies this.
-    pub fn resize(&self, capacity: usize) -> usize {
-        if !self.config.is_bounded() {
-            return 0;
-        }
-        let capacity = capacity.max(self.shards.len());
-        if capacity == self.live_capacity.load(Ordering::Relaxed) {
-            return capacity;
-        }
-        let mut evicted = 0u64;
-        for (index, cap) in Self::cap_distribution(capacity, self.shards.len()).enumerate() {
-            let mut guard = self.shards[index].write();
-            guard.cap = cap;
-            match self.config.policy {
-                CachePolicy::Clock => evicted += guard.clock_shrink_to(cap),
-                CachePolicy::Arc => evicted += guard.arc_shrink_to(cap),
-            }
-        }
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        self.live_capacity.store(capacity, Ordering::Relaxed);
-        capacity
+        self.config.is_bounded().then_some(self.config.capacity)
     }
 
     /// Intern a statement fingerprint.  The same fingerprint always maps to
@@ -568,20 +282,7 @@ impl SharedWhatIfCache {
             self.intern_config(config),
         );
         let shard_index = self.shard_of(key.0, key.1);
-        let arc = self.config.policy == CachePolicy::Arc && self.config.is_bounded();
-        if arc {
-            // ARC hits reorder the recency lists, so even the hit path takes
-            // the write lock; shard fan-out keeps contention low.
-            let mut guard = self.shards[shard_index].write();
-            if let Some(&idx) = guard.map.get(&key) {
-                let value = guard.slots[idx].value.clone();
-                if guard.arc_promote(idx) {
-                    self.policy_promotions.fetch_add(1, Ordering::Relaxed);
-                }
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return value;
-            }
-        } else {
+        {
             let guard = self.shards[shard_index].read();
             if let Some(&idx) = guard.map.get(&key) {
                 let slot = &guard.slots[idx];
@@ -592,19 +293,15 @@ impl SharedWhatIfCache {
         }
         self.optimizer_calls.fetch_add(1, Ordering::Relaxed);
         let value = compute();
-        if arc {
-            self.arc_insert(shard_index, key, value.clone());
-        } else {
-            self.insert(shard_index, key, value.clone());
-        }
+        self.insert(shard_index, key, value.clone());
         value
     }
 
     /// Insert under the shard's write lock, evicting the CLOCK victim if the
     /// shard is at capacity.
     fn insert(&self, shard_index: usize, key: (StmtId, ConfigId), value: PlanCost) {
+        let cap = self.shard_caps[shard_index];
         let mut guard = self.shards[shard_index].write();
-        let cap = guard.cap;
         if let Some(&idx) = guard.map.get(&key) {
             // A concurrent miss on the same key won the race; keep its entry.
             guard.slots[idx].referenced.store(true, Ordering::Relaxed);
@@ -642,63 +339,6 @@ impl SharedWhatIfCache {
         self.evictions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Insert a freshly computed value under the ARC policy: ghost hits
-    /// adapt the target `p` and resurrect straight into T2, new keys enter
-    /// T1, and residency never exceeds the shard capacity at any step.
-    fn arc_insert(&self, shard_index: usize, key: (StmtId, ConfigId), value: PlanCost) {
-        let mut guard = self.shards[shard_index].write();
-        let cap = guard.cap;
-        if guard.map.contains_key(&key) {
-            // A concurrent miss on the same key won the race; keep its entry
-            // where it is (the CLOCK analog of only setting the ref bit).
-            return;
-        }
-        let in_b1 = guard.b1.iter().position(|k| *k == key);
-        let in_b2 = guard.b2.iter().position(|k| *k == key);
-        let mut evicted = 0u64;
-        if let Some(i) = in_b1 {
-            // Ghost hit in B1: the recency list was too small — grow p.
-            self.ghost_hits.fetch_add(1, Ordering::Relaxed);
-            let delta = (guard.b2.len() / guard.b1.len().max(1)).max(1);
-            guard.p = (guard.p + delta).min(cap);
-            guard.b1.remove(i);
-            evicted += guard.arc_replace(false, cap);
-            guard.arc_admit(key, value, true);
-        } else if let Some(i) = in_b2 {
-            // Ghost hit in B2: the frequency list was too small — shrink p.
-            self.ghost_hits.fetch_add(1, Ordering::Relaxed);
-            let delta = (guard.b1.len() / guard.b2.len().max(1)).max(1);
-            guard.p = guard.p.saturating_sub(delta);
-            guard.b2.remove(i);
-            evicted += guard.arc_replace(true, cap);
-            guard.arc_admit(key, value, true);
-        } else {
-            // Entirely new key: keep the directory bounds |T1|+|B1| ≤ cap
-            // and |T1|+|T2|+|B1|+|B2| ≤ 2·cap, then admit into T1.
-            let l1 = guard.t1.len() + guard.b1.len();
-            let total = l1 + guard.t2.len() + guard.b2.len();
-            if l1 >= cap {
-                if guard.t1.len() < cap {
-                    guard.b1.pop_front();
-                    evicted += guard.arc_replace(false, cap);
-                } else if let Some(idx) = guard.t1.pop_front() {
-                    // T1 fills the whole shard: drop its LRU entry outright
-                    // (no ghost — the directory is already full of T1 keys).
-                    guard.drop_slot(idx);
-                    evicted += 1;
-                }
-            } else if total >= cap {
-                if total >= 2 * cap {
-                    guard.b2.pop_front();
-                }
-                evicted += guard.arc_replace(false, cap);
-            }
-            guard.arc_admit(key, value, false);
-        }
-        drop(guard);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
-    }
-
     /// Current counter values, including the resident entry count.
     pub fn stats(&self) -> WhatIfStats {
         WhatIfStats {
@@ -707,8 +347,6 @@ impl SharedWhatIfCache {
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             entries: self.len() as u64,
-            ghost_hits: self.ghost_hits.load(Ordering::Relaxed),
-            policy_promotions: self.policy_promotions.load(Ordering::Relaxed),
         }
     }
 
@@ -719,15 +357,11 @@ impl SharedWhatIfCache {
         self.optimizer_calls.store(0, Ordering::Relaxed);
         self.cache_hits.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
-        self.ghost_hits.store(0, Ordering::Relaxed);
-        self.policy_promotions.store(0, Ordering::Relaxed);
     }
 
     /// Number of cached plan costs across all shards.
     pub fn len(&self) -> usize {
-        // The map tracks exactly the resident entries; under ARC the slot
-        // arena can be longer than the resident set (free-listed holes).
-        self.shards.iter().map(|s| s.read().map.len()).sum()
+        self.shards.iter().map(|s| s.read().slots.len()).sum()
     }
 
     /// Whether no plan cost is cached.
@@ -742,12 +376,6 @@ impl SharedWhatIfCache {
             guard.map.clear();
             guard.slots.clear();
             guard.hand = 0;
-            guard.t1.clear();
-            guard.t2.clear();
-            guard.b1.clear();
-            guard.b2.clear();
-            guard.p = 0;
-            guard.free.clear();
         }
         self.stmts.write().clear();
         self.configs.write().clear();
@@ -777,56 +405,30 @@ impl SharedWhatIfCache {
             configs[id.0 as usize] = set.iter().map(|i| i.0).collect();
         }
         drop(configs_guard);
-        let arc = self.config.policy == CachePolicy::Arc && self.config.is_bounded();
         let shards = self
             .shards
             .iter()
             .map(|shard| {
                 let guard = shard.read();
-                let slot_export = |idx: usize| {
-                    let slot = &guard.slots[idx];
-                    SlotExport {
-                        stmt: slot.key.0 .0,
-                        config: slot.key.1 .0,
-                        total_bits: slot.value.total.to_bits(),
-                        used_indexes: slot.value.used_indexes.iter().map(|i| i.0).collect(),
-                        description: slot.value.description.clone(),
-                        referenced: slot.referenced.load(Ordering::Relaxed),
-                    }
-                };
-                if arc {
-                    // Canonical ARC order: T1 LRU→MRU then T2 LRU→MRU, so two
-                    // caches with equal list state export identically even if
-                    // their arena layouts (free-list histories) differ.
-                    ShardExport {
-                        hand: 0,
-                        slots: guard
-                            .t1
-                            .iter()
-                            .chain(guard.t2.iter())
-                            .map(|&idx| slot_export(idx))
-                            .collect(),
-                        p: guard.p as u64,
-                        t1_len: guard.t1.len() as u64,
-                        b1: guard.b1.iter().map(|k| (k.0 .0, k.1 .0)).collect(),
-                        b2: guard.b2.iter().map(|k| (k.0 .0, k.1 .0)).collect(),
-                    }
-                } else {
-                    ShardExport {
-                        hand: guard.hand as u64,
-                        slots: (0..guard.slots.len()).map(slot_export).collect(),
-                        p: 0,
-                        t1_len: 0,
-                        b1: Vec::new(),
-                        b2: Vec::new(),
-                    }
+                ShardExport {
+                    hand: guard.hand as u64,
+                    slots: guard
+                        .slots
+                        .iter()
+                        .map(|slot| SlotExport {
+                            stmt: slot.key.0 .0,
+                            config: slot.key.1 .0,
+                            total_bits: slot.value.total.to_bits(),
+                            used_indexes: slot.value.used_indexes.iter().map(|i| i.0).collect(),
+                            description: slot.value.description.clone(),
+                            referenced: slot.referenced.load(Ordering::Relaxed),
+                        })
+                        .collect(),
                 }
             })
             .collect();
         CacheExport {
             capacity: self.config.capacity as u64,
-            policy: self.config.policy,
-            live_capacity: self.live_capacity.load(Ordering::Relaxed) as u64,
             statements,
             configs,
             shards,
@@ -834,8 +436,6 @@ impl SharedWhatIfCache {
             optimizer_calls: self.optimizer_calls.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            ghost_hits: self.ghost_hits.load(Ordering::Relaxed),
-            policy_promotions: self.policy_promotions.load(Ordering::Relaxed),
         }
     }
 
@@ -851,7 +451,7 @@ impl SharedWhatIfCache {
         let cache = Self::with_config(if export.capacity == 0 {
             CacheConfig::unbounded()
         } else {
-            CacheConfig::bounded(export.capacity as usize).with_policy(export.policy)
+            CacheConfig::bounded(export.capacity as usize)
         });
         if export.shards.len() != cache.shards.len() {
             return Err(format!(
@@ -860,22 +460,6 @@ impl SharedWhatIfCache {
                 export.capacity,
                 cache.shards.len()
             ));
-        }
-        let arc = export.capacity > 0 && export.policy == CachePolicy::Arc;
-        if export.capacity > 0 {
-            // Re-apply a live (resized) capacity over the fixed shard
-            // topology before any slots are checked against their caps.
-            let live = export.live_capacity as usize;
-            if live < cache.shards.len() {
-                return Err(format!(
-                    "live capacity {live} below the shard count {}",
-                    cache.shards.len()
-                ));
-            }
-            for (index, cap) in Self::cap_distribution(live, cache.shards.len()).enumerate() {
-                cache.shards[index].write().cap = cap;
-            }
-            cache.live_capacity.store(live, Ordering::Relaxed);
         }
         {
             let mut stmts = cache.stmts.write();
@@ -895,8 +479,7 @@ impl SharedWhatIfCache {
             }
         }
         for (shard_index, shard_export) in export.shards.iter().enumerate() {
-            let mut guard = cache.shards[shard_index].write();
-            let cap = guard.cap;
+            let cap = cache.shard_caps[shard_index];
             if shard_export.slots.len() > cap {
                 return Err(format!(
                     "shard {shard_index} holds {} slots over its capacity {cap}",
@@ -906,30 +489,7 @@ impl SharedWhatIfCache {
             if shard_export.hand != 0 && shard_export.hand as usize >= shard_export.slots.len() {
                 return Err(format!("shard {shard_index} hand out of range"));
             }
-            if arc {
-                if shard_export.hand != 0 {
-                    return Err(format!("ARC shard {shard_index} carries a CLOCK hand"));
-                }
-                let t1_len = shard_export.t1_len as usize;
-                if t1_len > shard_export.slots.len() {
-                    return Err(format!("shard {shard_index} t1_len out of range"));
-                }
-                if shard_export.p as usize > cap {
-                    return Err(format!("shard {shard_index} target p over capacity"));
-                }
-                if t1_len + shard_export.b1.len() > cap
-                    || shard_export.slots.len() + shard_export.b1.len() + shard_export.b2.len()
-                        > 2 * cap
-                {
-                    return Err(format!("shard {shard_index} ghost lists over the bound"));
-                }
-            } else if shard_export.p != 0
-                || shard_export.t1_len != 0
-                || !shard_export.b1.is_empty()
-                || !shard_export.b2.is_empty()
-            {
-                return Err(format!("CLOCK shard {shard_index} carries ARC state"));
-            }
+            let mut guard = cache.shards[shard_index].write();
             for (idx, slot) in shard_export.slots.iter().enumerate() {
                 if slot.stmt as usize >= export.statements.len()
                     || slot.config as usize >= export.configs.len()
@@ -955,36 +515,6 @@ impl SharedWhatIfCache {
                     },
                     referenced: AtomicBool::new(slot.referenced),
                 });
-                if arc {
-                    if idx < shard_export.t1_len as usize {
-                        guard.t1.push_back(idx);
-                    } else {
-                        guard.t2.push_back(idx);
-                    }
-                }
-            }
-            if arc {
-                guard.p = shard_export.p as usize;
-                for &(stmt, config) in &shard_export.b1 {
-                    if stmt as usize >= export.statements.len()
-                        || config as usize >= export.configs.len()
-                    {
-                        return Err(format!(
-                            "shard {shard_index} ghost references uninterned id"
-                        ));
-                    }
-                    guard.b1.push_back((StmtId(stmt), ConfigId(config)));
-                }
-                for &(stmt, config) in &shard_export.b2 {
-                    if stmt as usize >= export.statements.len()
-                        || config as usize >= export.configs.len()
-                    {
-                        return Err(format!(
-                            "shard {shard_index} ghost references uninterned id"
-                        ));
-                    }
-                    guard.b2.push_back((StmtId(stmt), ConfigId(config)));
-                }
             }
             guard.hand = shard_export.hand as usize;
         }
@@ -994,10 +524,6 @@ impl SharedWhatIfCache {
             .store(export.optimizer_calls, Ordering::Relaxed);
         cache.cache_hits.store(export.cache_hits, Ordering::Relaxed);
         cache.evictions.store(export.evictions, Ordering::Relaxed);
-        cache.ghost_hits.store(export.ghost_hits, Ordering::Relaxed);
-        cache
-            .policy_promotions
-            .store(export.policy_promotions, Ordering::Relaxed);
         Ok(cache)
     }
 }
@@ -1021,23 +547,13 @@ pub struct SlotExport {
 }
 
 /// One exported shard: the CLOCK hand plus the slot arena in insertion
-/// order — or, under ARC, the resident entries in canonical T1-then-T2 LRU
-/// order with the ghost lists and adaptation target alongside.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// order.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardExport {
-    /// Position of the CLOCK hand (always 0 for ARC shards).
+    /// Position of the CLOCK hand.
     pub hand: u64,
-    /// Resident entries: insertion (sweep) order under CLOCK, T1 LRU→MRU
-    /// followed by T2 LRU→MRU under ARC.
+    /// Resident entries in insertion (sweep) order.
     pub slots: Vec<SlotExport>,
-    /// ARC adaptation target `p` (0 under CLOCK).
-    pub p: u64,
-    /// Number of leading `slots` that belong to T1 (0 under CLOCK).
-    pub t1_len: u64,
-    /// ARC ghost list B1 as `(stmt, config)` interned ids, LRU→MRU.
-    pub b1: Vec<(u32, u32)>,
-    /// ARC ghost list B2 as `(stmt, config)` interned ids, LRU→MRU.
-    pub b2: Vec<(u32, u32)>,
 }
 
 /// A complete, plain-data image of a [`SharedWhatIfCache`]: capacity policy,
@@ -1045,19 +561,13 @@ pub struct ShardExport {
 /// CLOCK state, and the hit/miss/eviction counters.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CacheExport {
-    /// Configured (construction-time) capacity (0 = unbounded).  Fixes the
-    /// shard topology on import.
+    /// Configured capacity (0 = unbounded).
     pub capacity: u64,
-    /// Eviction policy in force.
-    pub policy: CachePolicy,
-    /// Live capacity after any [`SharedWhatIfCache::resize`] (equals
-    /// `capacity` until the adaptive controller changes it).
-    pub live_capacity: u64,
     /// Statement fingerprints, indexed by [`StmtId`].
     pub statements: Vec<u64>,
     /// Configurations as raw index-id lists, indexed by [`ConfigId`].
     pub configs: Vec<Vec<u32>>,
-    /// Per-shard slot arenas plus CLOCK or ARC bookkeeping.
+    /// Per-shard slot arenas and CLOCK hands.
     pub shards: Vec<ShardExport>,
     /// Total requests served.
     pub requests: u64,
@@ -1065,12 +575,8 @@ pub struct CacheExport {
     pub optimizer_calls: u64,
     /// Hits served from the memo.
     pub cache_hits: u64,
-    /// Entries displaced by eviction (CLOCK sweep, ARC REPLACE, or resize).
+    /// Entries displaced by the CLOCK sweep.
     pub evictions: u64,
-    /// ARC misses whose key a ghost list still remembered.
-    pub ghost_hits: u64,
-    /// ARC hits promoted from the recency list T1 into T2.
-    pub policy_promotions: u64,
 }
 
 impl CacheExport {
@@ -1091,8 +597,6 @@ impl CacheExport {
         }
         let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
         eat_u64(&mut hash, self.capacity);
-        eat(&mut hash, self.policy.name().as_bytes());
-        eat_u64(&mut hash, self.live_capacity);
         eat_u64(&mut hash, self.statements.len() as u64);
         for &f in &self.statements {
             eat_u64(&mut hash, f);
@@ -1120,23 +624,12 @@ impl CacheExport {
                 eat(&mut hash, slot.description.as_bytes());
                 eat_u64(&mut hash, slot.referenced as u64);
             }
-            eat_u64(&mut hash, shard.p);
-            eat_u64(&mut hash, shard.t1_len);
-            for ghosts in [&shard.b1, &shard.b2] {
-                eat_u64(&mut hash, ghosts.len() as u64);
-                for &(stmt, config) in ghosts {
-                    eat_u64(&mut hash, stmt as u64);
-                    eat_u64(&mut hash, config as u64);
-                }
-            }
         }
         for counter in [
             self.requests,
             self.optimizer_calls,
             self.cache_hits,
             self.evictions,
-            self.ghost_hits,
-            self.policy_promotions,
         ] {
             eat_u64(&mut hash, counter);
         }
@@ -1257,8 +750,7 @@ mod tests {
     fn tiny_capacities_use_fewer_shards_and_stay_exact() {
         for capacity in [1usize, 2, 3, 5, 10, 17] {
             let cache = SharedWhatIfCache::with_config(CacheConfig::bounded(capacity));
-            let shard_cap_sum: usize = cache.shards.iter().map(|s| s.read().cap).sum();
-            assert_eq!(shard_cap_sum, capacity);
+            assert_eq!(cache.shard_caps.iter().sum::<usize>(), capacity);
             for f in 0..40u64 {
                 cache.get_or_compute(f, &IndexSet::empty(), || plan(f as f64));
                 assert!(cache.len() <= capacity, "capacity {capacity}");
@@ -1299,172 +791,6 @@ mod tests {
             (stats.cache_hits, stats.evictions, stats.entries)
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn arc_never_exceeds_capacity_and_keeps_counter_identities() {
-        let mut total_ghost_hits = 0;
-        for capacity in [2usize, 5, 8, 17] {
-            let cache = SharedWhatIfCache::with_config(
-                CacheConfig::bounded(capacity).with_policy(CachePolicy::Arc),
-            );
-            let e = IndexSet::empty();
-            for step in 0..300u64 {
-                let f = (step * step + 3) % 31;
-                cache.get_or_compute(f, &e, || plan(f as f64));
-                assert!(cache.len() <= capacity, "capacity {capacity} step {step}");
-            }
-            let stats = cache.stats();
-            assert_eq!(stats.requests, 300);
-            assert_eq!(stats.optimizer_calls + stats.cache_hits, 300);
-            assert_eq!(stats.optimizer_calls - stats.evictions, stats.entries);
-            total_ghost_hits += stats.ghost_hits;
-        }
-        assert!(total_ghost_hits > 0, "reuse pattern must hit the ghosts");
-    }
-
-    #[test]
-    fn arc_resists_scans_better_than_clock() {
-        // A hot working set re-referenced between one-off scan floods: ARC
-        // promotes the hot keys into T2 and sacrifices scan keys from T1,
-        // CLOCK lets the flood strip the residents.
-        let run = |policy: CachePolicy| {
-            let cache = SharedWhatIfCache::with_config(CacheConfig::bounded(8).with_policy(policy));
-            let e = IndexSet::empty();
-            let mut scan_key = 1000u64;
-            for _round in 0..40 {
-                for hot in 0..4u64 {
-                    cache.get_or_compute(hot, &e, || plan(hot as f64));
-                }
-                for _ in 0..6 {
-                    let f = scan_key;
-                    scan_key += 1;
-                    cache.get_or_compute(f, &e, || plan(f as f64));
-                }
-            }
-            cache.stats()
-        };
-        let clock = run(CachePolicy::Clock);
-        let arc = run(CachePolicy::Arc);
-        assert!(
-            arc.cache_hits > clock.cache_hits,
-            "ARC {arc:?} must beat CLOCK {clock:?} under scan flooding"
-        );
-        assert!(arc.policy_promotions > 0);
-    }
-
-    #[test]
-    fn arc_eviction_is_deterministic_for_identical_request_orders() {
-        let run = || {
-            let cache = SharedWhatIfCache::with_config(
-                CacheConfig::bounded(6).with_policy(CachePolicy::Arc),
-            );
-            let e = IndexSet::empty();
-            for step in 0..200u64 {
-                let f = (step * step + 3) % 17;
-                cache.get_or_compute(f, &e, || plan(f as f64));
-            }
-            cache.export()
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b);
-        assert_eq!(a.digest(), b.digest());
-    }
-
-    #[test]
-    fn resize_shrinks_and_grows_deterministically() {
-        for policy in [CachePolicy::Clock, CachePolicy::Arc] {
-            // Capacity 8 ⇒ 4 shards, so the shrink target 5 is not clamped.
-            let cache = SharedWhatIfCache::with_config(CacheConfig::bounded(8).with_policy(policy));
-            let e = IndexSet::empty();
-            for f in 0..16u64 {
-                cache.get_or_compute(f, &e, || plan(f as f64));
-            }
-            let before = cache.stats();
-            let applied = cache.resize(5);
-            assert_eq!(applied, 5, "{policy:?}");
-            assert_eq!(cache.capacity(), Some(5));
-            assert!(cache.len() <= 5, "{policy:?} len {}", cache.len());
-            let after = cache.stats();
-            // Resize evictions keep the ledger identity intact.
-            assert_eq!(
-                after.optimizer_calls - after.evictions,
-                after.entries,
-                "{policy:?} before={before:?} after={after:?}"
-            );
-            // Growing back evicts nothing and the cache keeps absorbing.
-            assert_eq!(cache.resize(20), 20);
-            let grown = cache.stats();
-            assert_eq!(grown.evictions, after.evictions);
-            for f in 16..36u64 {
-                cache.get_or_compute(f, &e, || plan(f as f64));
-                assert!(cache.len() <= 20);
-            }
-            // A target below the shard count clamps up to one slot per shard.
-            assert_eq!(cache.resize(2), 4, "{policy:?}");
-            assert!(cache.len() <= 4);
-            // Unbounded caches ignore resize.
-            let unbounded = SharedWhatIfCache::new();
-            assert_eq!(unbounded.resize(5), 0);
-            assert_eq!(unbounded.capacity(), None);
-        }
-    }
-
-    #[test]
-    fn arc_export_round_trips_and_behaves_identically_onward() {
-        let warm = || {
-            let cache = SharedWhatIfCache::with_config(
-                CacheConfig::bounded(6).with_policy(CachePolicy::Arc),
-            );
-            for step in 0..150u64 {
-                let f = (step * step + 3) % 23;
-                cache.get_or_compute(f, &IndexSet::empty(), || plan(f as f64));
-            }
-            cache
-        };
-        let original = warm();
-        let export = original.export();
-        assert_eq!(export.policy, CachePolicy::Arc);
-        let imported = SharedWhatIfCache::from_export(&export).expect("import");
-        assert_eq!(imported.export(), export);
-        assert_eq!(imported.export().digest(), export.digest());
-        // Same request tail ⇒ bit-identical exports afterwards.
-        let tail = |cache: &SharedWhatIfCache| {
-            for step in 0..80u64 {
-                let f = (step * 7 + 1) % 29;
-                cache.get_or_compute(f, &IndexSet::empty(), || plan(f as f64));
-            }
-            cache.export()
-        };
-        let a = tail(&original);
-        let b = tail(&imported);
-        assert_eq!(a, b);
-
-        // A resized ARC cache round-trips its live capacity too.
-        let resized = warm();
-        resized.resize(4);
-        let export = resized.export();
-        assert_eq!(export.live_capacity, 4);
-        let imported = SharedWhatIfCache::from_export(&export).expect("import resized");
-        assert_eq!(imported.capacity(), Some(4));
-        assert_eq!(imported.export(), export);
-    }
-
-    #[test]
-    fn clock_shards_reject_arc_state_and_vice_versa() {
-        let mut export = warmed(6).export();
-        export.shards[0].p = 3;
-        assert!(SharedWhatIfCache::from_export(&export).is_err());
-
-        let arc_cache =
-            SharedWhatIfCache::with_config(CacheConfig::bounded(4).with_policy(CachePolicy::Arc));
-        for f in 0..12u64 {
-            arc_cache.get_or_compute(f, &IndexSet::empty(), || plan(f as f64));
-        }
-        let mut export = arc_cache.export();
-        export.shards[0].hand = 1;
-        assert!(SharedWhatIfCache::from_export(&export).is_err());
     }
 
     /// Drive a bounded cache through a skewed request pattern (hits,

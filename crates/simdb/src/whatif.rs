@@ -29,14 +29,6 @@ pub struct WhatIfStats {
     pub evictions: u64,
     /// Number of entries resident at snapshot time (occupancy).
     pub entries: u64,
-    /// Misses whose key was still remembered by an ARC ghost list — the
-    /// "evicted too early" signal (0 for unbounded and CLOCK caches).
-    #[serde(default)]
-    pub ghost_hits: u64,
-    /// Hits promoted from the ARC recency list T1 into the protected
-    /// frequency list T2 (0 for unbounded and CLOCK caches).
-    #[serde(default)]
-    pub policy_promotions: u64,
 }
 
 impl WhatIfStats {
@@ -62,8 +54,6 @@ impl WhatIfStats {
             cache_hits: self.cache_hits + other.cache_hits,
             evictions: self.evictions + other.evictions,
             entries: self.entries + other.entries,
-            ghost_hits: self.ghost_hits + other.ghost_hits,
-            policy_promotions: self.policy_promotions + other.policy_promotions,
         }
     }
 }
@@ -115,8 +105,6 @@ impl WhatIfCache {
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             evictions: 0,
             entries: self.len() as u64,
-            ghost_hits: 0,
-            policy_promotions: 0,
         }
     }
 

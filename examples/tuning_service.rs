@@ -22,14 +22,6 @@
 //! snapshot — and a freshly assembled host restores from disk to the exact
 //! pre-crash state, then finishes the workload.
 //!
-//! The fifth act demonstrates **adaptive self-tuning**: deliberately
-//! undersized tenant caches run the scan-resistant ARC policy, the
-//! working-set controller grows them at drain-round boundaries from their
-//! own eviction/ghost-hit ledgers (under a global budget), and the drain
-//! re-plans at epoch boundaries so a hot tenant's session-runs stop
-//! lumping onto one worker — all of it a pure function of event counts,
-//! so the control loop replays bit-identically.
-//!
 //! Run with `cargo run --release --example tuning_service`.
 
 use std::sync::Arc;
@@ -331,76 +323,4 @@ fn main() {
         svc.recommendation(session).len(),
     );
     let _ = std::fs::remove_dir_all(&dir);
-
-    // Act five — adaptive self-tuning.  Three tenants behind deliberately
-    // tiny ARC caches; tenant 0 is hot (4× the statements).  The working-set
-    // controller resizes each cache at drain-round boundaries from its own
-    // eviction/ghost-hit deltas, growth capped by a global budget, and the
-    // epoch planner cuts each round into weight-balanced segments that
-    // re-plan against the load each worker actually absorbed.
-    println!();
-    println!("adaptive act: ARC caches + working-set controller + epochs…");
-    let mut adaptive = TuningService::with_workers(2)
-        .with_batch_size(BATCH_SIZE)
-        .with_epoch_runs(2)
-        .with_cache_budget(512);
-    let mut skewed = Vec::new();
-    for t in 0..3 {
-        let bench = Benchmark::generate(BenchmarkSpec {
-            statements_per_phase: STATEMENTS_PER_PHASE,
-            seed: 0xADA97 ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            phases: wfit::workload::default_phases(),
-        });
-        let Benchmark { db, statements, .. } = bench;
-        let tenant = adaptive.add_tenant_with(
-            format!("adaptive-{t}"),
-            Arc::new(db),
-            TenantOptions::default()
-                .with_cache_capacity(8) // far below the working set
-                .with_cache_policy(wfit::simdb::cache::CachePolicy::Arc)
-                .with_adaptive_cache(wfit::service::AdaptiveCacheConfig::default()),
-        );
-        adaptive.add_session(tenant, "wfit", |env| {
-            Box::new(Wfit::new(env, WfitConfig::default())) as Box<dyn IndexAdvisor + Send>
-        });
-        adaptive.add_session(tenant, "bc-like", |env| {
-            Box::new(Wfit::new(env, WfitConfig::default())) as Box<dyn IndexAdvisor + Send>
-        });
-        skewed.push((tenant, statements));
-    }
-    let initial_capacity = adaptive.cache_capacity_total();
-    // Replay in waves so the controller acts at several round boundaries;
-    // the hot tenant submits its stream four times per wave.
-    for wave in 0..4 {
-        for (t, (tenant, statements)) in skewed.iter().enumerate() {
-            let repeats = if t == 0 { 4 } else { 1 };
-            for _ in 0..repeats {
-                for statement in statements.iter().skip(wave * 2).take(2) {
-                    adaptive.submit(Event::query(*tenant, Arc::new(statement.clone())));
-                }
-            }
-        }
-        adaptive.poll();
-    }
-    let cache = adaptive.aggregate_cache_stats();
-    let sched = adaptive.sched_stats();
-    println!(
-        "  ARC ledger: {} requests, hit rate {:.3}, {} evictions, \
-         {} ghost resurrections, {} T1→T2 promotions",
-        cache.requests,
-        cache.hit_rate(),
-        cache.evictions,
-        cache.ghost_hits,
-        cache.policy_promotions,
-    );
-    println!(
-        "  working-set controller: capacity {} → {} entries (budget 512)",
-        initial_capacity,
-        adaptive.cache_capacity_total(),
-    );
-    println!(
-        "  epoch planner: {} epochs cut, {} re-plans over {} rounds, \
-         load imbalance {:.3}",
-        sched.epochs, sched.replans, sched.rounds, sched.max_imbalance,
-    );
 }

@@ -13,22 +13,20 @@
 //!   to the reference host as of that round — never a panic, never a
 //!   diverged state;
 //! * damage that cannot be a torn tail (corrupt magic, a snapshot claiming
-//!   more rounds than the log holds) is a hard [`PersistError`], not a
-//!   guess;
+//!   more rounds than the log holds, a manifest in an older format) is a
+//!   hard [`PersistError`], not a guess;
 //! * after a torn-tail restore the log is physically truncated, so the
 //!   service appends the next round cleanly and can snapshot again.
 
-use simdb::cache::CachePolicy;
 use simdb::catalog::CatalogBuilder;
 use simdb::database::Database;
 use simdb::index::{IndexId, IndexSet};
 use simdb::types::DataType;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use wfit::core::json::Json;
 use wfit::core::IndexAdvisor;
-use wfit::service::{
-    AdaptiveCacheConfig, Event, TenantEnv, TenantId, TenantOptions, TuningService,
-};
+use wfit::service::{Event, PersistError, TenantEnv, TenantId, TuningService};
 use wfit::{Wfit, WfitConfig};
 
 const WAL_FILE: &str = "events.wal";
@@ -248,138 +246,6 @@ fn resume_after_torn_restore_appends_past_the_truncation() {
     let _ = std::fs::remove_dir_all(&reference);
 }
 
-/// The adaptive-stack variant of [`assemble`]: ARC caches under a
-/// working-set controller and a global budget, epoch re-planning every
-/// completed session-run.  A persisted adaptive deployment re-runs exactly
-/// this assembly after a crash.
-fn assemble_adaptive() -> (TuningService, TenantId, IndexId) {
-    let mut svc = TuningService::with_workers(2)
-        .with_batch_size(2)
-        .with_epoch_runs(1)
-        .with_cache_budget(96);
-    let database = db();
-    let idx = database.define_index("t", &["a"]).unwrap();
-    let tenant = svc.add_tenant_with(
-        "acme",
-        database,
-        TenantOptions::default()
-            .with_cache_capacity(2)
-            .with_cache_policy(CachePolicy::Arc)
-            .with_adaptive_cache(AdaptiveCacheConfig {
-                min_capacity: 2,
-                max_capacity: 64,
-            }),
-    );
-    svc.add_session(tenant, "wfit-0", |env: TenantEnv| {
-        Box::new(Wfit::new(env, WfitConfig::default())) as Box<dyn IndexAdvisor + Send>
-    });
-    svc.add_session(tenant, "wfit-1", |env: TenantEnv| {
-        Box::new(Wfit::new(env, WfitConfig::default())) as Box<dyn IndexAdvisor + Send>
-    });
-    (svc, tenant, idx)
-}
-
-/// Everything the adaptive control loop must reproduce after a restore:
-/// session state plus the ARC counter ledger, the controller's capacity,
-/// and the epoch planner's totals.
-fn adaptive_fingerprint(svc: &TuningService) -> (Fingerprint, Vec<u64>) {
-    let sched = svc.sched_stats();
-    let mut control = vec![svc.cache_capacity_total(), sched.epochs, sched.replans];
-    for &sid in &svc.session_ids() {
-        let stats = svc.cache_stats(sid.tenant);
-        control.extend([
-            stats.requests,
-            stats.cache_hits,
-            stats.evictions,
-            stats.ghost_hits,
-            stats.policy_promotions,
-            stats.entries,
-        ]);
-    }
-    (state_fingerprint(svc), control)
-}
-
-/// Satellite gate: a mid-scenario snapshot + WAL tail of an **ARC-adaptive,
-/// epoch-planning** service restores to the bit-identical control-loop
-/// state — capacity trajectory, ghost/promotion ledgers, epoch totals and
-/// all — because the WAL replay re-runs the controller deterministically.
-#[test]
-fn adaptive_stack_survives_snapshot_and_restore_bit_for_bit() {
-    let reference = scratch_dir("adaptive-ref");
-    let (svc, tenant, idx) = assemble_adaptive();
-    let mut svc = svc
-        .with_persistence(&reference)
-        .expect("fresh dir attaches");
-    let mut states = Vec::new();
-    for round in 0..ROUNDS {
-        for event in round_events(&svc, tenant, idx, round) {
-            svc.submit(event);
-        }
-        svc.poll();
-        states.push(adaptive_fingerprint(&svc));
-        if round + 1 == SNAPSHOT_AT {
-            svc.snapshot().expect("snapshot of a quiescent service");
-        }
-    }
-    assert!(svc.persist_fault().is_none());
-    let final_state = adaptive_fingerprint(&svc);
-    // The run must actually exercise the adaptive machinery it claims to
-    // persist: epochs were cut and re-planned, the undersized ARC cache
-    // evicted, and the controller grew it past the initial 2 entries.
-    let sched = svc.sched_stats();
-    assert!(sched.epochs > 0 && sched.replans > 0, "sched = {sched:?}");
-    assert!(svc.cache_stats(tenant).evictions > 0);
-    assert!(svc.cache_capacity_total() > 2, "controller must have grown");
-    drop(svc);
-
-    // Restore into a freshly assembled host: snapshot at round 2 plus two
-    // WAL-replayed rounds, through the live controller.
-    let (restored, _, _) = assemble_adaptive();
-    let mut restored = restored;
-    let report = restored.restore(&reference).expect("adaptive restore");
-    assert_eq!(report.wal_rounds, ROUNDS as u64);
-    assert_eq!(report.snapshot_rounds, Some(SNAPSHOT_AT as u64));
-    assert_eq!(adaptive_fingerprint(&restored), final_state);
-
-    // The restored host keeps adapting: replaying the next rounds on the
-    // restored host and on the uninterrupted reference assembly stays
-    // bit-identical (the controller baselines survived the crash).
-    let (fresh, _, _) = assemble_adaptive();
-    let mut fresh = fresh;
-    for round in 0..ROUNDS + 2 {
-        for event in round_events(&fresh, tenant, idx, round) {
-            fresh.submit(event);
-        }
-        fresh.poll();
-        if let Some(expected) = states.get(round) {
-            assert_eq!(&adaptive_fingerprint(&fresh), expected, "round {round}");
-        }
-    }
-    for round in ROUNDS..ROUNDS + 2 {
-        for event in round_events(&restored, tenant, idx, round) {
-            restored.submit(event);
-        }
-        restored.poll();
-    }
-    assert_eq!(
-        adaptive_fingerprint(&restored),
-        adaptive_fingerprint(&fresh)
-    );
-
-    // The adaptive knobs are part of the durable contract: restoring the
-    // snapshot into a host assembled *without* epoch planning is a config
-    // mismatch, refused loudly.
-    let (mut plain, _, _) = assemble();
-    let err = plain
-        .restore(&reference)
-        .expect_err("epoch_runs mismatch must be rejected");
-    assert!(
-        err.to_string().contains("epoch_runs"),
-        "unexpected error: {err}"
-    );
-    let _ = std::fs::remove_dir_all(&reference);
-}
-
 #[test]
 fn unrecoverable_damage_is_a_hard_error_never_a_panic() {
     let reference = scratch_dir("damage-ref");
@@ -410,6 +276,40 @@ fn unrecoverable_damage_is_a_hard_error_never_a_panic() {
     std::fs::write(dir.join(WAL_FILE), &wal).unwrap();
     let (mut svc, _, _) = assemble();
     assert!(svc.restore(&dir).is_err(), "bad magic must be rejected");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&reference);
+}
+
+/// A manifest stamped with format version 1 parses as JSON and holds every
+/// field version 2 reads, so only the version check keeps restore from
+/// silently misparsing it: restore must report it as corruption.
+#[test]
+fn version_one_snapshot_is_corrupt_not_misparsed() {
+    let reference = scratch_dir("v1-ref");
+    let (_, wal_lens) = reference_run(&reference);
+    let dir = damaged_copy(&reference, "v1", wal_lens[ROUNDS - 1]);
+    let text = std::fs::read_to_string(dir.join(SNAPSHOT_FILE)).unwrap();
+    let Json::Obj(mut fields) = Json::parse(&text).expect("snapshot is JSON") else {
+        panic!("snapshot is a JSON object")
+    };
+    for (key, value) in &mut fields {
+        if key == "version" {
+            assert_eq!(*value, Json::Num(2.0), "the current format");
+            *value = Json::Num(1.0);
+        }
+    }
+    std::fs::write(dir.join(SNAPSHOT_FILE), Json::Obj(fields).render().unwrap()).unwrap();
+
+    let (mut svc, _, _) = assemble();
+    match svc.restore(&dir) {
+        Err(PersistError::Corrupt(message)) => {
+            assert!(
+                message.contains("version 1"),
+                "unexpected message: {message}"
+            )
+        }
+        other => panic!("a version-1 manifest must be Corrupt, got {other:?}"),
+    }
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&reference);
 }

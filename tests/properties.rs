@@ -323,7 +323,7 @@ mod ibg_properties {
 /// counters (the service hot path).
 mod cache_properties {
     use super::*;
-    use simdb::cache::{CacheConfig, CachePolicy, SharedWhatIfCache};
+    use simdb::cache::{CacheConfig, SharedWhatIfCache};
     use simdb::catalog::CatalogBuilder;
     use simdb::database::Database;
     use simdb::optimizer::PlanCost;
@@ -379,20 +379,16 @@ mod cache_properties {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Satellite invariant: a bounded cache — CLOCK *or* ARC — never
-        /// holds more entries than its capacity, not at the end of a run
-        /// and not at any intermediate point, and its counters always
-        /// reconcile.
+        /// Satellite invariant: a bounded cache never holds more entries
+        /// than its capacity — not at the end of a run, and not at any
+        /// intermediate point — and its counters always reconcile.
         #[test]
         fn bounded_cache_never_exceeds_capacity(
             capacity in 1usize..48,
-            arc in 0usize..2,
             fingerprints in proptest::collection::vec(0u64..24, 150),
             masks in proptest::collection::vec(0usize..8, 150),
         ) {
-            let policy = if arc == 1 { CachePolicy::Arc } else { CachePolicy::Clock };
-            let cache =
-                SharedWhatIfCache::with_config(CacheConfig::bounded(capacity).with_policy(policy));
+            let cache = SharedWhatIfCache::with_config(CacheConfig::bounded(capacity));
             let (_, idx) = database();
             for (&f, &mask) in fingerprints.iter().zip(&masks) {
                 let got = cache.get_or_compute(f, &config_of(&idx, mask), || synthetic_plan(f, mask));
@@ -401,7 +397,7 @@ mod cache_properties {
                 prop_assert_eq!(got.total.to_bits(), synthetic_plan(f, mask).total.to_bits());
                 prop_assert!(
                     cache.len() <= capacity,
-                    "{policy:?} len {} > capacity {capacity}",
+                    "len {} > capacity {capacity}",
                     cache.len()
                 );
             }
@@ -413,24 +409,15 @@ mod cache_properties {
             // and the resident entries are exactly inserts minus evictions.
             prop_assert!(stats.evictions <= stats.optimizer_calls);
             prop_assert_eq!(stats.optimizer_calls - stats.evictions, stats.entries);
-            // Ghost hits are misses whose key was remembered; promotions are
-            // hits moved T1 → T2.  Both are ARC-only ledgers.
-            prop_assert!(stats.ghost_hits <= stats.optimizer_calls);
-            prop_assert!(stats.policy_promotions <= stats.cache_hits);
-            if policy == CachePolicy::Clock {
-                prop_assert_eq!(stats.ghost_hits, 0);
-                prop_assert_eq!(stats.policy_promotions, 0);
-            }
         }
 
         /// Satellite invariant: eviction followed by refill returns costs
         /// bit-identical to the `whatif_cost_uncached` oracle — a bounded
-        /// cache, under either policy, can change *when* the optimizer
-        /// runs, never *what* it answers.
+        /// cache can change *when* the optimizer runs, never *what* it
+        /// answers.
         #[test]
         fn evicted_entries_refill_to_identical_costs(
             capacity in 1usize..10,
-            arc in 0usize..2,
             sel_a in 1e-6f64..0.5,
             sel_b in 1e-6f64..0.5,
             stmt_picks in proptest::collection::vec(0usize..3, 90),
@@ -442,9 +429,7 @@ mod cache_properties {
                 statement(&db, sel_a / 2.0, sel_b),
                 statement(&db, sel_a, sel_b / 3.0),
             ];
-            let policy = if arc == 1 { CachePolicy::Arc } else { CachePolicy::Clock };
-            let cache =
-                SharedWhatIfCache::with_config(CacheConfig::bounded(capacity).with_policy(policy));
+            let cache = SharedWhatIfCache::with_config(CacheConfig::bounded(capacity));
             for (&pick, &mask) in stmt_picks.iter().zip(&masks) {
                 let stmt = &stmts[pick];
                 let config = config_of(&idx, mask);
@@ -470,8 +455,6 @@ mod cache_properties {
             cache_hits in proptest::collection::vec(0u64..10_000, 6),
             evictions in proptest::collection::vec(0u64..10_000, 6),
             entries in proptest::collection::vec(0u64..10_000, 6),
-            ghost_hits in proptest::collection::vec(0u64..10_000, 6),
-            policy_promotions in proptest::collection::vec(0u64..10_000, 6),
         ) {
             let shards: Vec<WhatIfStats> = (0..6)
                 .map(|i| WhatIfStats {
@@ -480,8 +463,6 @@ mod cache_properties {
                     cache_hits: cache_hits[i],
                     evictions: evictions[i],
                     entries: entries[i],
-                    ghost_hits: ghost_hits[i],
-                    policy_promotions: policy_promotions[i],
                 })
                 .collect();
             for a in &shards {
@@ -915,192 +896,6 @@ mod ingress_properties {
             let first = drive(per_tenant, global, &ops);
             let second = drive(per_tenant, global, &ops);
             prop_assert_eq!(first, second);
-        }
-    }
-}
-
-/// Properties of the epoch planner ([`service::scheduler::epoch_plan`]):
-/// re-planning at epoch boundaries must preserve every invariant of the
-/// one-shot round plan — runs never split, duplicated or dropped, a tenant
-/// never concurrent with itself — and the plan is a pure function of the
-/// depth snapshot.
-mod epoch_plan_properties {
-    use super::*;
-    use std::collections::{BTreeMap, BTreeSet};
-    use wfit::service::scheduler::TenantLoad;
-    use wfit::service::{epoch_plan, SchedulerConfig};
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// Satellite invariant: for any depth snapshot, worker count and
-        /// epoch cadence, the epoch plan consumes every busy tenant's
-        /// session-runs exactly once, in session order, one chunk per
-        /// tenant per segment, on valid workers — and its load ledger
-        /// (`session_runs`, `total_load`, `max_load`) reconciles with the
-        /// placements.  Two plans of the same snapshot are identical.
-        #[test]
-        fn epoch_plan_preserves_scheduler_invariants(
-            depths in proptest::collection::vec(0usize..24, 5),
-            session_counts in proptest::collection::vec(0usize..4, 5),
-            workers in 1usize..6,
-            epoch_runs in 0usize..6,
-        ) {
-            let loads: Vec<TenantLoad> = depths
-                .iter()
-                .zip(&session_counts)
-                .enumerate()
-                .map(|(tenant, (&depth, &sessions))| TenantLoad { tenant, depth, sessions })
-                .collect();
-            let config = SchedulerConfig { workers, steal: false };
-            let plan = epoch_plan(&loads, &config, epoch_runs);
-            // Determinism: the plan is a pure function of the snapshot.
-            prop_assert_eq!(&plan, &epoch_plan(&loads, &config, epoch_runs));
-
-            // A session-less tenant still contributes one pseudo-run; an
-            // event-less tenant contributes nothing.
-            let busy: Vec<&TenantLoad> = loads.iter().filter(|l| l.depth > 0).collect();
-            let total_runs: usize = busy.iter().map(|l| l.sessions.max(1)).sum();
-            let total_weight: u64 = busy
-                .iter()
-                .map(|l| (l.depth * l.sessions.max(1)) as u64)
-                .sum();
-            if busy.is_empty() {
-                prop_assert!(plan.segments.is_empty());
-                prop_assert_eq!(plan.session_runs, 0);
-                prop_assert_eq!(plan.total_load, 0);
-            } else {
-                prop_assert!(plan.workers_used >= 1);
-                prop_assert!(plan.workers_used <= workers);
-                prop_assert!(plan.workers_used <= total_runs);
-
-                let mut next_session: BTreeMap<usize, usize> = BTreeMap::new();
-                let mut bins = vec![0u64; plan.workers_used];
-                let mut placed_runs = 0u64;
-                for segment in &plan.segments {
-                    let mut seen = BTreeSet::new();
-                    for chunk in &segment.chunks {
-                        // One chunk per tenant per segment: a tenant's runs
-                        // never execute concurrently with each other.
-                        prop_assert!(seen.insert(chunk.tenant));
-                        prop_assert!(chunk.runs >= 1);
-                        prop_assert!(chunk.worker < plan.workers_used);
-                        // Sessions are consumed contiguously, in order.
-                        let expected = next_session.entry(chunk.tenant).or_insert(0);
-                        prop_assert_eq!(chunk.first_session, *expected);
-                        *expected += chunk.runs;
-                        let load = loads.iter().find(|l| l.tenant == chunk.tenant).unwrap();
-                        prop_assert!(load.depth > 0, "idle tenants are never planned");
-                        bins[chunk.worker] += (load.depth * chunk.runs) as u64;
-                        placed_runs += chunk.runs as u64;
-                    }
-                }
-                for load in &busy {
-                    prop_assert_eq!(
-                        next_session.get(&load.tenant).copied().unwrap_or(0),
-                        load.sessions.max(1),
-                        "every session-run placed exactly once"
-                    );
-                }
-                prop_assert_eq!(placed_runs, total_runs as u64);
-                prop_assert_eq!(plan.session_runs, total_runs as u64);
-                prop_assert_eq!(plan.total_load, total_weight);
-                prop_assert_eq!(plan.max_load, bins.iter().copied().max().unwrap_or(0));
-                prop_assert_eq!(plan.epochs(), plan.segments.len() as u64);
-                prop_assert_eq!(plan.replans(), plan.epochs().saturating_sub(1));
-            }
-        }
-    }
-}
-
-/// Properties of the working-set capacity controller at service level: the
-/// whole adaptive control loop — ARC ledgers in, resize decisions out — is
-/// a pure function of the submitted event sequence.
-mod adaptive_controller_properties {
-    use super::*;
-    use simdb::cache::CachePolicy;
-    use simdb::catalog::CatalogBuilder;
-    use simdb::database::Database;
-    use simdb::types::DataType;
-    use std::sync::Arc;
-    use wfit::core::{Wfit, WfitConfig};
-    use wfit::service::{AdaptiveCacheConfig, Event, TenantOptions, TuningService};
-
-    fn db() -> Arc<Database> {
-        let mut b = CatalogBuilder::new();
-        b.table("t")
-            .rows(1_000_000.0)
-            .column("a", DataType::Integer, 100_000.0)
-            .column("b", DataType::Integer, 1_000.0)
-            .finish();
-        Arc::new(Database::new(b.build()))
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(6))]
-
-        /// Satellite invariant: replaying the same event sequence through
-        /// an ARC-adaptive service twice yields the bit-identical capacity
-        /// trajectory and cache-counter ledger at every drain-round
-        /// boundary.
-        #[test]
-        fn adaptive_controller_replays_bit_identical(
-            capacity in 1usize..12,
-            budget in 0usize..192,
-            picks in proptest::collection::vec(0usize..8, 36),
-        ) {
-            let run = || {
-                let mut svc = TuningService::with_workers(2).with_cache_budget(budget);
-                let mut tenants = Vec::new();
-                for t in 0..2 {
-                    let handle = db();
-                    let id = svc.add_tenant_with(
-                        format!("tenant-{t}"),
-                        handle.clone(),
-                        TenantOptions::default()
-                            .with_cache_capacity(capacity)
-                            .with_cache_policy(CachePolicy::Arc)
-                            .with_adaptive_cache(AdaptiveCacheConfig {
-                                min_capacity: 1,
-                                max_capacity: 4096,
-                            }),
-                    );
-                    svc.add_session(id, "wfit", |env| {
-                        Box::new(Wfit::new(env, WfitConfig::default()))
-                    });
-                    tenants.push((id, handle));
-                }
-                let mut trace: Vec<u64> = Vec::new();
-                // Drain in waves so the controller acts at several round
-                // boundaries mid-stream, not just once at the end.
-                for wave in picks.chunks(6) {
-                    for &p in wave {
-                        let (id, handle) = &tenants[p % 2];
-                        let q = Arc::new(
-                            handle
-                                .parse(&format!("SELECT b FROM t WHERE a = {}", p + 1))
-                                .unwrap(),
-                        );
-                        svc.submit(Event::query(*id, q));
-                    }
-                    svc.process_pending();
-                    trace.push(svc.cache_capacity_total() as u64);
-                    for (id, _) in &tenants {
-                        let stats = svc.cache_stats(*id);
-                        trace.extend([
-                            stats.requests,
-                            stats.cache_hits,
-                            stats.evictions,
-                            stats.ghost_hits,
-                            stats.policy_promotions,
-                            stats.entries,
-                        ]);
-                    }
-                }
-                trace
-            };
-            let first = run();
-            prop_assert_eq!(&first, &run());
         }
     }
 }

@@ -449,83 +449,6 @@ fn service_overload_mini_matches_golden() {
 }
 
 #[test]
-fn service_adversarial_skew_matches_golden() {
-    let spec = scenarios::service_adversarial_skew();
-    let report = check_report_against_golden(&spec.name.clone(), run_service_scenario(&spec));
-    assert_eq!(report.cells.len(), 3 * 3, "3 tenants × 3 sessions");
-    let service = report.service.as_ref().expect("service summary present");
-
-    // The pinned self-tuning activity: epoch boundaries were cut and acted
-    // on, the ARC ghost lists resurrected evicted entries, and the
-    // working-set controller grew the thrashing caches — but never past
-    // the global budget.
-    assert!(
-        service.replans > 0,
-        "epoch mode must re-plan mid-round: {service:?}"
-    );
-    assert!(
-        service.epochs > service.replans,
-        "replans = epochs - rounds"
-    );
-    assert!(
-        service.ghost_hits > 0,
-        "the scan bursts must produce ghost resurrections"
-    );
-    let floor = (spec.tenants * scenarios::ADVERSARIAL_CACHE_CAPACITY) as u64;
-    assert!(
-        service.capacity_final > floor,
-        "thrash must grow the caches past the initial {floor}: {service:?}"
-    );
-    assert!(service.capacity_final <= scenarios::ADVERSARIAL_CACHE_BUDGET as u64);
-
-    // The static control arm replays the identical workload: every advisor
-    // cost cell must be bit-equal — the adaptive stack moves overhead
-    // metrics only, never a recommendation or a cost.
-    let control = run_service_scenario(&scenarios::service_adversarial_skew_control());
-    assert_eq!(control.cells.len(), report.cells.len());
-    for (a, c) in report.cells.iter().zip(&control.cells) {
-        assert_eq!(a.label, c.label);
-        assert_eq!(
-            a.total_work.to_bits(),
-            c.total_work.to_bits(),
-            "{}: adaptation must be invisible to the tuning sessions",
-            a.label
-        );
-        assert_eq!(a.ratio_series, c.ratio_series, "{}", a.label);
-        assert_eq!(a.transitions, c.transitions, "{}", a.label);
-        assert_eq!(a.whatif_calls, c.whatif_calls, "{}", a.label);
-    }
-    let control_svc = control.service.as_ref().unwrap();
-    assert_eq!(
-        control_svc.epochs + control_svc.replans,
-        0,
-        "the control arm never re-plans"
-    );
-    assert_eq!(control_svc.ghost_hits, 0, "CLOCK keeps no ghosts");
-    assert_eq!(control_svc.capacity_final, floor, "static capacities stay");
-
-    // The measured claim of the scenario: under the hot flip and the scan
-    // bursts, the adaptive arm strictly improves both the shared-cache hit
-    // rate and the worst-round load imbalance over the static arm.
-    assert!(
-        service.cache_hit_rate > control_svc.cache_hit_rate,
-        "adaptive hit rate {} must strictly beat static {}",
-        service.cache_hit_rate,
-        control_svc.cache_hit_rate
-    );
-    assert!(
-        service.load_imbalance < control_svc.load_imbalance,
-        "epoch re-planning must strictly flatten the worst round: {} vs {}",
-        service.load_imbalance,
-        control_svc.load_imbalance
-    );
-
-    // Determinism: the whole control loop replays byte-identically.
-    let rerun = run_service_scenario(&spec);
-    assert_eq!(report.to_json(), rerun.to_json());
-}
-
-#[test]
 fn service_restore_mini_matches_golden() {
     let spec = scenarios::service_restore_mini();
     let report = check_report_against_golden(&spec.name.clone(), run_service_scenario(&spec));
@@ -675,15 +598,13 @@ fn service_replay_is_deterministic_for_identical_seeds() {
 /// bench `main` reads the variable.  The bandit knob (`WFIT_BANDIT`)
 /// follows suit: library code takes `ServiceScenarioSpec::with_bandit` /
 /// `AdvisorSpec::Bandit`, only the bench `main` reads the variable.  The
-/// adaptive knobs (`WFIT_POLICY`, `WFIT_ADAPT`, `WFIT_EPOCH`) close the
-/// list: library code takes `ServiceScenarioSpec::{cache_policy,
-/// adaptive_cache, cache_budget, epoch_runs}`.  The guard is two-sided:
-/// library sources must mention *no* knob, and the bench entry points must
-/// mention *exactly* the canonical sixteen — a knob that is documented but
-/// never read, or read but missing from this list, fails the set equality.
+/// guard is two-sided: library sources must mention *no* knob, and the
+/// bench entry points must mention *exactly* the canonical thirteen — a
+/// knob that is documented but never read, or read but missing from this
+/// list, fails the set equality.
 #[test]
 fn harness_and_service_never_read_env_vars() {
-    const KNOB_NAMES: [&str; 16] = [
+    const KNOB_NAMES: [&str; 13] = [
         "WFIT_PHASE_LEN",
         "WFIT_CACHE_CAP",
         "WFIT_BATCH",
@@ -697,11 +618,8 @@ fn harness_and_service_never_read_env_vars() {
         "WFIT_SOAK",
         "WFIT_PERSIST",
         "WFIT_BANDIT",
-        "WFIT_POLICY",
-        "WFIT_ADAPT",
-        "WFIT_EPOCH",
     ];
-    assert_eq!(KNOB_NAMES.len(), 16, "the canonical knob list");
+    assert_eq!(KNOB_NAMES.len(), 13, "the canonical knob list");
 
     /// Every `.rs` file under `dir`, recursively.
     fn rust_sources(dir: PathBuf) -> Vec<PathBuf> {
