@@ -21,6 +21,7 @@ use simdb::index::{IndexId, IndexSet};
 use simdb::query::Statement;
 use wfit_core::env::TuningEnv;
 use wfit_core::evaluator::FeedbackStream;
+use wfit_core::hypercube::{delta, mask_of, set_of};
 
 /// The result of the offline optimization.
 #[derive(Debug, Clone)]
@@ -116,19 +117,6 @@ pub fn compute_optimal<E: TuningEnv>(
         let size = 1usize << part.len();
         let create: Vec<f64> = part.iter().map(|&id| env.create_cost(id)).collect();
         let drop: Vec<f64> = part.iter().map(|&id| env.drop_cost(id)).collect();
-        let delta = |from: usize, to: usize| -> f64 {
-            let mut c = 0.0;
-            for bit in 0..part.len() {
-                let m = 1usize << bit;
-                if to & m != 0 && from & m == 0 {
-                    c += create[bit];
-                }
-                if from & m != 0 && to & m == 0 {
-                    c += drop[bit];
-                }
-            }
-            c
-        };
         let initial_mask = mask_of(part, initial);
 
         let mut opt = vec![f64::INFINITY; size];
@@ -145,7 +133,7 @@ pub fn compute_optimal<E: TuningEnv>(
                     if w.is_infinite() {
                         continue;
                     }
-                    let v = w + delta(x, y);
+                    let v = w + delta(&create, &drop, x, y);
                     if v < best {
                         best = v;
                         best_x = x;
@@ -233,25 +221,6 @@ pub fn good_feedback_stream(opt: &OptSchedule) -> FeedbackStream {
         stream.add(pos, IndexSet::empty(), IndexSet::single(id));
     }
     stream
-}
-
-fn set_of(part: &[IndexId], mask: usize) -> IndexSet {
-    IndexSet::from_iter(
-        part.iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) != 0)
-            .map(|(_, id)| *id),
-    )
-}
-
-fn mask_of(part: &[IndexId], set: &IndexSet) -> usize {
-    let mut mask = 0usize;
-    for (i, id) in part.iter().enumerate() {
-        if set.contains(*id) {
-            mask |= 1 << i;
-        }
-    }
-    mask
 }
 
 #[cfg(test)]
@@ -357,14 +326,8 @@ mod tests {
         for i in 0..10u32 {
             let q = mock_statement(i + 1);
             let helped = if i % 2 == 0 { a } else { b };
-            for mask in 0..4u32 {
-                let cfg = IndexSet::from_iter(
-                    [a, b]
-                        .iter()
-                        .enumerate()
-                        .filter(|(j, _)| mask & (1 << j) != 0)
-                        .map(|(_, id)| *id),
-                );
+            for mask in 0..4 {
+                let cfg = set_of(&[a, b], mask);
                 let cost = if cfg.contains(helped) { 2.0 } else { 20.0 };
                 env.set_cost(&q, &cfg, cost);
             }

@@ -5,7 +5,10 @@
 //! `benches/figNN_*.rs` target is a thin wrapper that builds the matching
 //! declarative scenario from [`harness::scenarios`], replays it (advisor
 //! cells run in parallel) and prints the "Total Work Ratio (OPT = 1)" series
-//! the paper plots.
+//! the paper plots.  The multi-tenant service is not benchmarked here: its
+//! scenarios replay through [`harness::run_service_scenario`] in the golden
+//! suite, and perfbench (`perfbench/`, declared by `BENCHMARK.json`) measures
+//! its throughput, latency and restore time.
 //!
 //! The **only** place the `WFIT_PHASE_LEN` environment variable is read is
 //! [`phase_len_from_env`], called once at each bench's `main` — the harness
@@ -16,8 +19,8 @@
 //! reproduce the paper-scale runs.
 
 pub use harness::{
-    run_scenario, run_service_scenario, scenarios, AdvisorSpec, CellReport, CellSpec, FeedbackSpec,
-    RunReport, ScenarioContext, ScenarioSpec, ServiceScenarioSpec, ServiceSessionSpec,
+    run_scenario, scenarios, AdvisorSpec, CellReport, CellSpec, RunReport, ScenarioContext,
+    ScenarioSpec,
 };
 
 /// Statements per phase for a bench run: the `WFIT_PHASE_LEN` override, or

@@ -97,9 +97,6 @@ pub struct RunOptions {
     /// (positive votes for created indices, negative votes for dropped ones),
     /// mirroring the lease-renewal interpretation of delayed acceptance.
     pub implicit_feedback_on_accept: bool,
-    /// When `true`, the advisor is told which configuration is actually
-    /// materialized after each acceptance (`notify` hook of WFIT).
-    pub notify_materialized: bool,
 }
 
 impl Default for RunOptions {
@@ -109,7 +106,6 @@ impl Default for RunOptions {
             feedback: FeedbackStream::empty(),
             initial: IndexSet::empty(),
             implicit_feedback_on_accept: false,
-            notify_materialized: false,
         }
     }
 }
@@ -272,7 +268,7 @@ pub fn total_work_of_schedule<E: TuningEnv>(
 mod tests {
     use super::*;
     use crate::env::{mock_statement, MockEnv};
-    use crate::wfa_plus::WfaPlus;
+    use crate::wfit::fixed_wfit;
     use simdb::index::IndexId;
 
     fn env_with_one_useful_index() -> (MockEnv, Vec<Statement>, IndexId) {
@@ -287,7 +283,7 @@ mod tests {
     #[test]
     fn total_work_accounts_for_transitions_and_queries() {
         let (env, workload, a) = env_with_one_useful_index();
-        let mut advisor = WfaPlus::new(&env, &[vec![a]], &IndexSet::empty());
+        let mut advisor = fixed_wfit(&env, vec![vec![a]]);
         let evaluator = Evaluator::new(&env);
         let result = evaluator.run(&mut advisor, &workload, &RunOptions::default());
         assert_eq!(result.len(), 20);
@@ -309,10 +305,10 @@ mod tests {
         let (env, workload, a) = env_with_one_useful_index();
         let evaluator = Evaluator::new(&env);
 
-        let mut immediate = WfaPlus::new(&env, &[vec![a]], &IndexSet::empty());
+        let mut immediate = fixed_wfit(&env, vec![vec![a]]);
         let fast = evaluator.run(&mut immediate, &workload, &RunOptions::default());
 
-        let mut lagged = WfaPlus::new(&env, &[vec![a]], &IndexSet::empty());
+        let mut lagged = fixed_wfit(&env, vec![vec![a]]);
         let slow = evaluator.run(
             &mut lagged,
             &workload,
@@ -339,7 +335,7 @@ mod tests {
         assert_eq!(stream.len(), 1);
         assert!(!stream.is_empty());
 
-        let mut advisor = WfaPlus::new(&env, &[vec![a]], &IndexSet::empty());
+        let mut advisor = fixed_wfit(&env, vec![vec![a]]);
         let with_good = evaluator.run(
             &mut advisor,
             &workload,
@@ -350,7 +346,7 @@ mod tests {
         );
         // The positive vote after q1 makes the index available from q1 onward,
         // so total work is at least as good as without feedback.
-        let mut baseline = WfaPlus::new(&env, &[vec![a]], &IndexSet::empty());
+        let mut baseline = fixed_wfit(&env, vec![vec![a]]);
         let none = evaluator.run(&mut baseline, &workload, &RunOptions::default());
         assert!(with_good.total_work <= none.total_work + 1e-9);
 

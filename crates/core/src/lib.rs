@@ -6,12 +6,14 @@
 //! * [`wfa`] — the Work Function Algorithm (WFA) applied to index tuning
 //!   (Section 4.1, Figure 3), with the asymmetric transition costs handled as
 //!   in the paper's Appendix A;
-//! * [`wfa_plus`] — WFA⁺, the divide-and-conquer variant running one WFA
-//!   instance per part of a stable partition (Section 4.2);
+//! * [`hypercube`] — the configuration bitmask format of one part (`set_of`,
+//!   `mask_of` and the transition cost `δ`) shared by WFA, WFIT and OPT;
 //! * [`wfit`] — the full WFIT algorithm (Section 5): DBA feedback with the
 //!   consistency and recoverability guarantees of §5.1, automatic candidate
 //!   maintenance (`chooseCands`, `topIndices`, `choosePartition`) and
-//!   repartitioning (§5.2);
+//!   repartitioning (§5.2).  [`Wfit::with_fixed_partition`] is WFA⁺, the
+//!   divide-and-conquer variant running one WFA instance per part of a fixed
+//!   stable partition (Section 4.2, Theorem 4.2) that Figures 8–11 run;
 //! * [`candidates`] — the candidate/partition selection machinery shared by
 //!   WFIT and the offline fixed-partition setup used by the experiments;
 //! * [`evaluator`] — the `totWork` metric, DBA acceptance models (immediate
@@ -60,10 +62,10 @@ pub mod candidates;
 pub mod config;
 pub mod env;
 pub mod evaluator;
+pub mod hypercube;
 pub mod json;
 pub mod session;
 pub mod wfa;
-pub mod wfa_plus;
 pub mod wfit;
 
 pub use advisor::IndexAdvisor;
@@ -72,5 +74,4 @@ pub use env::{MockEnv, SharedIbg, TuningEnv};
 pub use evaluator::{Evaluator, RunOptions, RunResult};
 pub use session::{QueryOutcome, SessionStats, TuningSession};
 pub use wfa::WfaInstance;
-pub use wfa_plus::WfaPlus;
 pub use wfit::Wfit;

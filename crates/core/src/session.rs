@@ -193,7 +193,7 @@ impl<E: TuningEnv, A: IndexAdvisor> TuningSession<E, A> {
 mod tests {
     use super::*;
     use crate::env::{mock_statement, MockEnv};
-    use crate::wfa_plus::WfaPlus;
+    use crate::wfit::fixed_wfit;
     use simdb::index::IndexId;
     use std::sync::Arc;
 
@@ -209,7 +209,7 @@ mod tests {
     #[test]
     fn session_owns_arc_env_and_tracks_total_work() {
         let (env, q, a) = scripted();
-        let advisor = WfaPlus::new(env.clone(), &[vec![a]], &IndexSet::empty());
+        let advisor = fixed_wfit(env.clone(), vec![vec![a]]);
         let mut session = TuningSession::new(env, advisor);
         let mut outcomes = Vec::new();
         for _ in 0..20 {
@@ -238,11 +238,11 @@ mod tests {
         let (env, q, a) = scripted();
         let workload = vec![q.clone(); 12];
 
-        let mut offline_adv = WfaPlus::new(env.clone(), &[vec![a]], &IndexSet::empty());
+        let mut offline_adv = fixed_wfit(env.clone(), vec![vec![a]]);
         let offline =
             Evaluator::new(env.clone()).run(&mut offline_adv, &workload, &RunOptions::default());
 
-        let advisor = WfaPlus::new(env.clone(), &[vec![a]], &IndexSet::empty());
+        let advisor = fixed_wfit(env.clone(), vec![vec![a]]);
         let mut session = TuningSession::new(env, advisor);
         for stmt in &workload {
             session.submit_query(stmt);
@@ -256,7 +256,7 @@ mod tests {
     #[test]
     fn lagged_policy_adopts_only_at_lag_points() {
         let (env, q, a) = scripted();
-        let advisor = WfaPlus::new(env.clone(), &[vec![a]], &IndexSet::empty());
+        let advisor = fixed_wfit(env.clone(), vec![vec![a]]);
         let mut session = TuningSession::new(env, advisor).with_policy(AcceptancePolicy::EveryT(5));
         for i in 1..=10u64 {
             let outcome = session.submit_query(&q);
@@ -271,7 +271,7 @@ mod tests {
     #[test]
     fn votes_are_delivered_and_counted() {
         let (env, q, a) = scripted();
-        let advisor = WfaPlus::new(env.clone(), &[vec![a]], &IndexSet::empty());
+        let advisor = fixed_wfit(env.clone(), vec![vec![a]]);
         let mut session = TuningSession::new(env, advisor);
         session.vote(&IndexSet::single(a), &IndexSet::empty());
         assert_eq!(session.stats().votes, 1);
@@ -287,11 +287,11 @@ mod tests {
     fn boxed_advisors_work_as_session_fleets() {
         let (env, q, a) = scripted();
         let advisor: Box<dyn IndexAdvisor + Send> =
-            Box::new(WfaPlus::new(env.clone(), &[vec![a]], &IndexSet::empty()));
+            Box::new(fixed_wfit(env.clone(), vec![vec![a]]));
         let mut session = TuningSession::new(env, advisor).with_initial(IndexSet::single(a));
         assert_eq!(session.stats().configuration_size, 1);
         session.submit_query(&q);
-        assert_eq!(session.advisor_name(), "WFA+");
+        assert_eq!(session.advisor_name(), "WFIT-fixed");
         assert!(session.advisor().recommend().contains(a));
     }
 }

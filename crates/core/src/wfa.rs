@@ -3,9 +3,10 @@
 //!
 //! One [`WfaInstance`] tracks the work function over *all subsets* of a small
 //! set of candidate indices (one part of the stable partition when used inside
-//! WFA⁺/WFIT).  Configurations are represented as bitmasks over the part's
-//! index list, so a part of `k` indices stores `2^k` work-function values and
-//! every `analyzeQuery` performs the `O(4^k)` double loop of the recurrence
+//! WFA⁺/WFIT).  Configurations are bitmasks over the part's index list (the
+//! [`crate::hypercube`] format), so a part of `k` indices stores `2^k`
+//! work-function values and every `analyzeQuery` performs the `O(4^k)`
+//! double loop of the recurrence
 //!
 //! ```text
 //! w_n(S) = min_{X ⊆ C} { w_{n−1}(X) + cost(q_n, X) + δ(X, S) }
@@ -14,6 +15,7 @@
 //! followed by the score minimization
 //! `currRec = argmin_{S ∈ p[S]} { w[S] + δ(S, currRec) }`.
 
+use crate::hypercube;
 use simdb::index::{IndexId, IndexSet};
 
 /// Relative tolerance used when testing the `S ∈ p[S]` membership and score
@@ -60,7 +62,7 @@ impl WfaInstance {
             indices.len()
         );
         let size = 1usize << indices.len();
-        let initial_mask = mask_of(&indices, initial);
+        let initial_mask = hypercube::mask_of(&indices, initial);
         let mut instance = Self {
             indices,
             create,
@@ -85,7 +87,7 @@ impl WfaInstance {
         curr_rec: &IndexSet,
     ) -> Self {
         assert_eq!(w.len(), 1usize << indices.len());
-        let curr = mask_of(&indices, curr_rec);
+        let curr = hypercube::mask_of(&indices, curr_rec);
         Self {
             indices,
             create,
@@ -119,7 +121,7 @@ impl WfaInstance {
     /// Work function value of a configuration (restricted to this instance's
     /// indices).
     pub fn work_value(&self, config: &IndexSet) -> f64 {
-        self.w[mask_of(&self.indices, config)]
+        self.w[self.mask_of(config)]
     }
 
     /// Iterate over `(configuration, work value)` pairs.
@@ -129,36 +131,18 @@ impl WfaInstance {
 
     /// Transition cost `δ(X, Y)` between two configuration bitmasks.
     pub fn delta(&self, from: usize, to: usize) -> f64 {
-        let mut cost = 0.0;
-        let added = to & !from;
-        let dropped = from & !to;
-        for (i, (c, d)) in self.create.iter().zip(self.drop.iter()).enumerate() {
-            let bit = 1usize << i;
-            if added & bit != 0 {
-                cost += c;
-            }
-            if dropped & bit != 0 {
-                cost += d;
-            }
-        }
-        cost
+        hypercube::delta(&self.create, &self.drop, from, to)
     }
 
     /// Convert a bitmask into an [`IndexSet`].
     pub fn set_of(&self, mask: usize) -> IndexSet {
-        IndexSet::from_iter(
-            self.indices
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| mask & (1 << i) != 0)
-                .map(|(_, id)| *id),
-        )
+        hypercube::set_of(&self.indices, mask)
     }
 
     /// Convert an [`IndexSet`] into this instance's bitmask (indices outside
     /// the instance are ignored).
     pub fn mask_of(&self, set: &IndexSet) -> usize {
-        mask_of(&self.indices, set)
+        hypercube::mask_of(&self.indices, set)
     }
 
     /// `WFA.analyzeQuery(q)` (Figure 3).
@@ -260,16 +244,6 @@ fn lex_prefer(a: usize, b: usize) -> bool {
     let diff = a ^ b;
     let lowest = diff & diff.wrapping_neg();
     a & lowest != 0
-}
-
-fn mask_of(indices: &[IndexId], set: &IndexSet) -> usize {
-    let mut mask = 0usize;
-    for (i, id) in indices.iter().enumerate() {
-        if set.contains(*id) {
-            mask |= 1 << i;
-        }
-    }
-    mask
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@ use crate::advisor::IndexAdvisor;
 use crate::candidates::{choose_partition, is_feasible, top_indices, CandidatePool};
 use crate::config::WfitConfig;
 use crate::env::TuningEnv;
+use crate::hypercube;
 use crate::wfa::WfaInstance;
 use ibg::partition::{normalize, Partition};
 use ibg::IndexBenefitGraph;
@@ -74,9 +75,13 @@ impl<E: TuningEnv> Wfit<E> {
         }
     }
 
-    /// Create WFIT with a *fixed* candidate set and stable partition, i.e. the
-    /// simplified variant used by the paper's Figures 8–11 ("chooseCands
-    /// always returns {C1, …, CK}").  Candidate maintenance is disabled.
+    /// Create WFIT with a *fixed* candidate set and stable partition: WFA⁺
+    /// (Section 4.2) plus the feedback mechanism, the simplified variant used
+    /// by the paper's Figures 8–11 ("chooseCands always returns
+    /// {C1, …, CK}").  It runs one WFA instance per part and unions their
+    /// recommendations; by Theorem 4.2 that recommends exactly what a single
+    /// WFA over all the candidates would, while tracking `Σ_k 2^|C_k|`
+    /// configurations instead of `2^|C|`.  Candidate maintenance is disabled.
     pub fn with_fixed_partition(
         env: E,
         config: WfitConfig,
@@ -249,12 +254,7 @@ impl<E: TuningEnv> Wfit<E> {
             let size = 1usize << dm.len();
             let mut x = vec![0.0f64; size];
             for (mask, value) in x.iter_mut().enumerate() {
-                let config = IndexSet::from_iter(
-                    dm.iter()
-                        .enumerate()
-                        .filter(|(i, _)| mask & (1 << i) != 0)
-                        .map(|(_, id)| *id),
-                );
+                let config = hypercube::set_of(dm, mask);
                 // Σ_k w^(k)[C_k ∩ X]
                 let mut v = 0.0;
                 for part in &self.parts {
@@ -283,6 +283,13 @@ impl<E: TuningEnv> Wfit<E> {
         self.partition = new_partition;
         self.repartitions += 1;
     }
+}
+
+/// WFA⁺ over `partition` with the default configuration and an empty
+/// initial set: the advisor fixture of the crate's unit tests.
+#[cfg(test)]
+pub(crate) fn fixed_wfit<E: TuningEnv>(env: E, partition: Partition) -> Wfit<E> {
+    Wfit::with_fixed_partition(env, WfitConfig::default(), partition, IndexSet::empty())
 }
 
 fn new_instance<E: TuningEnv>(env: &E, part: &[IndexId], initial: &IndexSet) -> WfaInstance {
@@ -393,33 +400,90 @@ mod tests {
         let qb = mock_statement(2);
         let upd = mock_statement(3);
         for (q, helped) in [(&qa, a), (&qb, b)] {
-            for mask in 0..4u32 {
-                let cfg = IndexSet::from_iter(
-                    [a, b]
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| mask & (1 << i) != 0)
-                        .map(|(_, id)| *id),
-                );
+            for mask in 0..4 {
+                let cfg = hypercube::set_of(&[a, b], mask);
                 let cost = if cfg.contains(helped) { 20.0 } else { 100.0 };
                 env.set_cost(q, &cfg, cost);
             }
         }
         // The update statement: every index costs 30 extra maintenance.
-        for mask in 0..4u32 {
-            let cfg = IndexSet::from_iter(
-                [a, b]
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| mask & (1 << i) != 0)
-                    .map(|(_, id)| *id),
-            );
+        for mask in 0..4 {
+            let cfg = hypercube::set_of(&[a, b], mask);
             env.set_cost(&upd, &cfg, 10.0 + 30.0 * cfg.len() as f64);
         }
         env.set_candidates(&qa, vec![a]);
         env.set_candidates(&qb, vec![b]);
         env.set_candidates(&upd, vec![]);
         (env, vec![qa, qb, upd], a, b)
+    }
+
+    /// Mock environment with independent indices: index `i` saves
+    /// `savings[i]` on statement `i` whatever else is materialized, so costs
+    /// are additive and every partition of the indices is stable.
+    fn additive_env(
+        savings: &[f64],
+        base: f64,
+        create: f64,
+    ) -> (MockEnv, Vec<Statement>, Vec<IndexId>) {
+        let env = MockEnv::new(create, 0.0);
+        let ids: Vec<IndexId> = (0..savings.len() as u32).map(IndexId).collect();
+        let mut stmts = Vec::new();
+        for (i, saving) in savings.iter().enumerate() {
+            let q = mock_statement(i as u32 + 1);
+            for mask in 0..1usize << ids.len() {
+                let cfg = hypercube::set_of(&ids, mask);
+                let cost = if cfg.contains(ids[i]) {
+                    base - saving
+                } else {
+                    base
+                };
+                env.set_cost(&q, &cfg, cost);
+            }
+            stmts.push(q);
+        }
+        (env, stmts, ids)
+    }
+
+    #[test]
+    fn theorem_4_2_singleton_and_joint_partitions_agree() {
+        // WFA⁺ over the singleton partition and over one joint part must
+        // recommend the same indices after every statement.
+        let (env, stmts, ids) = additive_env(&[30.0, 5.0, 40.0], 100.0, 25.0);
+        let mut split = fixed_wfit(&env, ids.iter().map(|&i| vec![i]).collect());
+        let mut joint = fixed_wfit(&env, vec![ids.clone()]);
+        // Replay the workload a few times so recommendations evolve.
+        for round in 0..4 {
+            for q in &stmts {
+                split.analyze_query(q);
+                joint.analyze_query(q);
+                assert_eq!(
+                    split.recommend(),
+                    joint.recommend(),
+                    "round {round}: partitioned and joint WFA diverged"
+                );
+            }
+        }
+        // Indices with repeated savings above the create cost get recommended,
+        // the useless one does not.
+        let rec = split.recommend();
+        assert!(rec.contains(ids[0]));
+        assert!(rec.contains(ids[2]));
+        assert!(!rec.contains(ids[1]));
+    }
+
+    #[test]
+    fn feedback_applies_across_parts() {
+        let (env, stmts, ids) = additive_env(&[10.0, 10.0], 50.0, 100.0);
+        let mut adv = fixed_wfit(&env, ids.iter().map(|&i| vec![i]).collect());
+        adv.analyze_query(&stmts[0]);
+        assert_eq!(adv.recommend(), IndexSet::empty());
+        let both = IndexSet::from_iter(ids.iter().copied());
+        adv.feedback(&both, &IndexSet::empty());
+        assert_eq!(adv.recommend(), both);
+        adv.feedback(&IndexSet::empty(), &IndexSet::single(ids[0]));
+        let rec = adv.recommend();
+        assert!(!rec.contains(ids[0]));
+        assert!(rec.contains(ids[1]));
     }
 
     #[test]
@@ -495,12 +559,7 @@ mod tests {
     #[test]
     fn fixed_partition_mode_does_not_repartition() {
         let (env, qs, a, b) = scripted_env();
-        let mut wfit = Wfit::with_fixed_partition(
-            &env,
-            WfitConfig::default(),
-            vec![vec![a], vec![b]],
-            IndexSet::empty(),
-        );
+        let mut wfit = fixed_wfit(&env, vec![vec![a], vec![b]]);
         for _ in 0..5 {
             wfit.analyze_query(&qs[0]);
             wfit.analyze_query(&qs[1]);
@@ -514,19 +573,11 @@ mod tests {
     #[test]
     fn state_count_respects_partition() {
         let (env, _qs, a, b) = scripted_env();
-        let wfit = Wfit::with_fixed_partition(
-            &env,
-            WfitConfig::default(),
-            vec![vec![a, b]],
-            IndexSet::empty(),
-        );
+        // Empty parts are dropped.
+        let wfit = fixed_wfit(&env, vec![vec![], vec![a, b], vec![]]);
         assert_eq!(wfit.state_count(), 4);
-        let wfit2 = Wfit::with_fixed_partition(
-            &env,
-            WfitConfig::default(),
-            vec![vec![a], vec![b]],
-            IndexSet::empty(),
-        );
+        assert_eq!(wfit.partition().len(), 1);
+        let wfit2 = fixed_wfit(&env, vec![vec![a], vec![b]]);
         assert_eq!(wfit2.state_count(), 4); // 2 + 2
         assert_eq!(wfit2.monitored().len(), 2);
     }

@@ -155,7 +155,6 @@ impl ScenarioContext {
             feedback: self.feedback_stream(&cell.feedback),
             initial: IndexSet::empty(),
             implicit_feedback_on_accept: cell.implicit_feedback_on_accept,
-            notify_materialized: false,
         };
         let evaluator = Evaluator::new(&self.bench.db);
         let start = Instant::now();

@@ -302,18 +302,10 @@ pub fn bandit_htap_mini() -> ScenarioSpec {
         .cell(CellSpec::new("NO-INDEX", AdvisorSpec::NoIndex))
 }
 
-/// The multi-tenant service throughput scenario: `tenants` independent
-/// workload streams, each served by a WFIT-500 / WFIT-IND / BC session fleet
-/// over a shared per-tenant what-if cache, with periodic DBA votes.  This is
-/// the hot path the service layer exists for — use
-/// [`crate::run_service_scenario`] to replay it.
-pub fn service_throughput(tenants: usize, statements_per_phase: usize) -> ServiceScenarioSpec {
-    ServiceScenarioSpec::new("service-throughput", tenants, statements_per_phase)
-        .with_feedback_every(16)
-}
-
-/// Miniature service scenario for the golden suite: three tenants, the full
-/// fleet, shared caches, scheduled votes; small enough for tier-1 test time.
+/// Miniature service scenario for the golden suite: three tenants, each
+/// served by a WFIT-500 / WFIT-IND / BC session fleet over a shared
+/// per-tenant what-if cache, with scheduled votes; small enough for tier-1
+/// test time.  Use [`crate::run_service_scenario`] to replay it.
 pub fn service_mini() -> ServiceScenarioSpec {
     ServiceScenarioSpec::new("service-mini", 3, MINI_PHASE_LEN).with_feedback_every(16)
 }
@@ -341,25 +333,16 @@ pub fn service_evict_mini() -> ServiceScenarioSpec {
         .with_ibg_reuse(true)
 }
 
-/// Hot-tenant event multiplier of the skewed service scenarios: tenant 0
-/// replays 8× the statements of every other tenant, the shape that
-/// serializes a pinned-bin scheduler behind one worker.
+/// Hot-tenant event multiplier of [`service_skew_mini`]: tenant 0 replays
+/// 8× the statements of every other tenant, the shape that serializes a
+/// pinned-bin scheduler behind one worker.
 pub const SKEW_FACTOR: usize = 8;
 
-/// The skewed service scenario: one hot tenant ([`SKEW_FACTOR`]× events),
-/// `tenants - 1` cold ones, drained by `workers` workers with work-stealing
-/// on.  The cross-tenant scheduling hot path: without stealing the hot
-/// tenant's backlog serializes behind one worker while the others idle;
-/// with it, idle workers take the hot bin's session-runs.
-pub fn service_skewed(tenants: usize, statements_per_phase: usize) -> ServiceScenarioSpec {
-    ServiceScenarioSpec::new("service-skewed", tenants, statements_per_phase)
-        .with_feedback_every(16)
-        .with_skew(SKEW_FACTOR)
-        .with_steal(true)
-}
-
 /// Miniature skewed scenario for the golden suite: three tenants (one hot at
-/// [`SKEW_FACTOR`]×), a two-session fleet, four workers, stealing on.  The
+/// [`SKEW_FACTOR`]×), a two-session fleet, four workers, stealing on.
+/// Without stealing the hot tenant's backlog serializes behind one worker
+/// while the others idle; with it, idle workers take the hot bin's
+/// session-runs.  The
 /// shared cache is disabled: concurrently-executing stolen session-runs
 /// would race on the hit/miss split, and the golden's purpose is to pin the
 /// metrics that *are* deterministic under stealing — every cost cell, the
@@ -527,27 +510,23 @@ mod tests {
         assert_eq!(evict.cache_capacity, EVICT_MINI_CACHE_CAPACITY);
         assert_eq!(evict.batch_size, EVICT_MINI_BATCH_SIZE);
         assert!(evict.ibg_reuse && evict.shared_cache);
-        let big = service_throughput(8, 60);
-        assert_eq!(big.tenants, 8);
-        assert_eq!(big.statements_per_tenant(), 8 * 60);
+        assert_eq!(mini.statements_for_tenant(2), 8 * MINI_PHASE_LEN);
         // Tenant seeds are decorrelated but reproducible.
-        assert_ne!(big.tenant_seed(0), big.tenant_seed(1));
-        assert_eq!(big.tenant_seed(5), service_throughput(8, 60).tenant_seed(5));
+        assert_ne!(mini.tenant_seed(0), mini.tenant_seed(1));
+        assert_eq!(mini.tenant_seed(2), service_mini().tenant_seed(2));
     }
 
     #[test]
     fn skewed_scenarios_make_tenant_zero_hot() {
-        let skewed = service_skewed(4, 10);
-        assert_eq!(skewed.skew, SKEW_FACTOR);
-        assert!(skewed.steal);
-        assert_eq!(skewed.statements_for_tenant(0), 8 * 10 * SKEW_FACTOR);
-        assert_eq!(skewed.statements_for_tenant(1), 8 * 10);
-        assert_eq!(
-            skewed.total_statements(),
-            8 * 10 * (SKEW_FACTOR + 3),
-            "one hot + three cold tenants"
-        );
         let mini = service_skew_mini();
+        assert_eq!(mini.skew, SKEW_FACTOR);
+        assert_eq!(mini.statements_for_tenant(0), 8 * 2 * SKEW_FACTOR);
+        assert_eq!(mini.statements_for_tenant(1), 8 * 2);
+        assert_eq!(
+            mini.total_statements(),
+            8 * 2 * (SKEW_FACTOR + 2),
+            "one hot + two cold tenants"
+        );
         assert_eq!(mini.tenants, 3);
         assert_eq!(mini.sessions.len(), 2);
         assert!(mini.steal && !mini.shared_cache && !mini.ibg_reuse);

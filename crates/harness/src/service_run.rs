@@ -201,10 +201,9 @@ impl ServiceScenarioSpec {
         self
     }
 
-    /// Add (or remove) a C²UCB bandit session to every tenant's fleet — the
-    /// `WFIT_BANDIT` arm of the service-throughput bench.  The tie-break
-    /// seed is derived from the scenario's base seed, so the arm is fully
-    /// reproducible.
+    /// Add (or remove) a C²UCB bandit session to every tenant's fleet, as
+    /// the bandit stress tests do.  The tie-break seed is derived from the
+    /// scenario's base seed, so the arm is fully reproducible.
     pub fn with_bandit(mut self, enabled: bool) -> Self {
         let is_bandit = |s: &ServiceSessionSpec| matches!(s, ServiceSessionSpec::Bandit { .. });
         if enabled {
@@ -217,13 +216,6 @@ impl ServiceScenarioSpec {
             self.sessions.retain(|s| !is_bandit(s));
         }
         self
-    }
-
-    /// Whether the fleet includes a bandit session (set via [`Self::with_bandit`]).
-    pub fn has_bandit(&self) -> bool {
-        self.sessions
-            .iter()
-            .any(|s| matches!(s, ServiceSessionSpec::Bandit { .. }))
     }
 
     /// Schedule periodic feedback events.
@@ -332,11 +324,6 @@ impl ServiceScenarioSpec {
     /// Statements one tenant replays over the whole run.
     pub fn statements_for_tenant(&self, tenant: usize) -> usize {
         self.statements_per_phase_for(tenant) * workload::default_phases().len()
-    }
-
-    /// Statements per unskewed tenant.
-    pub fn statements_per_tenant(&self) -> usize {
-        self.statements_per_phase * workload::default_phases().len()
     }
 
     /// Statements across all tenants (skew included).

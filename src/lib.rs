@@ -7,8 +7,9 @@
 //! * [`simdb`] — the simulated DBMS substrate (catalog, SQL subset, what-if
 //!   optimizer, transition costs);
 //! * [`ibg`] — index benefit graphs, interaction analysis, stable partitions;
-//! * [`wfit_core`] (re-exported as `core`) — WFA, WFA⁺ and WFIT, the
-//!   feedback mechanism and the `totWork` evaluation harness;
+//! * [`wfit_core`] (re-exported as `core`) — WFA and WFIT (whose
+//!   fixed-partition mode is WFA⁺), the feedback mechanism and the `totWork`
+//!   evaluation harness;
 //! * [`advisors`] — the BC and OPT baselines;
 //! * [`workload`] — the eight-phase online index-tuning benchmark;
 //! * [`service`] — the multi-tenant online tuning daemon (tenant registry,

@@ -4,7 +4,8 @@
 use advisors::{compute_optimal, good_feedback_stream, BruchoChaudhuriAdvisor, NoIndexAdvisor};
 use wfit::core::candidates::offline_selection;
 use wfit::core::evaluator::{AcceptancePolicy, Evaluator, RunOptions};
-use wfit::core::wfa_plus::WfaPlus;
+use wfit::core::wfa::WfaInstance;
+use wfit::core::TuningEnv;
 use wfit::{IndexAdvisor, IndexSet, Wfit, WfitConfig};
 use workload::{Benchmark, BenchmarkSpec};
 
@@ -235,22 +236,37 @@ fn auto_wfit_tracks_phase_shifts_and_repartitions() {
 }
 
 #[test]
-fn wfa_plus_and_wfit_fixed_agree_on_the_same_partition() {
-    // WFIT with a fixed partition and no feedback is WFA+ (Section 6.1).
+fn wfit_fixed_partition_matches_one_wfa_per_part() {
+    // WFIT with a fixed partition and no feedback is WFA⁺ (Section 4.2): one
+    // WFA instance per part, fed the same IBG costs, recommendations unioned.
     let bench = small_benchmark();
     let db = &bench.db;
     let selection = offline_selection(db, &bench.statements, &WfitConfig::default());
-    let mut a = Wfit::with_fixed_partition(
+    let partition = selection.partition;
+    let mut wfit = Wfit::with_fixed_partition(
         db,
         WfitConfig::default(),
-        selection.partition.clone(),
+        partition.clone(),
         IndexSet::empty(),
     );
-    let mut b = WfaPlus::new(db, &selection.partition, &IndexSet::empty());
+    let mut reference: Vec<WfaInstance> = partition
+        .iter()
+        .map(|part| {
+            let create = part.iter().map(|&id| db.create_cost(id)).collect();
+            let drop = part.iter().map(|&id| db.drop_cost(id)).collect();
+            WfaInstance::new(part.clone(), create, drop, &IndexSet::empty())
+        })
+        .collect();
+    let candidates = IndexSet::from_iter(partition.iter().flatten().copied());
     for stmt in bench.statements.iter().take(60) {
-        a.analyze_query(stmt);
-        b.analyze_query(stmt);
-        assert_eq!(a.recommend(), b.recommend());
+        wfit.analyze_query(stmt);
+        let ibg = ibg::IndexBenefitGraph::build(candidates.clone(), |cfg| db.whatif(stmt, cfg));
+        let mut rec = IndexSet::empty();
+        for part in &mut reference {
+            part.analyze_query(|cfg| ibg.cost(cfg));
+            rec = rec.union(&part.recommend());
+        }
+        assert_eq!(wfit.recommend(), rec);
     }
 }
 

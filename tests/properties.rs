@@ -4,9 +4,9 @@ use proptest::prelude::*;
 use simdb::index::{IndexId, IndexSet};
 use wfit::core::env::{mock_statement, MockEnv, TuningEnv};
 use wfit::core::evaluator::{total_work_of_schedule, Evaluator, RunOptions};
+use wfit::core::hypercube;
 use wfit::core::wfa::WfaInstance;
-use wfit::core::wfa_plus::WfaPlus;
-use wfit::IndexAdvisor;
+use wfit::{IndexAdvisor, Wfit, WfitConfig};
 
 /// Build an additive (fully independent) scripted environment: `n_indexes`
 /// indices, `n_stmts` statements, index `i` saves `savings[i][j]` on
@@ -23,13 +23,8 @@ fn additive_env(
     let mut stmts = Vec::new();
     for j in 0..n_stmts {
         let q = mock_statement(j as u32 + 1);
-        for mask in 0u32..(1 << n_indexes) {
-            let cfg = IndexSet::from_iter(
-                ids.iter()
-                    .enumerate()
-                    .filter(|(i, _)| mask & (1 << i) != 0)
-                    .map(|(_, id)| *id),
-            );
+        for mask in 0..1usize << n_indexes {
+            let cfg = hypercube::set_of(&ids, mask);
             let mut cost = base;
             for (i, s) in savings.iter().enumerate() {
                 if cfg.contains(ids[i]) {
@@ -41,6 +36,11 @@ fn additive_env(
         stmts.push(q);
     }
     (env, stmts, ids)
+}
+
+/// WFA⁺: WFIT over a fixed `partition`, from an empty initial set.
+fn fixed(env: &MockEnv, partition: Vec<Vec<IndexId>>) -> Wfit<&MockEnv> {
+    Wfit::with_fixed_partition(env, WfitConfig::default(), partition, IndexSet::empty())
 }
 
 fn savings_strategy(n_indexes: usize, n_stmts: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
@@ -56,11 +56,10 @@ proptest! {
     /// Theorem 4.2: WFA⁺ over a stable (here: fully independent) partition
     /// makes the same recommendations as a single WFA over all candidates.
     #[test]
-    fn wfa_plus_equivalence(savings in savings_strategy(3, 6)) {
+    fn theorem_4_2_stable_partition_equivalence(savings in savings_strategy(3, 6)) {
         let (env, stmts, ids) = additive_env(&savings, 200.0, 30.0);
-        let singleton: Vec<Vec<IndexId>> = ids.iter().map(|&i| vec![i]).collect();
-        let mut split = WfaPlus::new(&env, &singleton, &IndexSet::empty());
-        let mut joint = WfaPlus::new(&env, std::slice::from_ref(&ids), &IndexSet::empty());
+        let mut split = fixed(&env, ids.iter().map(|&i| vec![i]).collect());
+        let mut joint = fixed(&env, vec![ids.clone()]);
         for q in &stmts {
             split.analyze_query(q);
             joint.analyze_query(q);
@@ -94,13 +93,13 @@ proptest! {
     fn evaluator_total_work_matches_schedule_replay(savings in savings_strategy(2, 6)) {
         let (env, stmts, ids) = additive_env(&savings, 120.0, 20.0);
         let parts: Vec<Vec<IndexId>> = ids.iter().map(|&i| vec![i]).collect();
-        let mut advisor = WfaPlus::new(&env, &parts, &IndexSet::empty());
+        let mut advisor = fixed(&env, parts.clone());
         let evaluator = Evaluator::new(&env);
         let run = evaluator.run(&mut advisor, &stmts, &RunOptions::default());
 
         // Reconstruct the adopted schedule from the per-statement outcomes by
         // replaying with a fresh advisor.
-        let mut advisor2 = WfaPlus::new(&env, &parts, &IndexSet::empty());
+        let mut advisor2 = fixed(&env, parts);
         let mut schedule = Vec::new();
         for q in &stmts {
             advisor2.analyze_query(q);
@@ -115,20 +114,14 @@ proptest! {
     #[test]
     fn feedback_consistency(
         savings in savings_strategy(3, 4),
-        pos_mask in 0u32..8,
-        neg_mask in 0u32..8,
+        pos_mask in 0usize..8,
+        neg_mask in 0usize..8,
     ) {
         let (env, stmts, ids) = additive_env(&savings, 100.0, 15.0);
         // Make the vote sets disjoint (negative loses ties).
-        let pos_mask = pos_mask & !neg_mask;
-        let positive = IndexSet::from_iter(
-            ids.iter().enumerate().filter(|(i, _)| pos_mask & (1 << i) != 0).map(|(_, id)| *id),
-        );
-        let negative = IndexSet::from_iter(
-            ids.iter().enumerate().filter(|(i, _)| neg_mask & (1 << i) != 0).map(|(_, id)| *id),
-        );
-        let parts: Vec<Vec<IndexId>> = ids.iter().map(|&i| vec![i]).collect();
-        let mut advisor = WfaPlus::new(&env, &parts, &IndexSet::empty());
+        let positive = hypercube::set_of(&ids, pos_mask & !neg_mask);
+        let negative = hypercube::set_of(&ids, neg_mask);
+        let mut advisor = fixed(&env, ids.iter().map(|&i| vec![i]).collect());
         for q in &stmts {
             advisor.analyze_query(q);
             advisor.feedback(&positive, &negative);
@@ -151,11 +144,7 @@ proptest! {
             env.set_create_cost(ids[i], *c);
             env.set_drop_cost(ids[i], c / 10.0);
         }
-        let set_of = |mask: usize| {
-            IndexSet::from_iter(
-                ids.iter().enumerate().filter(|(i, _)| mask & (1 << i) != 0).map(|(_, id)| *id),
-            )
-        };
+        let set_of = |mask: usize| hypercube::set_of(&ids, mask);
         let (x, y, z) = (set_of(masks[0]), set_of(masks[1]), set_of(masks[2]));
         // Triangle inequality.
         prop_assert!(env.transition_cost(&x, &y) <= env.transition_cost(&x, &z) + env.transition_cost(&z, &y) + 1e-9);
@@ -168,13 +157,40 @@ proptest! {
         prop_assert!((forward - backward).abs() < 1e-9);
     }
 
+    /// WFA's and OPT's bitmask `δ` agrees with the `TuningEnv::transition_cost`
+    /// the `totWork` accounting charges, on the `set_of` images of the masks
+    /// (the two sum in different orders, hence the relative tolerance).
+    #[test]
+    fn hypercube_delta_matches_transition_cost(
+        create in proptest::collection::vec(0.0f64..1e6, 8),
+        drop in proptest::collection::vec(0.0f64..1e4, 8),
+        from in 0usize..256,
+        to in 0usize..256,
+    ) {
+        let env = MockEnv::new(0.0, 0.0);
+        let ids: Vec<IndexId> = (0..8u32).map(IndexId).collect();
+        for (i, &id) in ids.iter().enumerate() {
+            env.set_create_cost(id, create[i]);
+            env.set_drop_cost(id, drop[i]);
+        }
+        let fast = hypercube::delta(&create, &drop, from, to);
+        let reference = env.transition_cost(
+            &hypercube::set_of(&ids, from),
+            &hypercube::set_of(&ids, to),
+        );
+        prop_assert!(
+            (fast - reference).abs() <= 1e-9 * fast.abs().max(reference.abs()),
+            "δ({from:#b}, {to:#b}) = {fast} vs transition_cost {reference}"
+        );
+    }
+
     /// The recommendation of a WFA instance is always drawn from its own
     /// candidate set, regardless of the workload.
     #[test]
     fn recommendations_stay_within_candidates(savings in savings_strategy(3, 5)) {
         let (env, stmts, ids) = additive_env(&savings, 90.0, 10.0);
         let candidate_set = IndexSet::from_iter(ids.iter().copied());
-        let mut advisor = WfaPlus::new(&env, std::slice::from_ref(&ids), &IndexSet::empty());
+        let mut advisor = fixed(&env, vec![ids]);
         for q in &stmts {
             advisor.analyze_query(q);
             prop_assert!(advisor.recommend().is_subset_of(&candidate_set));
@@ -225,15 +241,6 @@ mod ibg_properties {
             .build()
     }
 
-    fn subset_of(idx: &[IndexId], mask: usize) -> IndexSet {
-        IndexSet::from_iter(
-            idx.iter()
-                .enumerate()
-                .filter(|(i, _)| mask & (1 << i) != 0)
-                .map(|(_, id)| *id),
-        )
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -253,8 +260,8 @@ mod ibg_properties {
                 IndexSet::from_iter(idx.iter().copied()),
                 |cfg| db.whatif_cost(&stmt, cfg),
             );
-            let small = subset_of(&idx, mask & submask);
-            let large = subset_of(&idx, mask);
+            let small = hypercube::set_of(&idx, mask & submask);
+            let large = hypercube::set_of(&idx, mask);
             prop_assert!(small.is_subset_of(&large));
             prop_assert!(ibg.cost(&large) <= ibg.cost(&small) + 1e-9);
             prop_assert!(ibg.cost(&large) > 0.0);
@@ -275,7 +282,7 @@ mod ibg_properties {
                 IndexSet::from_iter(idx.iter().copied()),
                 |cfg| db.whatif_cost(&stmt, cfg),
             );
-            let y = subset_of(&idx, mask);
+            let y = hypercube::set_of(&idx, mask);
             let used = ibg.used(&y);
             prop_assert!(used.is_subset_of(&y), "used {used} ⊄ {y}");
             prop_assert!((ibg.cost(&used) - ibg.cost(&y)).abs() < 1e-9);
@@ -359,15 +366,6 @@ mod cache_properties {
             .build()
     }
 
-    fn config_of(idx: &[IndexId], mask: usize) -> IndexSet {
-        IndexSet::from_iter(
-            idx.iter()
-                .enumerate()
-                .filter(|(i, _)| mask & (1 << i) != 0)
-                .map(|(_, id)| *id),
-        )
-    }
-
     fn synthetic_plan(fingerprint: u64, mask: usize) -> PlanCost {
         PlanCost {
             total: (fingerprint * 31 + mask as u64) as f64,
@@ -391,7 +389,7 @@ mod cache_properties {
             let cache = SharedWhatIfCache::with_config(CacheConfig::bounded(capacity));
             let (_, idx) = database();
             for (&f, &mask) in fingerprints.iter().zip(&masks) {
-                let got = cache.get_or_compute(f, &config_of(&idx, mask), || synthetic_plan(f, mask));
+                let got = cache.get_or_compute(f, &hypercube::set_of(&idx, mask), || synthetic_plan(f, mask));
                 // Cached or freshly computed, the value is the pure function
                 // of the key.
                 prop_assert_eq!(got.total.to_bits(), synthetic_plan(f, mask).total.to_bits());
@@ -432,7 +430,7 @@ mod cache_properties {
             let cache = SharedWhatIfCache::with_config(CacheConfig::bounded(capacity));
             for (&pick, &mask) in stmt_picks.iter().zip(&masks) {
                 let stmt = &stmts[pick];
-                let config = config_of(&idx, mask);
+                let config = hypercube::set_of(&idx, mask);
                 let got = cache.get_or_compute(stmt.fingerprint, &config, || {
                     db.whatif_cost_uncached(stmt, &config)
                 });
@@ -521,9 +519,7 @@ mod simdb_properties {
                 .predicate(t, cols[1], PredicateKind::Range, sel_b)
                 .output(cols[2])
                 .build();
-            let subset = IndexSet::from_iter(
-                idx.iter().enumerate().filter(|(i, _)| mask & (1 << i) != 0).map(|(_, id)| *id),
-            );
+            let subset = hypercube::set_of(&idx, mask);
             let full = IndexSet::from_iter(idx.iter().copied());
             let c_subset = db.cost(&stmt, &subset);
             let c_full = db.cost(&stmt, &full);
@@ -544,9 +540,7 @@ mod simdb_properties {
             let relevant = IndexSet::from_iter(idx.iter().copied());
             let ibg = ibg::IndexBenefitGraph::build(relevant, |cfg| db.whatif_cost(&stmt, cfg));
             for mask in 0usize..8 {
-                let cfg = IndexSet::from_iter(
-                    idx.iter().enumerate().filter(|(i, _)| mask & (1 << i) != 0).map(|(_, id)| *id),
-                );
+                let cfg = hypercube::set_of(&idx, mask);
                 prop_assert!((ibg.cost(&cfg) - db.cost(&stmt, &cfg)).abs() < 1e-6);
             }
         }

@@ -578,48 +578,18 @@ fn service_replay_is_deterministic_for_identical_seeds() {
     assert_ne!(a.to_json(), c.to_json());
 }
 
-/// PR 2 established that the harness never reads `WFIT_PHASE_LEN` (the phase
-/// length is an explicit `ScenarioSpec` field); this grep-guard keeps the
-/// invariant from regressing, for the service crate as well.  Reading *any*
-/// environment variable from library code under `crates/harness` or
-/// `crates/service` is a violation — env access belongs to the bench and
-/// test entry points.  The hot-path knobs added with the bounded cache
-/// (`WFIT_CACHE_CAP`, `WFIT_BATCH`, `WFIT_IBG_REUSE`, `WFIT_TENANTS`) are
-/// held to the same rule: they may appear only in bench `main`s, never in
-/// library code, where the equivalent setting is an explicit spec field
-/// (`ServiceScenarioSpec::{cache_capacity, batch_size, ibg_reuse, tenants,
-/// workers, steal, skew}`).  The overload knobs (`WFIT_DEPTH`,
-/// `WFIT_OFFERED`, soak scaling via `WFIT_SOAK`) follow suit: library code
-/// takes `ServiceScenarioSpec::{per_tenant_depth, global_depth,
-/// offered_multiplier}` / `service::IngressConfig`, and only the bench and
-/// soak-test entry points read the environment.  The durability knob
-/// (`WFIT_PERSIST`) is the same story: library code takes
-/// `ServiceScenarioSpec::{persist, crash_at}`, only the service-throughput
-/// bench `main` reads the variable.  The bandit knob (`WFIT_BANDIT`)
-/// follows suit: library code takes `ServiceScenarioSpec::with_bandit` /
-/// `AdvisorSpec::Bandit`, only the bench `main` reads the variable.  The
-/// guard is two-sided: library sources must mention *no* knob, and the
-/// bench entry points must mention *exactly* the canonical thirteen — a
-/// knob that is documented but never read, or read but missing from this
+/// Environment variables are read only at entry points.  Library code under
+/// `crates/harness` and `crates/service` reads no environment variable and
+/// mentions no knob outside comments; a setting a library needs is an
+/// explicit spec or config field.  The bench binaries read
+/// `WFIT_PHASE_LEN` and the soak test reads `WFIT_SOAK`.  The guard is
+/// two-sided: those entry points must mention *exactly* the canonical knobs,
+/// so a knob that is documented but never read, or read but missing from this
 /// list, fails the set equality.
 #[test]
 fn harness_and_service_never_read_env_vars() {
-    const KNOB_NAMES: [&str; 13] = [
-        "WFIT_PHASE_LEN",
-        "WFIT_CACHE_CAP",
-        "WFIT_BATCH",
-        "WFIT_IBG_REUSE",
-        "WFIT_TENANTS",
-        "WFIT_WORKERS",
-        "WFIT_STEAL",
-        "WFIT_SKEW",
-        "WFIT_DEPTH",
-        "WFIT_OFFERED",
-        "WFIT_SOAK",
-        "WFIT_PERSIST",
-        "WFIT_BANDIT",
-    ];
-    assert_eq!(KNOB_NAMES.len(), 13, "the canonical knob list");
+    const KNOB_NAMES: [&str; 2] = ["WFIT_PHASE_LEN", "WFIT_SOAK"];
+    assert_eq!(KNOB_NAMES.len(), 2, "the canonical knob list");
 
     /// Every `.rs` file under `dir`, recursively.
     fn rust_sources(dir: PathBuf) -> Vec<PathBuf> {

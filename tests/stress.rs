@@ -30,6 +30,7 @@ use simdb::optimizer::PlanCost;
 use simdb::types::DataType;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use wfit::core::hypercube::set_of;
 use wfit::core::{IndexAdvisor, TuningEnv};
 use wfit::service::{
     Event, IbgStore, Ingress, IngressConfig, SessionId, TenantEnv, TenantId, TenantOptions,
@@ -57,15 +58,6 @@ fn synthetic_plan(fingerprint: u64, mask: usize) -> PlanCost {
     }
 }
 
-fn config_of(idx: &[IndexId], mask: usize) -> IndexSet {
-    IndexSet::from_iter(
-        idx.iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) != 0)
-            .map(|(_, id)| *id),
-    )
-}
-
 fn database() -> (Arc<Database>, Vec<IndexId>) {
     let mut b = CatalogBuilder::new();
     b.table("t")
@@ -91,7 +83,7 @@ fn hammer(cache: &SharedWhatIfCache, idx: &[IndexId], threads: usize) {
                 for i in 0..OPS_PER_THREAD {
                     let (f, mask) = key_of(t, i);
                     let got =
-                        cache.get_or_compute(f, &config_of(idx, mask), || synthetic_plan(f, mask));
+                        cache.get_or_compute(f, &set_of(idx, mask), || synthetic_plan(f, mask));
                     assert_eq!(
                         got.total.to_bits(),
                         synthetic_plan(f, mask).total.to_bits(),
@@ -114,7 +106,7 @@ fn concurrent_unbounded_cache_matches_single_threaded_replay() {
     for t in 0..THREADS {
         for i in 0..OPS_PER_THREAD {
             let (f, mask) = key_of(t, i);
-            replay.get_or_compute(f, &config_of(&idx, mask), || synthetic_plan(f, mask));
+            replay.get_or_compute(f, &set_of(&idx, mask), || synthetic_plan(f, mask));
         }
     }
 
@@ -125,7 +117,7 @@ fn concurrent_unbounded_cache_matches_single_threaded_replay() {
     for t in 0..THREADS {
         for i in 0..OPS_PER_THREAD {
             let (f, mask) = key_of(t, i);
-            let config = config_of(&idx, mask);
+            let config = set_of(&idx, mask);
             let a = concurrent.get_or_compute(f, &config, || unreachable!("must be resident"));
             let b = replay.get_or_compute(f, &config, || unreachable!("must be resident"));
             assert_eq!(a.total.to_bits(), b.total.to_bits());
@@ -204,7 +196,7 @@ fn concurrent_ibg_store_reuses_identical_graphs() {
                     // Every handed-out graph answers exactly like the
                     // optimizer, for every subset of the relevant set.
                     for mask in 0..4usize {
-                        let cfg = config_of(&idx[..], mask);
+                        let cfg = set_of(&idx[..], mask);
                         assert_eq!(
                             graph.cost(&cfg).to_bits(),
                             db.whatif_cost_uncached(stmt, &cfg).total.to_bits(),
@@ -254,7 +246,7 @@ fn tenant_env_fork_counters_sum_to_shared_cache_requests() {
             scope.spawn(move || {
                 for i in 0..96 {
                     let stmt = &stmts[(t + i) % stmts.len()];
-                    let config = config_of(&idx[..], (t + i) % 4);
+                    let config = set_of(&idx[..], (t + i) % 4);
                     // Cached answers equal the uncached oracle even while
                     // other threads force evictions.
                     assert_eq!(
