@@ -34,15 +34,16 @@ pub fn mask_of(part: &[IndexId], set: &IndexSet) -> usize {
 #[inline]
 pub fn delta(create: &[f64], drop: &[f64], from: usize, to: usize) -> f64 {
     let mut cost = 0.0;
-    let mut changed = from ^ to;
-    while changed != 0 {
-        let i = changed.trailing_zeros() as usize;
-        cost += if to & (1 << i) != 0 {
-            create[i]
-        } else {
-            drop[i]
-        };
-        changed &= changed - 1;
+    let added = to & !from;
+    let dropped = from & !to;
+    for (i, (c, d)) in create.iter().zip(drop).enumerate() {
+        let bit = 1usize << i;
+        if added & bit != 0 {
+            cost += c;
+        }
+        if dropped & bit != 0 {
+            cost += d;
+        }
     }
     cost
 }
