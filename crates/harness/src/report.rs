@@ -127,14 +127,9 @@ pub struct ServiceSummary {
     pub ibg_reuses: u64,
     /// Worker threads the service was configured with.
     pub workers: usize,
-    /// Whether cross-tenant work-stealing was enabled.
-    pub steal: bool,
     /// Session-runs scheduled across all drain rounds (deterministic: a
     /// pure function of the queue-depth snapshots).
     pub session_runs: u64,
-    /// Session-runs executed away from their home worker by the steal pass
-    /// (0 with stealing disabled).
-    pub stolen_runs: u64,
     /// Largest per-tenant queue depth observed at any drain-round start.
     pub max_queue_depth: u64,
     /// Worst planned per-round load imbalance
@@ -199,9 +194,7 @@ impl ServiceSummary {
             ("ibg_builds", Json::Num(self.ibg_builds as f64)),
             ("ibg_reuses", Json::Num(self.ibg_reuses as f64)),
             ("workers", Json::Num(self.workers as f64)),
-            ("steal", Json::Bool(self.steal)),
             ("session_runs", Json::Num(self.session_runs as f64)),
-            ("stolen_runs", Json::Num(self.stolen_runs as f64)),
             ("max_queue_depth", Json::Num(self.max_queue_depth as f64)),
             ("load_imbalance", Json::Num(self.load_imbalance)),
             ("per_tenant_depth", Json::Num(self.per_tenant_depth as f64)),
@@ -402,9 +395,7 @@ mod tests {
             ibg_builds: 12,
             ibg_reuses: 24,
             workers: 4,
-            steal: true,
             session_runs: 9,
-            stolen_runs: 2,
             max_queue_depth: 34,
             load_imbalance: 1.25,
             per_tenant_depth: 8,
@@ -427,8 +418,8 @@ mod tests {
         // Eviction, IBG-store and scheduler counters are deterministic and
         // belong to the golden rendering.
         assert!(stable.contains("cache_evictions") && stable.contains("ibg_reuses"));
-        assert!(stable.contains("stolen_runs") && stable.contains("load_imbalance"));
-        assert!(stable.contains("\"steal\": true"));
+        assert!(stable.contains("session_runs") && stable.contains("load_imbalance"));
+        assert!(stable.contains("\"workers\": 4"));
         // Admission-gate counters are pure functions of submission order and
         // belong to the golden rendering too.
         assert!(stable.contains("shed_events") && stable.contains("rejected_submits"));

@@ -334,19 +334,16 @@ pub fn service_evict_mini() -> ServiceScenarioSpec {
 }
 
 /// Hot-tenant event multiplier of [`service_skew_mini`]: tenant 0 replays
-/// 8× the statements of every other tenant, the shape that serializes a
-/// pinned-bin scheduler behind one worker.
+/// 8× the statements of every other tenant, so its worker carries most of
+/// each round.
 pub const SKEW_FACTOR: usize = 8;
 
 /// Miniature skewed scenario for the golden suite: three tenants (one hot at
-/// [`SKEW_FACTOR`]×), a two-session fleet, four workers, stealing on.
-/// Without stealing the hot tenant's backlog serializes behind one worker
-/// while the others idle; with it, idle workers take the hot bin's
-/// session-runs.  The
-/// shared cache is disabled: concurrently-executing stolen session-runs
-/// would race on the hit/miss split, and the golden's purpose is to pin the
-/// metrics that *are* deterministic under stealing — every cost cell, the
-/// steal counters and the fairness/queue-depth numbers.
+/// [`SKEW_FACTOR`]×), a two-session fleet, four workers, no shared cache.
+/// Each tenant drains whole on one worker, so the hot tenant's backlog
+/// occupies one worker while the other two tenants share the rest; the
+/// golden pins every cost cell and the queue-depth and load-imbalance
+/// numbers of that plan.
 pub fn service_skew_mini() -> ServiceScenarioSpec {
     ServiceScenarioSpec::new("service-skew-mini", 3, 2)
         .with_sessions(vec![
@@ -357,7 +354,6 @@ pub fn service_skew_mini() -> ServiceScenarioSpec {
         .with_shared_cache(false)
         .with_skew(SKEW_FACTOR)
         .with_workers(4)
-        .with_steal(true)
 }
 
 /// Per-tenant ingress depth of [`service_overload_mini`]: deliberately far
@@ -529,11 +525,10 @@ mod tests {
         );
         assert_eq!(mini.tenants, 3);
         assert_eq!(mini.sessions.len(), 2);
-        assert!(mini.steal && !mini.shared_cache && !mini.ibg_reuse);
+        assert!(!mini.shared_cache && !mini.ibg_reuse);
         assert_eq!(mini.resolved_workers(), 4);
-        // The default scenarios stay unskewed and pinned.
+        // The default scenarios stay unskewed, one worker per tenant.
         assert_eq!(service_mini().skew, 1);
-        assert!(!service_mini().steal);
         assert_eq!(service_mini().resolved_workers(), 3);
     }
 

@@ -11,15 +11,14 @@
 //! metrics (event counts, shared-cache hit rate, throughput, latency).
 //!
 //! Determinism contract: per-tenant event order is fixed by the spec,
-//! every session replays its tenant's events in that order (the
-//! work-stealing scheduler moves whole session-runs, never splits one),
-//! and the steal plan is a pure function of the queue-depth snapshot — so
-//! every cost-derived metric and every scheduler counter is bit-identical
-//! across runs at the same seed, which is what lets the multi-tenant
-//! scenarios (including the skewed, stealing one) live in the golden
-//! regression suite.  With stealing enabled and a shared cache, only the
-//! cache's hit/miss *split* is timing-dependent; the skewed golden
-//! scenario therefore runs the uncached control arm.
+//! every session replays its tenant's events in that order, one worker
+//! drains each tenant whole, and the worker plan is a pure function of the
+//! queue-depth snapshot — so every cost-derived metric, every cache and IBG
+//! counter and every scheduler counter is bit-identical across runs at the
+//! same seed, which is what lets the multi-tenant scenarios (including the
+//! skewed one) live in the golden regression suite.  The worker count
+//! changes only the echoed `workers` field and the planned
+//! `load_imbalance`.
 
 use std::sync::Arc;
 
@@ -103,14 +102,6 @@ pub struct ServiceScenarioSpec {
     /// Worker threads draining the service; 0 (the default) uses one worker
     /// per tenant — the historical behaviour.
     pub workers: usize,
-    /// Enable the cross-tenant work-stealing scheduler: an idle worker
-    /// takes whole session-runs from the most-loaded bin.  Session state
-    /// stays bit-identical; steal counters are a pure function of queue
-    /// depths.  With a shared cache the hit/miss *split* becomes
-    /// timing-dependent, so golden scenarios that enable stealing also
-    /// disable the shared cache (see
-    /// [`crate::scenarios::service_skew_mini`]).
-    pub steal: bool,
     /// Event-skew multiplier for tenant 0: the "hot" tenant replays
     /// `skew × statements_per_phase` statements per phase while every other
     /// tenant replays `statements_per_phase`.  1 (the default) keeps all
@@ -173,7 +164,6 @@ impl ServiceScenarioSpec {
             batch_size: 1,
             ibg_reuse: false,
             workers: 0,
-            steal: false,
             skew: 1,
             per_tenant_depth: 0,
             global_depth: 0,
@@ -246,12 +236,6 @@ impl ServiceScenarioSpec {
     /// Drain with `workers` worker threads (0 = one per tenant).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Enable or disable the work-stealing scheduler.
-    pub fn with_steal(mut self, steal: bool) -> Self {
-        self.steal = steal;
         self
     }
 
@@ -575,9 +559,8 @@ fn run_internal(
     // before restoring — the restore contract is "same databases, same
     // builder closures, same registration order".
     let assemble = || {
-        let mut svc = TuningService::with_workers(spec.resolved_workers())
-            .with_batch_size(spec.batch_size)
-            .with_steal(spec.steal);
+        let mut svc =
+            TuningService::with_workers(spec.resolved_workers()).with_batch_size(spec.batch_size);
         if spec.is_bounded() {
             svc = svc.with_ingress(IngressConfig::bounded(
                 spec.per_tenant_depth,
@@ -880,9 +863,7 @@ fn run_internal(
             ibg_builds: ibg.builds,
             ibg_reuses: ibg.reuses,
             workers: spec.resolved_workers(),
-            steal: spec.steal,
             session_runs: sched.session_runs,
-            stolen_runs: sched.stolen_runs,
             max_queue_depth: sched.max_queue_depth,
             load_imbalance: sched.max_imbalance,
             per_tenant_depth: spec.per_tenant_depth,

@@ -4,8 +4,8 @@
 //! The daemon is deliberately thin.  Event queuing lives in the
 //! [`Ingress`] (sharded, interior-mutable, accepts [`TuningService::submit`]
 //! concurrently with a running drain); round planning lives in
-//! [`crate::scheduler::plan`] (deterministic work-stealing over
-//! session-runs); this module owns the registry, executes a plan on a
+//! [`crate::scheduler::plan`] (deterministic placement of whole tenants on
+//! worker bins); this module owns the registry, executes a plan on a
 //! `std::thread::scope` worker pool, and keeps the books
 //! ([`BatchReport`], [`SchedStats`], per-tenant counters).
 
@@ -16,7 +16,7 @@ use crate::ingress::{Ingress, IngressConfig, IngressStats, ServiceHandle, Submit
 use crate::persist::{
     self, Fnv64, PersistError, RestoreReport, SessionDigest, Snapshot, TenantSnapshot,
 };
-use crate::scheduler::{self, Placement, SchedStats, SchedulerConfig, TenantLoad};
+use crate::scheduler::{self, SchedStats, TenantLoad};
 use simdb::database::Database;
 use simdb::index::{IndexId, IndexSet};
 use simdb::query::Statement;
@@ -89,9 +89,8 @@ struct Tenant {
 /// never change a recommendation, a cost, or any other deterministic metric
 /// — only wall-clock numbers and, when the cache is bounded, the
 /// hit/eviction split, which is itself a pure function of the per-tenant
-/// event order and batch size.  This is the execution path of every
-/// [`Placement::Whole`] tenant — identical to the historical sequential
-/// drain.  Returns the per-event latencies in microseconds.
+/// event order and batch size.  This is the execution path of every tenant
+/// a round drains.  Returns the per-event latencies in microseconds.
 fn drain_grouped(
     env: &TenantEnv,
     slots: &mut [SessionSlot],
@@ -157,31 +156,6 @@ fn flush_batch(
     batch.clear();
 }
 
-/// Replay one event run against a **single** session — the execution path
-/// of a stolen session-run ([`Placement::Split`]).  The session sees its
-/// events in exactly the submission order, so its state is bit-identical to
-/// what the grouped drain produces; only cache/IBG warming order (overhead
-/// counters, wall clock) differs.  Returns per-event latencies in
-/// microseconds.
-fn drain_session(slot: &mut SessionSlot, events: &[Event]) -> Vec<u64> {
-    let mut latencies = Vec::with_capacity(events.len());
-    for event in events {
-        let start = Instant::now();
-        match event {
-            Event::Query { statement, .. } => {
-                guard_session(slot, |session| {
-                    session.submit_query(statement);
-                });
-            }
-            Event::Vote {
-                approve, reject, ..
-            } => guard_session(slot, |session| session.vote(approve, reject)),
-        }
-        latencies.push(start.elapsed().as_micros() as u64);
-    }
-    latencies
-}
-
 /// Throughput and latency metrics of one [`TuningService::poll`] round (or
 /// of a whole [`TuningService::process_pending`] drain, which absorbs its
 /// rounds' reports).
@@ -196,8 +170,6 @@ pub struct BatchReport {
     /// Wall-clock duration of the batch in seconds.
     pub wall_seconds: f64,
     /// Per-event processing latencies in microseconds, sorted ascending.
-    /// With stealing enabled a split tenant contributes one latency per
-    /// (session-run × event) instead of one per event.
     pub latencies_us: Vec<u64>,
     /// Per-tenant latency samples (sorted ascending), for tenants that
     /// processed at least one event.  Skewed workloads hide hot-tenant tail
@@ -333,16 +305,15 @@ impl BatchReport {
 ///
 /// * events of one tenant are processed **in submission order** by every
 ///   session, so session state evolution is deterministic;
-/// * the work-stealing plan is a pure function of the queue-depth snapshot,
-///   so scheduler counters are deterministic too;
-/// * with stealing disabled each tenant drains sequentially on one worker —
-///   the historical behaviour, bit-identical including cache counters.
+/// * each tenant drains sequentially on one worker, so its cache and IBG
+///   counters are deterministic and independent of the worker count;
+/// * the plan is a pure function of the queue-depth snapshot, so scheduler
+///   counters are deterministic too.
 pub struct TuningService {
     tenants: Vec<Tenant>,
     ingress: Arc<Ingress>,
     max_workers: usize,
     batch_size: usize,
-    steal: bool,
     sched: SchedStats,
     persist: Option<PersistState>,
 }
@@ -381,7 +352,6 @@ impl TuningService {
             ingress: Arc::new(Ingress::new()),
             max_workers: max_workers.max(1),
             batch_size: 1,
-            steal: false,
             sched: SchedStats::default(),
             persist: None,
         }
@@ -395,24 +365,9 @@ impl TuningService {
         self
     }
 
-    /// Enable cross-tenant work-stealing: a worker that exhausts its bin
-    /// takes whole session-runs from the most-loaded bin (see
-    /// [`crate::scheduler`]).  Off by default — the pinned-bin scheduler is
-    /// the historical behaviour and keeps per-tenant cache counters
-    /// deterministic.
-    pub fn with_steal(mut self, steal: bool) -> Self {
-        self.steal = steal;
-        self
-    }
-
     /// The configured query-batch size.
     pub fn batch_size(&self) -> usize {
         self.batch_size
-    }
-
-    /// Whether work-stealing is enabled.
-    pub fn steal(&self) -> bool {
-        self.steal
     }
 
     /// The configured maximum worker count.
@@ -564,18 +519,17 @@ impl TuningService {
         self.ingress.tenant_stats(tenant)
     }
 
-    /// Cumulative scheduler counters (rounds, session-runs, steals, queue
-    /// depths, load imbalance) — deterministic whenever submission order is.
+    /// Cumulative scheduler counters (rounds, session-runs, queue depths,
+    /// load imbalance) — deterministic whenever submission order is.
     pub fn sched_stats(&self) -> SchedStats {
         self.sched
     }
 
-    /// Execute **one** scheduling round: snapshot every tenant queue, plan
-    /// the round ([`crate::scheduler::plan`] — pinned bins, or
-    /// work-stealing with [`TuningService::with_steal`]), execute the plan
-    /// on a `std::thread::scope` worker pool, and return the round's
-    /// wall-clock report.  Events submitted while the round runs (through
-    /// [`TuningService::handle`]) are left for the next round.
+    /// Execute **one** scheduling round: snapshot every tenant queue, place
+    /// each busy tenant whole on a worker bin ([`crate::scheduler::plan`]),
+    /// drain the bins on a `std::thread::scope` worker pool, and return the
+    /// round's wall-clock report.  Events submitted while the round runs
+    /// (through [`TuningService::handle`]) are left for the next round.
     pub fn poll(&mut self) -> BatchReport {
         let runs = self.ingress.drain_all();
         let total: u64 = runs.iter().map(|r| r.len() as u64).sum();
@@ -601,60 +555,19 @@ impl TuningService {
             })
             .collect();
         let max_depth = loads.iter().map(|l| l.depth as u64).max().unwrap_or(0);
-        let plan = scheduler::plan(
-            &loads,
-            &SchedulerConfig {
-                workers: self.max_workers,
-                steal: self.steal,
-            },
-        );
+        let plan = scheduler::plan(&loads, self.max_workers);
         self.sched.absorb_round(&plan, max_depth);
 
-        // Event runs are shared (not copied) between the session-runs of a
-        // split tenant.
-        let events: Vec<Arc<Vec<Event>>> = runs.into_iter().map(Arc::new).collect();
-        let mut placement_of: Vec<Option<&Placement>> = vec![None; self.tenants.len()];
-        for (t, p) in &plan.placements {
-            placement_of[*t] = Some(p);
+        let mut worker_of: Vec<Option<usize>> = vec![None; self.tenants.len()];
+        for &(t, worker) in &plan.placements {
+            worker_of[t] = Some(worker);
         }
-
-        /// One unit of a worker's bin: a whole tenant (grouped drain) or a
-        /// single stolen session-run.
-        enum Task<'s> {
-            Whole {
-                tenant: usize,
-                env: TenantEnv,
-                slots: &'s mut [SessionSlot],
-                events: Arc<Vec<Event>>,
-            },
-            Run {
-                tenant: usize,
-                slot: &'s mut SessionSlot,
-                events: Arc<Vec<Event>>,
-            },
-        }
-
-        let mut bins: Vec<Vec<Task>> = (0..plan.workers_used).map(|_| Vec::new()).collect();
-        let mut split_tenants: Vec<usize> = Vec::new();
-        for (t, tenant) in self.tenants.iter_mut().enumerate() {
-            match placement_of[t] {
-                None => {}
-                Some(Placement::Whole { worker }) => bins[*worker].push(Task::Whole {
-                    tenant: t,
-                    env: tenant.env.clone(),
-                    slots: &mut tenant.slots,
-                    events: events[t].clone(),
-                }),
-                Some(Placement::Split { workers }) => {
-                    split_tenants.push(t);
-                    for (s, slot) in tenant.slots.iter_mut().enumerate() {
-                        bins[workers[s]].push(Task::Run {
-                            tenant: t,
-                            slot,
-                            events: events[t].clone(),
-                        });
-                    }
-                }
+        // One bin per worker, holding the whole tenants it drains.
+        let mut bins: Vec<Vec<_>> = (0..plan.workers_used).map(|_| Vec::new()).collect();
+        for ((t, tenant), run) in self.tenants.iter_mut().enumerate().zip(runs) {
+            tenant.processed += run.len() as u64;
+            if let Some(worker) = worker_of[t] {
+                bins[worker].push((t, &tenant.env, &mut tenant.slots[..], run));
             }
         }
 
@@ -665,18 +578,8 @@ impl TuningService {
                 .map(|bin| {
                     scope.spawn(move || {
                         bin.into_iter()
-                            .map(|task| match task {
-                                Task::Whole {
-                                    tenant,
-                                    env,
-                                    slots,
-                                    events,
-                                } => (tenant, drain_grouped(&env, slots, &events, batch_size)),
-                                Task::Run {
-                                    tenant,
-                                    slot,
-                                    events,
-                                } => (tenant, drain_session(slot, &events)),
+                            .map(|(t, env, slots, events)| {
+                                (t, drain_grouped(env, slots, &events, batch_size))
                             })
                             .collect::<Vec<_>>()
                     })
@@ -687,16 +590,6 @@ impl TuningService {
                 .flat_map(|h| h.join().expect("service worker panicked"))
                 .collect()
         });
-
-        // Round bookkeeping on the main thread, where it is deterministic:
-        // per-tenant processed counters, and one IBG generation advance per
-        // split tenant (grouped drains advance per batch themselves).
-        for &t in &split_tenants {
-            self.tenants[t].env.advance_ibg_generation();
-        }
-        for (t, tenant) in self.tenants.iter_mut().enumerate() {
-            tenant.processed += events[t].len() as u64;
-        }
 
         let mut all = Vec::new();
         let mut per_tenant: Vec<Vec<u64>> = vec![Vec::new(); self.tenants.len()];
@@ -965,13 +858,10 @@ impl TuningService {
     fn build_snapshot(&self, rounds: u64) -> Snapshot {
         Snapshot {
             rounds,
-            workers: self.max_workers as u64,
             batch_size: self.batch_size as u64,
-            steal: self.steal,
             peak_pending: self.ingress.stats().peak_pending,
             sched_rounds: self.sched.rounds,
             sched_session_runs: self.sched.session_runs,
-            sched_stolen_runs: self.sched.stolen_runs,
             tenants: self
                 .tenants
                 .iter()
@@ -996,7 +886,9 @@ impl TuningService {
     /// assembled service, then attach persistence so new rounds append
     /// after the recovered history.  The host must have registered the
     /// same tenants and sessions (same builder closures) as the original —
-    /// the snapshot's configuration echo is checked before any replay.
+    /// the snapshot's configuration echo is checked before any replay.  The
+    /// worker count is not part of the echo: it changes no restored state,
+    /// so a snapshot restores on a host of any size.
     ///
     /// Recovery replays the **entire WAL** round-by-round through the
     /// normal execution path (advisor state is not serializable; replay
@@ -1004,9 +896,8 @@ impl TuningService {
     /// torn final record is discarded and physically truncated — never
     /// fatal.  When a snapshot manifest is present its digests are
     /// verified at the checkpoint round ([`PersistError::Divergence`] on
-    /// any mismatch; with stealing enabled the cache/IBG digests are
-    /// skipped, as their hit/miss split is timing-dependent by contract)
-    /// and its non-replayable ledger counters are seeded afterwards.
+    /// any mismatch) and its non-replayable ledger counters are seeded
+    /// afterwards.
     ///
     /// # Errors
     /// [`PersistError::Config`] when the service already processed events,
@@ -1093,22 +984,10 @@ impl TuningService {
     /// produce silently wrong state, so shape mismatches are hard errors.
     fn check_config_echo(&self, snap: &Snapshot) -> Result<(), PersistError> {
         let mismatch = |what: String| Err(PersistError::Config(what));
-        if snap.workers != self.max_workers as u64 {
-            return mismatch(format!(
-                "snapshot used {} workers, this service has {}",
-                snap.workers, self.max_workers
-            ));
-        }
         if snap.batch_size != self.batch_size as u64 {
             return mismatch(format!(
                 "snapshot used batch size {}, this service has {}",
                 snap.batch_size, self.batch_size
-            ));
-        }
-        if snap.steal != self.steal {
-            return mismatch(format!(
-                "snapshot had steal={}, this service has steal={}",
-                snap.steal, self.steal
             ));
         }
         if snap.tenants.len() != self.tenants.len() {
@@ -1145,10 +1024,8 @@ impl TuningService {
     }
 
     /// Compare the replayed state against the snapshot's digests at the
-    /// checkpoint round.  Per-session accounting is always bit-checked;
-    /// cache and IBG digests are skipped under work-stealing, where the
-    /// hit/miss split (and hence slot order) is timing-dependent by
-    /// documented contract.
+    /// checkpoint round: per-session accounting, every cache export and
+    /// every IBG store are bit-checked, as is the scheduler ledger.
     fn verify_snapshot(&self, snap: &Snapshot) -> Result<(), PersistError> {
         for (t, (ts, tenant)) in snap.tenants.iter().zip(&self.tenants).enumerate() {
             for (s, (expected, slot)) in ts.sessions.iter().zip(&tenant.slots).enumerate() {
@@ -1161,41 +1038,31 @@ impl TuningService {
                     )));
                 }
             }
-            if !self.steal {
-                let live_cache = tenant.env.shared_cache().map(|c| c.export().digest());
-                let snap_cache = ts.cache.as_ref().map(|c| c.digest());
-                if live_cache != snap_cache {
-                    return Err(PersistError::Divergence(format!(
-                        "tenant {t} cache digest mismatch: snapshot {snap_cache:?}, \
-                         replayed {live_cache:?}"
-                    )));
-                }
-                let live_ibg = tenant.env.ibg_store().map(|s| s.digest());
-                if live_ibg != ts.ibg_digest {
-                    return Err(PersistError::Divergence(format!(
-                        "tenant {t} IBG digest mismatch: snapshot {:?}, replayed {live_ibg:?}",
-                        ts.ibg_digest
-                    )));
-                }
+            let live_cache = tenant.env.shared_cache().map(|c| c.export().digest());
+            let snap_cache = ts.cache.as_ref().map(|c| c.digest());
+            if live_cache != snap_cache {
+                return Err(PersistError::Divergence(format!(
+                    "tenant {t} cache digest mismatch: snapshot {snap_cache:?}, \
+                     replayed {live_cache:?}"
+                )));
+            }
+            let live_ibg = tenant.env.ibg_store().map(|s| s.digest());
+            if live_ibg != ts.ibg_digest {
+                return Err(PersistError::Divergence(format!(
+                    "tenant {t} IBG digest mismatch: snapshot {:?}, replayed {live_ibg:?}",
+                    ts.ibg_digest
+                )));
             }
         }
-        if (
-            self.sched.rounds,
-            self.sched.session_runs,
-            self.sched.stolen_runs,
-        ) != (
-            snap.sched_rounds,
-            snap.sched_session_runs,
-            snap.sched_stolen_runs,
-        ) {
+        if (self.sched.rounds, self.sched.session_runs)
+            != (snap.sched_rounds, snap.sched_session_runs)
+        {
             return Err(PersistError::Divergence(format!(
-                "scheduler ledger mismatch: snapshot ({}, {}, {}), replayed ({}, {}, {})",
+                "scheduler ledger mismatch: snapshot ({}, {}), replayed ({}, {})",
                 snap.sched_rounds,
                 snap.sched_session_runs,
-                snap.sched_stolen_runs,
                 self.sched.rounds,
-                self.sched.session_runs,
-                self.sched.stolen_runs
+                self.sched.session_runs
             )));
         }
         Ok(())
@@ -1342,12 +1209,10 @@ mod tests {
         assert_eq!(batch.tenant_latencies_us[0].0, ids[0]);
         assert!(batch.tenant_p50_us(ids[0]) <= batch.tenant_p99_us(ids[0]));
         assert_eq!(batch.tenant_p99_us(ids[1]), 0);
-        // Scheduler counters: one round, two session-runs, no steals
-        // (stealing is off by default).
+        // Scheduler counters: one round, two session-runs.
         let sched = svc.sched_stats();
         assert_eq!(sched.rounds, 1);
         assert_eq!(sched.session_runs, 2);
-        assert_eq!(sched.stolen_runs, 0);
         assert_eq!(sched.max_queue_depth, 5);
     }
 
@@ -1650,63 +1515,6 @@ mod tests {
         };
         assert_eq!(run(1), run(4));
         assert_eq!(run(4), run(16));
-    }
-
-    /// The scheduler-equivalence contract at daemon level: stealing may only
-    /// change steal/queue/wall-clock metrics, never session state.
-    #[test]
-    fn stealing_preserves_session_state_bit_for_bit() {
-        let run = |steal: bool, workers: usize| {
-            let mut svc = TuningService::with_workers(workers).with_steal(steal);
-            let mut tenants = Vec::new();
-            for t in 0..3 {
-                let handle = db();
-                // Uncached: sessions share no mutable state, so even the
-                // per-session what-if counters stay deterministic under
-                // concurrent stolen runs.
-                let id = svc.add_tenant_uncached(format!("tenant-{t}"), handle.clone());
-                for s in 0..3 {
-                    svc.add_session(id, format!("s{s}"), wfit_builder);
-                }
-                let q = Arc::new(
-                    handle
-                        .parse(&format!("SELECT b FROM t WHERE a = {}", t + 1))
-                        .unwrap(),
-                );
-                // Skew: tenant 0 gets 8×, the rest 1×.
-                let n = if t == 0 { 16 } else { 2 };
-                for _ in 0..n {
-                    svc.submit(Event::query(id, q.clone()));
-                }
-                tenants.push(id);
-            }
-            svc.process_pending();
-            let fingerprint: Vec<(u64, u64, u64)> = svc
-                .session_ids()
-                .iter()
-                .map(|&sid| {
-                    let stats = svc.session_stats(sid);
-                    (
-                        stats.queries,
-                        stats.total_work.to_bits(),
-                        svc.session_whatif_requests(sid),
-                    )
-                })
-                .collect();
-            (fingerprint, svc.sched_stats())
-        };
-        let (pinned, pinned_sched) = run(false, 4);
-        let (stolen, stolen_sched) = run(true, 4);
-        assert_eq!(pinned, stolen, "stealing must not change session state");
-        assert_eq!(pinned_sched.stolen_runs, 0);
-        assert!(
-            stolen_sched.stolen_runs > 0,
-            "the skewed snapshot must trigger steals: {stolen_sched:?}"
-        );
-        // Steal counters are themselves deterministic: a pure function of
-        // the depth snapshot.
-        let (_, again) = run(true, 4);
-        assert_eq!(stolen_sched, again);
     }
 
     struct PanickyAdvisor {

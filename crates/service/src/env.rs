@@ -28,11 +28,6 @@ pub struct TenantOptions {
     /// Whether the tenant's sessions share built IBGs through an
     /// [`IbgStore`].
     pub ibg_reuse: bool,
-    /// How many generations an untouched graph survives in the tenant's
-    /// [`IbgStore`] (see [`IbgStore::with_keep_generations`]).  Larger
-    /// values let a session added mid-stream warm-start from older tenant
-    /// history.  Ignored unless `ibg_reuse` is on.
-    pub ibg_keep_generations: u64,
     /// Per-tenant override of the service's ingress depth limit
     /// (`IngressConfig::per_tenant_depth`): `None` inherits the service
     /// default, `Some(0)` makes this tenant's queue unbounded, `Some(n)`
@@ -45,7 +40,6 @@ impl Default for TenantOptions {
         Self {
             cache: Some(CacheConfig::unbounded()),
             ibg_reuse: false,
-            ibg_keep_generations: IbgStore::KEEP_GENERATIONS,
             ingress_depth: None,
         }
     }
@@ -66,16 +60,6 @@ impl TenantOptions {
     /// Enable or disable cross-session IBG sharing.
     pub fn with_ibg_reuse(mut self, reuse: bool) -> Self {
         self.ibg_reuse = reuse;
-        self
-    }
-
-    /// Keep untouched graphs in the tenant's [`IbgStore`] alive for `keep`
-    /// generations (implies IBG sharing).  The minimal warm-start story: a
-    /// session added to the tenant mid-stream finds the graphs its peers
-    /// built up to `keep` batches ago instead of rebuilding them.
-    pub fn with_ibg_keep_generations(mut self, keep: u64) -> Self {
-        self.ibg_reuse = true;
-        self.ibg_keep_generations = keep;
         self
     }
 
@@ -118,11 +102,7 @@ impl TenantEnv {
             cache: options
                 .cache
                 .map(|config| Arc::new(SharedWhatIfCache::with_config(config))),
-            ibg_store: options.ibg_reuse.then(|| {
-                Arc::new(IbgStore::with_keep_generations(
-                    options.ibg_keep_generations,
-                ))
-            }),
+            ibg_store: options.ibg_reuse.then(|| Arc::new(IbgStore::new())),
             whatif_requests: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -393,37 +373,6 @@ mod tests {
                 fresh.graph.cost(&config).to_bits()
             );
         }
-    }
-
-    #[test]
-    fn keep_generations_enables_late_session_warm_start() {
-        let db = db();
-        let q = db.parse("SELECT b FROM t WHERE a = 6").unwrap();
-        let idx = db.define_index("t", &["a"]).unwrap();
-        let relevant = IndexSet::single(idx);
-
-        // Default retention: a graph idle for two batches is gone, so a
-        // session joining later rebuilds it.
-        let short =
-            TenantEnv::with_options(db.clone(), TenantOptions::default().with_ibg_reuse(true));
-        short.ibg(&q, relevant.clone());
-        short.advance_ibg_generation();
-        short.advance_ibg_generation();
-        let late = short.fork_counter().ibg(&q, relevant.clone());
-        assert!(!late.reused, "default retention already retired the graph");
-
-        // Longer retention: the same late join warm-starts from history.
-        let long = TenantEnv::with_options(
-            db.clone(),
-            TenantOptions::default().with_ibg_keep_generations(4),
-        );
-        assert!(long.shares_ibgs(), "keep-generations implies IBG sharing");
-        long.ibg(&q, relevant.clone());
-        long.advance_ibg_generation();
-        long.advance_ibg_generation();
-        let late = long.fork_counter().ibg(&q, relevant.clone());
-        assert!(late.reused, "keep=4 retains the graph for the late session");
-        assert_eq!(long.ibg_stats().retired, 0);
     }
 
     #[test]

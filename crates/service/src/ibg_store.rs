@@ -80,54 +80,26 @@ struct StoreEntry {
 ///
 /// The map is nested (`fingerprint → relevant set → entry`) so the hot
 /// lookup path borrows both key parts — no `IndexSet` clone per request.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct IbgStore {
     entries: RwLock<HashMap<u64, HashMap<IndexSet, StoreEntry>>>,
     generation: AtomicU64,
-    keep_generations: u64,
     builds: AtomicU64,
     reuses: AtomicU64,
     retired: AtomicU64,
 }
 
-impl Default for IbgStore {
-    fn default() -> Self {
-        Self::with_keep_generations(Self::KEEP_GENERATIONS)
-    }
-}
-
 impl IbgStore {
     /// How many generations an untouched graph survives
-    /// [`IbgStore::advance_generation`] by default: the current batch's
-    /// graphs plus the previous batch's (so a statement repeating across
-    /// adjacent batches still reuses its graph).
+    /// [`IbgStore::advance_generation`]: the current batch's graphs plus the
+    /// previous batch's (so a statement repeating across adjacent batches
+    /// still reuses its graph).
     pub const KEEP_GENERATIONS: u64 = 1;
 
     /// An empty store retiring untouched graphs after
     /// [`IbgStore::KEEP_GENERATIONS`] generations.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty store keeping untouched graphs alive for `keep` generations
-    /// instead of the default [`IbgStore::KEEP_GENERATIONS`].  Larger values
-    /// trade memory for warm-start reach: a session added mid-stream (or a
-    /// workload phase that returns after a gap) still finds the graphs its
-    /// tenant built `keep` batches ago.
-    pub fn with_keep_generations(keep: u64) -> Self {
-        Self {
-            entries: RwLock::default(),
-            generation: AtomicU64::new(0),
-            keep_generations: keep,
-            builds: AtomicU64::new(0),
-            reuses: AtomicU64::new(0),
-            retired: AtomicU64::new(0),
-        }
-    }
-
-    /// How many generations an untouched graph survives in this store.
-    pub fn keep_generations(&self) -> u64 {
-        self.keep_generations
     }
 
     /// Fetch the graph for `(fingerprint, relevant)`, building it with
@@ -171,7 +143,7 @@ impl IbgStore {
     }
 
     /// Start a new generation, retiring every graph not touched within the
-    /// last [`IbgStore::keep_generations`] generations.  The service's batch
+    /// last [`IbgStore::KEEP_GENERATIONS`] generations.  The service's batch
     /// drain calls this once per coalesced batch, which bounds the resident
     /// graphs to the working set of recent batches.
     pub fn advance_generation(&self) {
@@ -181,7 +153,7 @@ impl IbgStore {
         entries.retain(|_, by_set| {
             let before = by_set.len();
             by_set.retain(|_, entry| {
-                entry.touched.load(Ordering::Relaxed) + self.keep_generations >= next
+                entry.touched.load(Ordering::Relaxed) + Self::KEEP_GENERATIONS >= next
             });
             retired += (before - by_set.len()) as u64;
             !by_set.is_empty()
@@ -249,7 +221,7 @@ impl IbgStore {
         keys.sort();
         let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
         eat_u64(&mut hash, self.generation.load(Ordering::Relaxed));
-        eat_u64(&mut hash, self.keep_generations);
+        eat_u64(&mut hash, Self::KEEP_GENERATIONS);
         eat_u64(&mut hash, keys.len() as u64);
         for (fingerprint, ids, touched) in keys {
             eat_u64(&mut hash, fingerprint);
@@ -326,33 +298,6 @@ mod tests {
         // A retired graph is simply rebuilt on next sight.
         let (_, reused) = store.get_or_build(1, &a, || tiny_graph(&a));
         assert!(!reused);
-    }
-
-    #[test]
-    fn keep_generations_is_configurable() {
-        // keep = 3: a graph survives three untouched generation advances…
-        let store = IbgStore::with_keep_generations(3);
-        assert_eq!(store.keep_generations(), 3);
-        let a = IndexSet::single(IndexId(1));
-        store.get_or_build(1, &a, || tiny_graph(&a));
-        for _ in 0..3 {
-            store.advance_generation();
-            assert_eq!(store.len(), 1);
-        }
-        // …but not a fourth.
-        store.advance_generation();
-        assert!(store.is_empty());
-        assert_eq!(store.stats().retired, 1);
-        // keep = 0 retires everything untouched on the next advance.
-        let eager = IbgStore::with_keep_generations(0);
-        eager.get_or_build(1, &a, || tiny_graph(&a));
-        eager.advance_generation();
-        assert!(eager.is_empty());
-        // The default matches the historical constant.
-        assert_eq!(
-            IbgStore::new().keep_generations(),
-            IbgStore::KEEP_GENERATIONS
-        );
     }
 
     #[test]

@@ -36,18 +36,17 @@
 //!   shard they displace the newest queued query), and the
 //!   shed/defer/reject ledger ([`IngressStats`]) is a pure function of
 //!   submission order;
-//! * a **work-stealing scheduler** ([`scheduler`], opt-in via
-//!   [`TuningService::with_steal`]) — each drain round plans worker bins
-//!   from the queue-depth snapshot, and a worker that would idle takes
-//!   whole *session-runs* from the most-loaded bin, so one hot tenant no
-//!   longer serializes behind a single thread.
+//! * a **scheduler** ([`scheduler`]) — each drain round places every busy
+//!   tenant whole on one worker bin (heaviest tenant first, onto the
+//!   lightest bin) from the queue-depth snapshot, and a scoped worker pool
+//!   drains the bins in parallel.
 //!
 //! Per-session results are bit-deterministic: every session processes its
-//! tenant's events in submission order (stealing moves whole session-runs,
-//! never splits one), the steal plan is a pure function of queue depths,
-//! and the shared cache returns exactly what the optimizer would —
-//! parallelism only changes wall-clock numbers ([`BatchReport`]), never
-//! recommendations or costs.
+//! tenant's events in submission order, one worker drains each tenant, the
+//! plan is a pure function of queue depths, and the shared cache returns
+//! exactly what the optimizer would — parallelism only changes wall-clock
+//! numbers ([`BatchReport`]), never recommendations, costs or cache and IBG
+//! counters.
 //!
 //! ## Quickstart
 //!
@@ -113,4 +112,4 @@ pub use ingress::{
     Ingress, IngressConfig, IngressStats, RejectReason, ServiceHandle, SubmitOutcome,
 };
 pub use persist::{PersistError, RestoreReport, Snapshot};
-pub use scheduler::{SchedStats, SchedulePlan, SchedulerConfig};
+pub use scheduler::{SchedStats, SchedulePlan};

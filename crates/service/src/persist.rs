@@ -56,10 +56,14 @@ pub const SNAPSHOT_FILE: &str = "snapshot.json";
 /// Magic bytes opening every WAL file.
 pub const WAL_MAGIC: [u8; 8] = *b"WFITWAL1";
 /// Snapshot manifest format version.  A manifest of any other version is
-/// rejected as [`PersistError::Corrupt`]: a version-1 manifest holds every
-/// field this format reads, but its cache exports may describe ARC state
-/// and resized capacities that this format cannot represent.
-pub const SNAPSHOT_VERSION: u64 = 2;
+/// rejected as [`PersistError::Corrupt`]: a version-1 manifest's cache
+/// exports may describe ARC state and resized capacities that this format
+/// cannot represent, and a version-2 manifest may come from a service
+/// that split a tenant's sessions across workers, whose cache and IBG
+/// digests then depended on thread timing, while this format verifies both
+/// on every restore.  Both older versions hold every field this format
+/// reads, so only the version check tells them apart.
+pub const SNAPSHOT_VERSION: u64 = 3;
 
 /// Why a persistence operation failed.  Recovery paths return these as
 /// typed errors — corruption and divergence are reported, never panicked.
@@ -79,7 +83,7 @@ pub enum PersistError {
     /// snapshot ahead of its WAL).
     Corrupt(String),
     /// The live service does not match the persisted configuration echo
-    /// (different tenants, session labels, workers, …), or an operation was
+    /// (different tenants, session labels, batch size, …), or an operation was
     /// attempted in an invalid order (e.g. [`crate::TuningService::with_persistence`]
     /// over a non-empty WAL).
     Config(String),
@@ -522,20 +526,14 @@ pub struct TenantSnapshot {
 pub struct Snapshot {
     /// WAL rounds whose effects this snapshot reflects.
     pub rounds: u64,
-    /// Worker-thread configuration echo.
-    pub workers: u64,
     /// Batch-size configuration echo.
     pub batch_size: u64,
-    /// Work-stealing configuration echo.
-    pub steal: bool,
     /// Global ingress high-water mark (not replayable round-by-round).
     pub peak_pending: u64,
     /// Scheduler ledger echo, verified after replay: non-empty rounds.
     pub sched_rounds: u64,
     /// Scheduler ledger echo: session-runs scheduled.
     pub sched_session_runs: u64,
-    /// Scheduler ledger echo: session-runs stolen.
-    pub sched_stolen_runs: u64,
     /// Per-tenant state, in registration order.
     pub tenants: Vec<TenantSnapshot>,
 }
@@ -568,18 +566,12 @@ impl Snapshot {
         Json::obj(vec![
             ("version", Json::Num(SNAPSHOT_VERSION as f64)),
             ("rounds", Json::Num(self.rounds as f64)),
-            ("workers", Json::Num(self.workers as f64)),
             ("batch_size", Json::Num(self.batch_size as f64)),
-            ("steal", Json::Bool(self.steal)),
             ("peak_pending", Json::Num(self.peak_pending as f64)),
             ("sched_rounds", Json::Num(self.sched_rounds as f64)),
             (
                 "sched_session_runs",
                 Json::Num(self.sched_session_runs as f64),
-            ),
-            (
-                "sched_stolen_runs",
-                Json::Num(self.sched_stolen_runs as f64),
             ),
             (
                 "tenants",
@@ -597,13 +589,10 @@ impl Snapshot {
         }
         Ok(Snapshot {
             rounds: get_u64(doc, "rounds")?,
-            workers: get_u64(doc, "workers")?,
             batch_size: get_u64(doc, "batch_size")?,
-            steal: get_bool(doc, "steal")?,
             peak_pending: get_u64(doc, "peak_pending")?,
             sched_rounds: get_u64(doc, "sched_rounds")?,
             sched_session_runs: get_u64(doc, "sched_session_runs")?,
-            sched_stolen_runs: get_u64(doc, "sched_stolen_runs")?,
             tenants: get_arr(doc, "tenants")?
                 .iter()
                 .map(tenant_from_json)
@@ -979,13 +968,10 @@ mod tests {
         let dir = temp_dir("snapshot");
         let snap = Snapshot {
             rounds: 7,
-            workers: 4,
             batch_size: 8,
-            steal: false,
             peak_pending: 12,
             sched_rounds: 7,
             sched_session_runs: 21,
-            sched_stolen_runs: 0,
             tenants: vec![TenantSnapshot {
                 name: "tenant-0".into(),
                 shed: 3,

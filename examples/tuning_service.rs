@@ -5,8 +5,8 @@
 //! The hot-path knobs are all on: each tenant's cache is capacity-bounded
 //! (deterministic CLOCK eviction), built IBGs are shared across the
 //! tenant's sessions, the drain coalesces queries into session-major
-//! batches, and the work-stealing scheduler spreads a hot tenant's
-//! session-runs across idle workers.
+//! batches, and four workers drain the tenants in parallel, each tenant
+//! whole on one worker.
 //!
 //! The second act demonstrates **async ingestion**: a producer thread keeps
 //! submitting events through a cloned `ServiceHandle` while the main thread
@@ -38,17 +38,15 @@ const STATEMENTS_PER_PHASE: usize = 8;
 const CACHE_CAPACITY: usize = 256;
 /// Consecutive queries coalesced into one session-major batch.
 const BATCH_SIZE: usize = 8;
-/// Worker threads (pinned, not host-derived, so the work-stealing plan is
-/// the same on every machine).
+/// Worker threads (pinned, not host-derived, so the worker plan is the
+/// same on every machine).
 const WORKERS: usize = 4;
 
 fn main() {
     // Generate eight independent tenant workloads (same benchmark shape,
     // decorrelated seeds) and mine each tenant's offline candidates.
     println!("preparing {TENANTS} tenant workloads…");
-    let mut service = TuningService::with_workers(WORKERS)
-        .with_batch_size(BATCH_SIZE)
-        .with_steal(true);
+    let mut service = TuningService::with_workers(WORKERS).with_batch_size(BATCH_SIZE);
     let mut streams = Vec::new();
     for t in 0..TENANTS {
         let bench = Benchmark::generate(BenchmarkSpec {
@@ -105,8 +103,8 @@ fn main() {
 
     // Act two — live submission during a drain.  A producer thread replays
     // tenant 0's stream again through a cloned handle while this thread
-    // polls: every round snapshots whatever has arrived and the
-    // work-stealing plan spreads tenant 0's backlog over idle workers.
+    // polls: every round snapshots whatever has arrived and drains tenant
+    // 0's backlog on one worker, in submission order.
     let (hot_tenant, replay) = (streams[0].0, streams[0].1.clone());
     let expected = replay.len() as u64;
     let handle = service.handle();
@@ -139,13 +137,8 @@ fn main() {
     );
     let sched = service.sched_stats();
     println!(
-        "scheduler: {} rounds, {} session-runs ({} stolen), max queue depth {}, \
-         load imbalance {:.3}",
-        sched.rounds,
-        sched.session_runs,
-        sched.stolen_runs,
-        sched.max_queue_depth,
-        sched.max_imbalance,
+        "scheduler: {} rounds, {} session-runs, max queue depth {}, load imbalance {:.3}",
+        sched.rounds, sched.session_runs, sched.max_queue_depth, sched.max_imbalance,
     );
 
     println!();

@@ -15,8 +15,12 @@
 //! * damage that cannot be a torn tail (corrupt magic, a snapshot claiming
 //!   more rounds than the log holds, a manifest in an older format) is a
 //!   hard [`PersistError`], not a guess;
+//! * a manifest whose session digests or cache exports disagree with the
+//!   replayed state is a [`PersistError::Divergence`];
 //! * after a torn-tail restore the log is physically truncated, so the
-//!   service appends the next round cleanly and can snapshot again.
+//!   service appends the next round cleanly and can snapshot again;
+//! * the worker count is not part of the restore contract: a snapshot
+//!   restores bit-identically on a host with more or fewer workers.
 
 use simdb::catalog::CatalogBuilder;
 use simdb::database::Database;
@@ -26,7 +30,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use wfit::core::json::Json;
 use wfit::core::IndexAdvisor;
-use wfit::service::{Event, PersistError, TenantEnv, TenantId, TuningService};
+use wfit::service::persist::SNAPSHOT_VERSION;
+use wfit::service::{Event, PersistError, TenantEnv, TenantId, TenantOptions, TuningService};
 use wfit::{Wfit, WfitConfig};
 
 const WAL_FILE: &str = "events.wal";
@@ -50,6 +55,10 @@ fn db() -> Arc<Database> {
     Arc::new(Database::new(b.build()))
 }
 
+fn wfit(env: TenantEnv) -> Box<dyn IndexAdvisor + Send> {
+    Box::new(Wfit::new(env, WfitConfig::default()))
+}
+
 /// The host-side assembly a persisted deployment re-runs after a crash:
 /// same database shape, same interned index, same session fleet.
 fn assemble() -> (TuningService, TenantId, IndexId) {
@@ -57,12 +66,8 @@ fn assemble() -> (TuningService, TenantId, IndexId) {
     let database = db();
     let idx = database.define_index("t", &["a"]).unwrap();
     let tenant = svc.add_tenant("acme", database);
-    svc.add_session(tenant, "wfit-0", |env: TenantEnv| {
-        Box::new(Wfit::new(env, WfitConfig::default())) as Box<dyn IndexAdvisor + Send>
-    });
-    svc.add_session(tenant, "wfit-1", |env: TenantEnv| {
-        Box::new(Wfit::new(env, WfitConfig::default())) as Box<dyn IndexAdvisor + Send>
-    });
+    svc.add_session(tenant, "wfit-0", wfit);
+    svc.add_session(tenant, "wfit-1", wfit);
     (svc, tenant, idx)
 }
 
@@ -280,36 +285,184 @@ fn unrecoverable_damage_is_a_hard_error_never_a_panic() {
     let _ = std::fs::remove_dir_all(&reference);
 }
 
-/// A manifest stamped with format version 1 parses as JSON and holds every
-/// field version 2 reads, so only the version check keeps restore from
-/// silently misparsing it: restore must report it as corruption.
+/// The value under `key` of a JSON object.
+fn field<'a>(doc: &'a mut Json, key: &str) -> &'a mut Json {
+    let Json::Obj(fields) = doc else {
+        panic!("expected an object holding {key:?}")
+    };
+    fields
+        .iter_mut()
+        .find(|(k, _)| k.as_str() == key)
+        .map(|(_, value)| value)
+        .unwrap_or_else(|| panic!("missing field {key:?}"))
+}
+
+/// Element `i` of a JSON array.
+fn item(doc: &mut Json, i: usize) -> &mut Json {
+    let Json::Arr(items) = doc else {
+        panic!("expected an array")
+    };
+    &mut items[i]
+}
+
+/// Rewrite the snapshot manifest in `dir` through `edit`.
+fn edit_snapshot(dir: &Path, edit: impl FnOnce(&mut Json)) {
+    let path = dir.join(SNAPSHOT_FILE);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let mut doc = Json::parse(&text).expect("snapshot is JSON");
+    edit(&mut doc);
+    std::fs::write(&path, doc.render().unwrap()).unwrap();
+}
+
+/// A manifest stamped with an older format version (1 or 2) parses as JSON
+/// and holds every field the current version reads, so only the version
+/// check keeps restore from silently misparsing it: restore must report it
+/// as corruption.
 #[test]
 fn version_one_snapshot_is_corrupt_not_misparsed() {
-    let reference = scratch_dir("v1-ref");
+    assert_eq!(SNAPSHOT_VERSION, 3, "the current format");
+    let reference = scratch_dir("old-version-ref");
     let (_, wal_lens) = reference_run(&reference);
-    let dir = damaged_copy(&reference, "v1", wal_lens[ROUNDS - 1]);
-    let text = std::fs::read_to_string(dir.join(SNAPSHOT_FILE)).unwrap();
-    let Json::Obj(mut fields) = Json::parse(&text).expect("snapshot is JSON") else {
-        panic!("snapshot is a JSON object")
-    };
-    for (key, value) in &mut fields {
-        if key == "version" {
-            assert_eq!(*value, Json::Num(2.0), "the current format");
-            *value = Json::Num(1.0);
-        }
-    }
-    std::fs::write(dir.join(SNAPSHOT_FILE), Json::Obj(fields).render().unwrap()).unwrap();
+    for old in [1u64, 2] {
+        let dir = damaged_copy(&reference, &format!("v{old}"), wal_lens[ROUNDS - 1]);
+        edit_snapshot(&dir, |doc| {
+            let version = field(doc, "version");
+            assert_eq!(*version, Json::Num(SNAPSHOT_VERSION as f64));
+            *version = Json::Num(old as f64);
+        });
 
-    let (mut svc, _, _) = assemble();
-    match svc.restore(&dir) {
-        Err(PersistError::Corrupt(message)) => {
-            assert!(
-                message.contains("version 1"),
+        let (mut svc, _, _) = assemble();
+        match svc.restore(&dir) {
+            Err(PersistError::Corrupt(message)) => assert!(
+                message.contains(&format!("version {old}")),
                 "unexpected message: {message}"
-            )
+            ),
+            other => panic!("a version-{old} manifest must be Corrupt, got {other:?}"),
         }
-        other => panic!("a version-1 manifest must be Corrupt, got {other:?}"),
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&reference);
+}
+
+/// Restore re-executes the log and then compares the replayed state with
+/// the manifest: a manifest whose digests disagree with replay means the
+/// host was mis-assembled or determinism broke, and restore must say so.
+#[test]
+fn altered_digests_are_divergence_not_accepted() {
+    let reference = scratch_dir("divergence-ref");
+    let (_, wal_lens) = reference_run(&reference);
+    let restore_edited = |tag: &str, edit: &dyn Fn(&mut Json)| {
+        let dir = damaged_copy(&reference, tag, wal_lens[ROUNDS - 1]);
+        edit_snapshot(&dir, edit);
+        let (mut svc, _, _) = assemble();
+        let result = svc.restore(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        match result {
+            Err(PersistError::Divergence(message)) => message,
+            other => panic!("{tag}: an altered manifest must be Divergence, got {other:?}"),
+        }
+    };
+
+    // One bit of the second session's cost-series digest.
+    let message = restore_edited("divergence-session", &|doc| {
+        let tenant = item(field(doc, "tenants"), 0);
+        let digest = field(item(field(tenant, "sessions"), 1), "series_digest");
+        let bits = u64::from_str_radix(digest.as_str().unwrap(), 16).unwrap() ^ 1;
+        *digest = Json::Str(format!("{bits:016x}"));
+    });
+    assert!(
+        message.contains("session 0/1"),
+        "unexpected message: {message}"
+    );
+
+    // One more cache hit than the replayed cache served.
+    let message = restore_edited("divergence-cache", &|doc| {
+        let cache = field(item(field(doc, "tenants"), 0), "cache");
+        let hits = field(cache, "cache_hits");
+        *hits = Json::Num(hits.as_f64().unwrap() + 1.0);
+    });
+    assert!(
+        message.contains("tenant 0 cache digest mismatch"),
+        "unexpected message: {message}"
+    );
+    let _ = std::fs::remove_dir_all(&reference);
+}
+
+/// Three tenants, each with a bounded cache and a shared IBG store, drained
+/// by `workers` workers.
+fn assemble_fleet(workers: usize) -> (TuningService, Vec<(TenantId, IndexId)>) {
+    let mut svc = TuningService::with_workers(workers).with_batch_size(2);
+    let mut tenants = Vec::new();
+    for t in 0..3 {
+        let database = db();
+        let idx = database.define_index("t", &["a"]).unwrap();
+        let tenant = svc.add_tenant_with(
+            format!("tenant-{t}"),
+            database,
+            TenantOptions::default()
+                .with_cache_capacity(6)
+                .with_ibg_reuse(true),
+        );
+        svc.add_session(tenant, "wfit-0", wfit);
+        svc.add_session(tenant, "wfit-1", wfit);
+        tenants.push((tenant, idx));
+    }
+    (svc, tenants)
+}
+
+/// A host's worker count (`TuningService::new` takes it from the machine)
+/// reaches no state that restore verifies: a snapshot taken on 2 workers
+/// restores on 1 and on 4 with every session, cache and IBG digest
+/// verified, and the restored host writes a byte-identical manifest.
+#[test]
+fn snapshot_restores_bit_identically_on_any_worker_count() {
+    let reference = scratch_dir("workers-ref");
+    let (svc, tenants) = assemble_fleet(2);
+    let mut svc = svc
+        .with_persistence(&reference)
+        .expect("fresh dir attaches");
+    for round in 0..ROUNDS {
+        // Tenant 0 is hot, so the 2-worker plan is uneven.
+        for (t, &(tenant, idx)) in tenants.iter().enumerate() {
+            let copies = if t == 0 { 3 } else { 1 };
+            for _ in 0..copies {
+                for event in round_events(&svc, tenant, idx, round) {
+                    svc.submit(event);
+                }
+            }
+        }
+        svc.poll();
+    }
+    svc.snapshot().expect("snapshot of a quiescent service");
+    let expected_state = state_fingerprint(&svc);
+    let manifest = std::fs::read_to_string(reference.join(SNAPSHOT_FILE)).unwrap();
+    let doc = Json::parse(&manifest).unwrap();
+    for tenant in doc.get("tenants").and_then(Json::as_arr).unwrap() {
+        assert!(tenant.get("cache").is_some() && tenant.get("ibg_digest").is_some());
+    }
+    drop(svc);
+    let wal_len = std::fs::metadata(reference.join(WAL_FILE)).unwrap().len();
+
+    for workers in [1, 4] {
+        let dir = damaged_copy(&reference, &format!("workers-{workers}"), wal_len);
+        let (mut restored, _) = assemble_fleet(workers);
+        let report = restored
+            .restore(&dir)
+            .unwrap_or_else(|e| panic!("{workers} worker(s) must restore: {e}"));
+        assert_eq!(
+            report.snapshot_rounds,
+            Some(ROUNDS as u64),
+            "digests verified"
+        );
+        assert_eq!(report.wal_rounds, ROUNDS as u64);
+        assert_eq!(state_fingerprint(&restored), expected_state, "{workers}");
+        restored.snapshot().expect("post-restore snapshot");
+        assert_eq!(
+            std::fs::read_to_string(dir.join(SNAPSHOT_FILE)).unwrap(),
+            manifest,
+            "{workers} worker(s): the restored host's manifest is byte-identical"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
     let _ = std::fs::remove_dir_all(&reference);
 }

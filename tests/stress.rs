@@ -273,20 +273,20 @@ fn tenant_env_fork_counters_sum_to_shared_cache_requests() {
     assert!(env.ibg_stats().builds + env.ibg_stats().reuses == (THREADS * 6) as u64);
 }
 
-/// The async-ingestion + work-stealing stress scenario of the pipelined
-/// executor: **8 producer threads submit live while 4 stealing workers
-/// drain**, and the final session state is bit-identical to a single-thread
-/// replay of the same per-tenant streams.
+/// The async-ingestion stress scenario of the pipelined executor: **8
+/// producer threads submit live while 4 workers drain**, and the final
+/// session state is bit-identical to a single-thread replay of the same
+/// per-tenant streams.
 ///
 /// One producer per tenant keeps per-tenant submission order deterministic
 /// (the service's ordering contract is per tenant, not global), while the
 /// drain overlaps submission arbitrarily: every poll round snapshots
-/// whatever has arrived, plans a work-stealing schedule from the queue
-/// depths, and executes it on 4 workers — so rounds, steals and
-/// cache-warming interleavings all vary run to run, and none of it may leak
-/// into session state.
+/// whatever has arrived, places each busy tenant on one of 4 workers from
+/// the queue depths, and drains the bins in parallel — so rounds, bins and
+/// the tenants' relative progress all vary run to run, and none of it may
+/// leak into session state.
 #[test]
-fn concurrent_submission_with_stealing_drain_matches_sequential_replay() {
+fn concurrent_submission_with_four_worker_drain_matches_sequential_replay() {
     const TENANTS: usize = 8;
     const QUERIES_PER_TENANT: usize = 40;
     const VOTE_EVERY: usize = 10;
@@ -294,10 +294,8 @@ fn concurrent_submission_with_stealing_drain_matches_sequential_replay() {
     // Deterministic per-tenant event streams over one shared catalog shape
     // (each tenant still gets its own Database instance — tenants never
     // share state).
-    let build_service = |workers: usize, steal: bool| {
-        let mut svc = TuningService::with_workers(workers)
-            .with_steal(steal)
-            .with_batch_size(2);
+    let build_service = |workers: usize| {
+        let mut svc = TuningService::with_workers(workers).with_batch_size(2);
         let mut streams: Vec<Vec<Event>> = Vec::new();
         for t in 0..TENANTS {
             let (db, idx) = database();
@@ -376,8 +374,8 @@ fn concurrent_submission_with_stealing_drain_matches_sequential_replay() {
     };
 
     // Concurrent arm: one producer thread per tenant, main thread polling
-    // with stealing on while producers are mid-stream.
-    let (mut concurrent, streams) = build_service(4, true);
+    // on 4 workers while producers are mid-stream.
+    let (mut concurrent, streams) = build_service(4);
     let expected: u64 = streams.iter().map(|s| s.len() as u64).sum();
     let handle = concurrent.handle();
     let mut processed = 0u64;
@@ -407,9 +405,9 @@ fn concurrent_submission_with_stealing_drain_matches_sequential_replay() {
     assert!(sched.rounds >= 1 && sched.rounds <= rounds);
     assert!(sched.session_runs >= sched.rounds);
 
-    // Sequential arm: same streams, everything queued up front, one pinned
+    // Sequential arm: same streams, everything queued up front, one
     // worker.
-    let (mut sequential, seq_streams) = build_service(1, false);
+    let (mut sequential, seq_streams) = build_service(1);
     for stream in &seq_streams {
         for event in stream {
             sequential.submit(event.clone());
@@ -417,12 +415,11 @@ fn concurrent_submission_with_stealing_drain_matches_sequential_replay() {
     }
     sequential.process_pending();
     assert_eq!(sequential.sched_stats().rounds, 1);
-    assert_eq!(sequential.sched_stats().stolen_runs, 0);
 
     assert_eq!(
         fingerprint(&concurrent),
         fingerprint(&sequential),
-        "live submission + work-stealing drain must replay to identical session state"
+        "live submission + 4-worker drain must replay to identical session state"
     );
 
     // Counters still reconcile under the concurrent schedule: every cache
@@ -439,33 +436,36 @@ fn concurrent_submission_with_stealing_drain_matches_sequential_replay() {
 }
 
 /// Satellite of the bandit PR, through the full harness path: a bandit cell
-/// drained by 4 stealing workers replays every cost cell, the regret series
-/// and the safety-fallback counter bit-identical to a pinned single-worker
-/// drain of the same skewed workload.
+/// drained by 4 workers replays every cost cell, the regret series and the
+/// safety-fallback counter bit-identical to a single-worker drain of the
+/// same skewed workload.
 #[test]
-fn bandit_cells_under_stealing_drain_match_single_worker_replay() {
+fn bandit_cells_under_four_worker_drain_match_single_worker_replay() {
     use harness::{run_service_scenario, scenarios};
 
-    // service-skew-mini ships with 4 workers + stealing on; the hot tenant
-    // guarantees the steal path actually fires.
-    let stolen = run_service_scenario(&scenarios::service_skew_mini().with_bandit(true));
+    // service-skew-mini ships with 4 workers: its three tenants drain on
+    // three of them in parallel, the hot one alone on its own worker.
+    let parallel = run_service_scenario(&scenarios::service_skew_mini().with_bandit(true));
     let single = run_service_scenario(
         &scenarios::service_skew_mini()
             .with_bandit(true)
-            .with_workers(1)
-            .with_steal(false),
+            .with_workers(1),
     );
 
-    let svc = stolen.service.as_ref().expect("service summary present");
-    assert!(svc.steal && svc.stolen_runs > 0, "the drain actually stole");
-    assert_eq!(single.service.as_ref().unwrap().stolen_runs, 0);
-
-    assert_eq!(single.cells.len(), stolen.cells.len());
+    let svc = parallel.service.as_ref().expect("service summary present");
+    let single_svc = single.service.as_ref().unwrap();
+    assert_eq!((svc.workers, single_svc.workers), (4, 1));
     assert!(
-        stolen.cells.iter().any(|c| c.advisor == "BANDIT"),
+        svc.load_imbalance > single_svc.load_imbalance,
+        "the 4-worker plan spreads the tenants over several workers"
+    );
+
+    assert_eq!(single.cells.len(), parallel.cells.len());
+    assert!(
+        parallel.cells.iter().any(|c| c.advisor == "BANDIT"),
         "the fleet must field a bandit cell"
     );
-    for (s, t) in single.cells.iter().zip(&stolen.cells) {
+    for (s, t) in single.cells.iter().zip(&parallel.cells) {
         assert_eq!(s.label, t.label);
         assert_eq!(
             s.total_work.to_bits(),
@@ -768,7 +768,6 @@ fn soak_bounded_service_overload_stays_within_budget() {
 
     let start = std::time::Instant::now();
     let mut svc = TuningService::with_workers(4)
-        .with_steal(true)
         .with_batch_size(4)
         .with_ingress(IngressConfig::bounded(TENANT_DEPTH, GLOBAL_DEPTH));
     let mut tenants = Vec::new();
