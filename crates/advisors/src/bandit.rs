@@ -197,13 +197,11 @@ impl<E: TuningEnv> BanditAdvisor<E> {
 
     /// Per-arm UCB scores for the most recent model state, evaluated against
     /// a fresh IBG of `stmt`.  Pure function of (history, seed) — used by the
-    /// replay-equality property tests.  Does **not** mutate the model and
-    /// does not charge what-if calls to this advisor beyond the IBG the
-    /// environment builds or reuses.
+    /// replay-equality property tests.  Does **not** mutate the model or
+    /// charge the IBG build's what-if calls to this advisor.
     pub fn arm_scores(&self, stmt: &Statement) -> Vec<(IndexId, f64)> {
         let all = IndexSet::from_iter(self.arms.iter().copied());
-        let shared = self.env.ibg(stmt, all);
-        let ibg = shared.graph;
+        let ibg = self.env.ibg(stmt, all).graph;
         let a_inv = invert(&self.a_matrix);
         let theta = mat_vec(&a_inv, &self.b_vec);
         let scale = ibg.cost(&IndexSet::empty()) + 1.0;
@@ -284,14 +282,8 @@ impl<E: TuningEnv> IndexAdvisor for BanditAdvisor<E> {
     fn analyze_query(&mut self, stmt: &Statement) {
         self.statements += 1;
         let all = IndexSet::from_iter(self.arms.iter().copied());
-        // Build — or fetch from a service environment's IBG store — the
-        // statement's benefit graph; only fresh builds charge this advisor
-        // (the same accounting idiom as WFIT and BC).
-        let shared = self.env.ibg(stmt, all);
-        if !shared.reused {
-            self.whatif_calls += shared.graph.whatif_calls() as u64;
-        }
-        let ibg = shared.graph;
+        let ibg = self.env.ibg(stmt, all).graph;
+        self.whatif_calls += ibg.whatif_calls() as u64;
 
         let scale = ibg.cost(&IndexSet::empty()) + 1.0;
         // In-context marginal benefits of every arm for this statement, all

@@ -90,13 +90,8 @@ impl<E: TuningEnv> IndexAdvisor for BruchoChaudhuriAdvisor<E> {
     fn analyze_query(&mut self, stmt: &Statement) {
         self.statements += 1;
         let all = IndexSet::from_iter(self.candidates.iter().copied());
-        // Build — or fetch from a service environment's IBG store — the
-        // statement's benefit graph; only fresh builds charge this advisor.
-        let shared = self.env.ibg(stmt, all);
-        if !shared.reused {
-            self.whatif_calls += shared.graph.whatif_calls() as u64;
-        }
-        let ibg = shared.graph;
+        let ibg = self.env.ibg(stmt, all).graph;
+        self.whatif_calls += ibg.whatif_calls() as u64;
 
         for i in 0..self.candidates.len() {
             let id = self.candidates[i];

@@ -14,20 +14,14 @@ use simdb::query::Statement;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// An index benefit graph handed out by [`TuningEnv::ibg`], possibly shared
-/// with other sessions of the same environment.
-///
-/// The graph is immutable after construction, so sharing it is safe; the
-/// `reused` flag tells the caller whether the build's what-if calls were
-/// actually issued on its behalf (`false`) or already paid for by an earlier
-/// caller (`true`) — advisors use it to keep their per-session overhead
-/// counters truthful.
+/// An index benefit graph built by [`TuningEnv::ibg`].  Every build is the
+/// caller's own, so advisors charge every build's what-if calls.  Nothing in
+/// the tree shares graphs across sessions any more; the name stays because
+/// perfbench's timing environment implements [`TuningEnv::ibg`] against it.
 #[derive(Debug, Clone)]
 pub struct SharedIbg {
-    /// The (possibly shared) graph.
+    /// The built graph.
     pub graph: Arc<IndexBenefitGraph>,
-    /// Whether the graph was fetched from a share instead of freshly built.
-    pub reused: bool,
 }
 
 impl SharedIbg {
@@ -35,15 +29,6 @@ impl SharedIbg {
     pub fn fresh(graph: IndexBenefitGraph) -> Self {
         Self {
             graph: Arc::new(graph),
-            reused: false,
-        }
-    }
-
-    /// Wrap a graph fetched from a cross-session share.
-    pub fn shared(graph: Arc<IndexBenefitGraph>) -> Self {
-        Self {
-            graph,
-            reused: true,
         }
     }
 }
@@ -58,12 +43,11 @@ pub trait TuningEnv {
     /// set.
     ///
     /// The default builds a fresh graph through [`TuningEnv::whatif`] (one
-    /// call per node).  Service-style environments can override this to
-    /// intern built graphs by statement fingerprint so concurrent sessions
-    /// of one tenant reuse node expansions instead of re-deriving them; any
-    /// override must return a graph identical to a fresh build (the graph is
-    /// a pure function of `(stmt, relevant)` under a deterministic cost
-    /// model), so reuse can never change a recommendation.
+    /// call per node), and every environment in this workspace uses it.
+    /// The hook stays overridable so a decorating environment can wrap the
+    /// build, e.g. to time it; an override must return a graph identical to
+    /// a fresh build (the graph is a pure function of `(stmt, relevant)`
+    /// under a deterministic cost model).
     fn ibg(&self, stmt: &Statement, relevant: IndexSet) -> SharedIbg {
         SharedIbg::fresh(IndexBenefitGraph::build(relevant, |cfg| {
             self.whatif(stmt, cfg)

@@ -316,14 +316,8 @@ impl<E: TuningEnv> IndexAdvisor for Wfit<E> {
             // Fixed-partition mode: only the monitored candidates matter.
             self.monitored()
         };
-        // Build — or, in a service deployment with an IBG store, fetch — the
-        // statement's benefit graph.  Only a fresh build's what-if calls are
-        // charged to this advisor; a reused graph cost nothing here.
-        let shared = self.env.ibg(stmt, relevant);
-        if !shared.reused {
-            self.whatif_calls += shared.graph.whatif_calls() as u64;
-        }
-        let ibg = shared.graph;
+        let ibg = self.env.ibg(stmt, relevant).graph;
+        self.whatif_calls += ibg.whatif_calls() as u64;
 
         // chooseCands / repartition.
         if self.maintenance_enabled() {

@@ -119,12 +119,6 @@ pub struct ServiceSummary {
     pub cache_evictions: u64,
     /// Entries resident in the shared caches at the end of the run (summed).
     pub cache_entries: u64,
-    /// Index benefit graphs built by the tenants' IBG stores (summed; 0 when
-    /// IBG sharing is off — sessions then build their own graphs, which are
-    /// not counted here).
-    pub ibg_builds: u64,
-    /// IBG requests answered with an already-built graph (summed).
-    pub ibg_reuses: u64,
     /// Worker threads the service was configured with.
     pub workers: usize,
     /// Session-runs scheduled across all drain rounds (deterministic: a
@@ -191,8 +185,6 @@ impl ServiceSummary {
             ("cache_hit_rate", Json::Num(self.cache_hit_rate)),
             ("cache_evictions", Json::Num(self.cache_evictions as f64)),
             ("cache_entries", Json::Num(self.cache_entries as f64)),
-            ("ibg_builds", Json::Num(self.ibg_builds as f64)),
-            ("ibg_reuses", Json::Num(self.ibg_reuses as f64)),
             ("workers", Json::Num(self.workers as f64)),
             ("session_runs", Json::Num(self.session_runs as f64)),
             ("max_queue_depth", Json::Num(self.max_queue_depth as f64)),
@@ -392,8 +384,6 @@ mod tests {
             cache_hit_rate: 0.7,
             cache_evictions: 42,
             cache_entries: 64,
-            ibg_builds: 12,
-            ibg_reuses: 24,
             workers: 4,
             session_runs: 9,
             max_queue_depth: 34,
@@ -415,9 +405,9 @@ mod tests {
         });
         let stable = r.to_json();
         assert!(stable.contains("cache_hit_rate"));
-        // Eviction, IBG-store and scheduler counters are deterministic and
-        // belong to the golden rendering.
-        assert!(stable.contains("cache_evictions") && stable.contains("ibg_reuses"));
+        // Eviction and scheduler counters are deterministic and belong to
+        // the golden rendering.
+        assert!(stable.contains("cache_evictions") && stable.contains("cache_entries"));
         assert!(stable.contains("session_runs") && stable.contains("load_imbalance"));
         assert!(stable.contains("\"workers\": 4"));
         // Admission-gate counters are pure functions of submission order and

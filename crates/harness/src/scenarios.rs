@@ -316,21 +316,16 @@ pub fn service_mini() -> ServiceScenarioSpec {
 /// evict continuously and the golden snapshot pins the eviction counters.
 pub const EVICT_MINI_CACHE_CAPACITY: usize = 48;
 
-/// Query-batch size of [`service_evict_mini`].
-pub const EVICT_MINI_BATCH_SIZE: usize = 4;
-
-/// Miniature *bounded* service scenario for the golden suite: the
-/// [`service_mini`] workload with each tenant's cache capacity forced below
-/// its working set, query batching, and cross-session IBG reuse — the
-/// hot-path configuration.  Costs must match [`service_mini`] exactly (the
-/// knobs may only change overhead counters); the golden snapshot
-/// additionally pins hit rate, eviction count and IBG reuse counters.
+/// Miniature *bounded* service scenario for the golden suite — the
+/// CLOCK-eviction golden: the [`service_mini`] workload with each tenant's
+/// cache capacity forced below its working set.  Costs and per-session
+/// what-if calls must match [`service_mini`] exactly (the bound may only
+/// change the cache's own counters); the golden snapshot additionally pins
+/// the hit rate and the eviction count.
 pub fn service_evict_mini() -> ServiceScenarioSpec {
     ServiceScenarioSpec::new("service-evict-mini", 3, MINI_PHASE_LEN)
         .with_feedback_every(16)
         .with_cache_capacity(EVICT_MINI_CACHE_CAPACITY)
-        .with_batch_size(EVICT_MINI_BATCH_SIZE)
-        .with_ibg_reuse(true)
 }
 
 /// Hot-tenant event multiplier of [`service_skew_mini`]: tenant 0 replays
@@ -492,20 +487,16 @@ mod tests {
         assert_eq!(mini.sessions.len(), 3);
         assert!(mini.shared_cache);
         assert_eq!(mini.feedback_every, 16);
-        // The defaults keep the historical hot path: unbounded cache, no
-        // batching, no IBG sharing.
+        // The default keeps the historical hot path: an unbounded cache.
         assert_eq!(mini.cache_capacity, 0);
-        assert_eq!(mini.batch_size, 1);
-        assert!(!mini.ibg_reuse);
-        // The evict variant differs from service-mini only in the hot-path
-        // knobs (same workload, fleet and feedback schedule).
+        // The evict variant differs from service-mini only in the cache
+        // bound (same workload, fleet and feedback schedule).
         let evict = service_evict_mini();
         assert_eq!(evict.tenants, mini.tenants);
         assert_eq!(evict.seed, mini.seed);
         assert_eq!(evict.feedback_every, mini.feedback_every);
         assert_eq!(evict.cache_capacity, EVICT_MINI_CACHE_CAPACITY);
-        assert_eq!(evict.batch_size, EVICT_MINI_BATCH_SIZE);
-        assert!(evict.ibg_reuse && evict.shared_cache);
+        assert!(evict.shared_cache);
         assert_eq!(mini.statements_for_tenant(2), 8 * MINI_PHASE_LEN);
         // Tenant seeds are decorrelated but reproducible.
         assert_ne!(mini.tenant_seed(0), mini.tenant_seed(1));
@@ -525,7 +516,7 @@ mod tests {
         );
         assert_eq!(mini.tenants, 3);
         assert_eq!(mini.sessions.len(), 2);
-        assert!(!mini.shared_cache && !mini.ibg_reuse);
+        assert!(!mini.shared_cache);
         assert_eq!(mini.resolved_workers(), 4);
         // The default scenarios stay unskewed, one worker per tenant.
         assert_eq!(service_mini().skew, 1);

@@ -13,8 +13,8 @@
 //! Determinism contract: per-tenant event order is fixed by the spec,
 //! every session replays its tenant's events in that order, one worker
 //! drains each tenant whole, and the worker plan is a pure function of the
-//! queue-depth snapshot — so every cost-derived metric, every cache and IBG
-//! counter and every scheduler counter is bit-identical across runs at the
+//! queue-depth snapshot — so every cost-derived metric, every cache counter
+//! and every scheduler counter is bit-identical across runs at the
 //! same seed, which is what lets the multi-tenant scenarios (including the
 //! skewed one) live in the golden regression suite.  The worker count
 //! changes only the echoed `workers` field and the planned
@@ -92,13 +92,6 @@ pub struct ServiceScenarioSpec {
     /// cache unbounded (the historical behaviour).  Ignored when
     /// `shared_cache` is false.
     pub cache_capacity: usize,
-    /// Coalesce up to this many consecutive queries of a tenant into one
-    /// session-major batch; 1 reproduces event-at-a-time draining.
-    pub batch_size: usize,
-    /// Share built index benefit graphs across each tenant's sessions
-    /// through a per-tenant `IbgStore`.  Honored for the uncached control
-    /// arm too (graph dedup works with or without a cost cache underneath).
-    pub ibg_reuse: bool,
     /// Worker threads draining the service; 0 (the default) uses one worker
     /// per tenant — the historical behaviour.
     pub workers: usize,
@@ -161,8 +154,6 @@ impl ServiceScenarioSpec {
             shared_cache: true,
             feedback_every: 0,
             cache_capacity: 0,
-            batch_size: 1,
-            ibg_reuse: false,
             workers: 0,
             skew: 1,
             per_tenant_depth: 0,
@@ -218,18 +209,6 @@ impl ServiceScenarioSpec {
     /// unbounded).
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Set the service's query-batch size.
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
-        self
-    }
-
-    /// Enable or disable cross-session IBG reuse.
-    pub fn with_ibg_reuse(mut self, reuse: bool) -> Self {
-        self.ibg_reuse = reuse;
         self
     }
 
@@ -487,10 +466,12 @@ impl ServiceTrace {
 ///
 /// Preparation (workload generation, offline analysis, OPT) runs one thread
 /// per tenant — tenants are fully independent, so this is deterministic —
-/// and the event stream is then pushed through a [`TuningService`]: in a
-/// single batch for unbounded specs (the historical behaviour), or in
-/// overload waves through the admission gate when a depth limit is set
-/// (see [`ServiceScenarioSpec::per_tenant_depth`]).
+/// and the event stream is then pushed through a [`TuningService`], where
+/// every session of a tenant sees each of its events in submission order:
+/// in a single drain for unbounded specs (the historical behaviour), in
+/// logged waves with persistence on (see [`ServiceScenarioSpec::persist`]),
+/// or in overload waves through the admission gate when a depth limit is
+/// set (see [`ServiceScenarioSpec::per_tenant_depth`]).
 pub fn run_service_scenario(spec: &ServiceScenarioSpec) -> RunReport {
     run_internal(spec, None).0
 }
@@ -559,8 +540,7 @@ fn run_internal(
     // before restoring — the restore contract is "same databases, same
     // builder closures, same registration order".
     let assemble = || {
-        let mut svc =
-            TuningService::with_workers(spec.resolved_workers()).with_batch_size(spec.batch_size);
+        let mut svc = TuningService::with_workers(spec.resolved_workers());
         if spec.is_bounded() {
             svc = svc.with_ingress(IngressConfig::bounded(
                 spec.per_tenant_depth,
@@ -572,16 +552,9 @@ fn run_internal(
             let options = if spec.shared_cache {
                 TenantOptions::default().with_cache_capacity(spec.cache_capacity)
             } else {
-                TenantOptions {
-                    cache: None,
-                    ..TenantOptions::default()
-                }
+                TenantOptions { cache: None }
             };
-            let id = svc.add_tenant_with(
-                format!("tenant-{t}"),
-                prep.db.clone(),
-                options.with_ibg_reuse(spec.ibg_reuse),
-            );
+            let id = svc.add_tenant_with(format!("tenant-{t}"), prep.db.clone(), options);
             for session in &spec.sessions {
                 svc.add_session(id, session.label(), |env| build_advisor(session, prep, env));
             }
@@ -827,7 +800,6 @@ fn run_internal(
     let query_events: u64 = processed.iter().map(|&n| n as u64).sum();
     let vote_events: u64 = (0..spec.tenants).map(|t| trace.votes(t) as u64).sum();
     let cache = svc.aggregate_cache_stats();
-    let ibg = svc.aggregate_ibg_stats();
     let sched = svc.sched_stats();
     let tenant_percentile = |p: f64| -> Vec<u64> {
         tenant_ids
@@ -860,8 +832,6 @@ fn run_internal(
             cache_hit_rate: cache.hit_rate(),
             cache_evictions: cache.evictions,
             cache_entries: cache.entries,
-            ibg_builds: ibg.builds,
-            ibg_reuses: ibg.reuses,
             workers: spec.resolved_workers(),
             session_runs: sched.session_runs,
             max_queue_depth: sched.max_queue_depth,
@@ -927,19 +897,14 @@ mod tests {
     }
 
     #[test]
-    fn bounded_batched_reusing_runs_agree_with_default_costs() {
-        // The hot-path knobs — bounded cache (forced below the working
-        // set), query batching, IBG reuse — may only change *overhead*
-        // metrics (hits, evictions, builds), never a cost or recommendation.
+    fn bounded_runs_agree_with_default_costs() {
+        // A bounded cache (forced below the working set) may only change
+        // the cache's own counters (hits, evictions), never a cost, a
+        // recommendation or a session's what-if calls.
         let base = run_service_scenario(&tiny("svc-hotpath"));
-        let tuned = run_service_scenario(
-            &tiny("svc-hotpath")
-                .with_cache_capacity(16)
-                .with_batch_size(4)
-                .with_ibg_reuse(true),
-        );
-        assert_eq!(base.cells.len(), tuned.cells.len());
-        for (b, t) in base.cells.iter().zip(&tuned.cells) {
+        let bounded = run_service_scenario(&tiny("svc-hotpath").with_cache_capacity(16));
+        assert_eq!(base.cells.len(), bounded.cells.len());
+        for (b, t) in base.cells.iter().zip(&bounded.cells) {
             assert_eq!(b.label, t.label);
             assert_eq!(
                 b.total_work.to_bits(),
@@ -948,30 +913,24 @@ mod tests {
                 b.label
             );
             assert_eq!(b.ratio_series, t.ratio_series, "{}", b.label);
+            assert_eq!(b.whatif_calls, t.whatif_calls, "{}", b.label);
         }
         let base_svc = base.service.as_ref().unwrap();
-        let tuned_svc = tuned.service.as_ref().unwrap();
+        let bounded_svc = bounded.service.as_ref().unwrap();
         assert_eq!(
             base_svc.cache_evictions, 0,
             "unbounded default never evicts"
         );
-        assert_eq!(base_svc.ibg_builds + base_svc.ibg_reuses, 0);
         assert!(
-            tuned_svc.cache_evictions > 0,
+            bounded_svc.cache_evictions > 0,
             "capacity 16 must be below the working set ({} entries unbounded)",
             base_svc.cache_entries
         );
         // Two tenants, each capped at 16 resident entries.
-        assert!(tuned_svc.cache_entries <= 2 * 16);
-        assert!(tuned_svc.ibg_reuses > 0, "fleet sessions must share graphs");
-        // Determinism: the tuned configuration replays byte-identically.
-        let rerun = run_service_scenario(
-            &tiny("svc-hotpath")
-                .with_cache_capacity(16)
-                .with_batch_size(4)
-                .with_ibg_reuse(true),
-        );
-        assert_eq!(tuned.to_json(), rerun.to_json());
+        assert!(bounded_svc.cache_entries <= 2 * 16);
+        // Determinism: the bounded configuration replays byte-identically.
+        let rerun = run_service_scenario(&tiny("svc-hotpath").with_cache_capacity(16));
+        assert_eq!(bounded.to_json(), rerun.to_json());
     }
 
     #[test]

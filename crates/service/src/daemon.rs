@@ -11,15 +11,12 @@
 
 use crate::env::{TenantEnv, TenantOptions};
 use crate::event::{Event, SessionId, TenantId};
-use crate::ibg_store::IbgStats;
 use crate::ingress::{Ingress, IngressConfig, IngressStats, ServiceHandle, SubmitOutcome};
-use crate::persist::{
-    self, Fnv64, PersistError, RestoreReport, SessionDigest, Snapshot, TenantSnapshot,
-};
+use crate::persist::{self, PersistError, RestoreReport, SessionDigest, Snapshot, TenantSnapshot};
 use crate::scheduler::{self, SchedStats, TenantLoad};
 use simdb::database::Database;
+use simdb::digest::Fnv64;
 use simdb::index::{IndexId, IndexSet};
-use simdb::query::Statement;
 use simdb::whatif::WhatIfStats;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -78,82 +75,30 @@ struct Tenant {
     processed: u64,
 }
 
-/// Replay one event run against every session of a tenant, **grouped**:
-/// runs of up to `batch_size` consecutive [`Event::Query`]s are coalesced (a
-/// [`Event::Vote`] always closes the current batch) and each batch is
-/// processed session-major — the first session analyzes the whole batch,
-/// warming the tenant's shared what-if cache and IBG store, before the next
-/// session starts.  Per-session event order is unchanged (sessions are
-/// mutually independent and each still sees the batch's statements in
-/// submission order, with votes at the same boundaries), so grouping can
-/// never change a recommendation, a cost, or any other deterministic metric
-/// — only wall-clock numbers and, when the cache is bounded, the
-/// hit/eviction split, which is itself a pure function of the per-tenant
-/// event order and batch size.  This is the execution path of every tenant
-/// a round drains.  Returns the per-event latencies in microseconds.
-fn drain_grouped(
-    env: &TenantEnv,
-    slots: &mut [SessionSlot],
-    events: &[Event],
-    batch_size: usize,
-) -> Vec<u64> {
-    let batch_size = batch_size.max(1);
-    let mut latencies = Vec::with_capacity(events.len());
-    // Cap the pre-allocation by the actual run length so an absurd
-    // batch-size knob cannot over-allocate (or overflow) up front.
-    let mut batch: Vec<Arc<Statement>> = Vec::with_capacity(batch_size.min(events.len()));
-    let mut iter = events.iter().peekable();
-    while let Some(event) = iter.next() {
-        match event {
-            Event::Query { statement, .. } => {
-                batch.push(statement.clone());
-                // Keep coalescing while the next event extends the batch.
-                let extends =
-                    batch.len() < batch_size && matches!(iter.peek(), Some(Event::Query { .. }));
-                if !extends {
-                    flush_batch(env, slots, &mut batch, &mut latencies);
-                }
+/// Replay one tenant's event run against every session of the tenant:
+/// each event, in submission order, goes to every healthy session before
+/// the next event starts, so every session sees the tenant's stream in
+/// submission order and the tenant's cache sees one request order.  This
+/// is the execution path of every tenant a round drains.  Returns one
+/// wall-clock latency sample per event, in microseconds.
+fn drain_run(slots: &mut [SessionSlot], events: &[Event]) -> Vec<u64> {
+    events
+        .iter()
+        .map(|event| {
+            let start = Instant::now();
+            for slot in slots.iter_mut() {
+                guard_session(slot, |session| match event {
+                    Event::Query { statement, .. } => {
+                        session.submit_query(statement);
+                    }
+                    Event::Vote {
+                        approve, reject, ..
+                    } => session.vote(approve, reject),
+                });
             }
-            Event::Vote {
-                approve, reject, ..
-            } => {
-                debug_assert!(batch.is_empty(), "a vote closes the preceding batch");
-                let start = Instant::now();
-                for slot in slots.iter_mut() {
-                    guard_session(slot, |session| session.vote(approve, reject));
-                }
-                latencies.push(start.elapsed().as_micros() as u64);
-            }
-        }
-    }
-    latencies
-}
-
-/// Process one coalesced query batch session-major and retire the IBG
-/// store's previous generation.  Latency is measured per batch and
-/// attributed evenly to its events (wall-clock only — never part of the
-/// deterministic metrics).
-fn flush_batch(
-    env: &TenantEnv,
-    slots: &mut [SessionSlot],
-    batch: &mut Vec<Arc<Statement>>,
-    latencies: &mut Vec<u64>,
-) {
-    if batch.is_empty() {
-        return;
-    }
-    let start = Instant::now();
-    for slot in slots.iter_mut() {
-        guard_session(slot, |session| {
-            for statement in batch.iter() {
-                session.submit_query(statement);
-            }
-        });
-    }
-    env.advance_ibg_generation();
-    let per_event = start.elapsed().as_micros() as u64 / batch.len() as u64;
-    latencies.extend(std::iter::repeat_n(per_event, batch.len()));
-    batch.clear();
+            start.elapsed().as_micros() as u64
+        })
+        .collect()
 }
 
 /// Throughput and latency metrics of one [`TuningService::poll`] round (or
@@ -305,15 +250,14 @@ impl BatchReport {
 ///
 /// * events of one tenant are processed **in submission order** by every
 ///   session, so session state evolution is deterministic;
-/// * each tenant drains sequentially on one worker, so its cache and IBG
-///   counters are deterministic and independent of the worker count;
+/// * each tenant drains sequentially on one worker, so its cache counters
+///   are deterministic and independent of the worker count;
 /// * the plan is a pure function of the queue-depth snapshot, so scheduler
 ///   counters are deterministic too.
 pub struct TuningService {
     tenants: Vec<Tenant>,
     ingress: Arc<Ingress>,
     max_workers: usize,
-    batch_size: usize,
     sched: SchedStats,
     persist: Option<PersistState>,
 }
@@ -351,23 +295,9 @@ impl TuningService {
             tenants: Vec::new(),
             ingress: Arc::new(Ingress::new()),
             max_workers: max_workers.max(1),
-            batch_size: 1,
             sched: SchedStats::default(),
             persist: None,
         }
-    }
-
-    /// Coalesce up to `batch_size` consecutive queued queries of a tenant
-    /// into one session-major batch (see [`TuningService::poll`]).  The
-    /// default of 1 reproduces event-at-a-time draining exactly.
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
-        self
-    }
-
-    /// The configured query-batch size.
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
     }
 
     /// The configured maximum worker count.
@@ -398,33 +328,27 @@ impl TuningService {
 
     /// Register a tenant with a shared what-if cache over its database.
     pub fn add_tenant(&mut self, name: impl Into<String>, db: Arc<Database>) -> TenantId {
-        self.register(name, TenantEnv::cached(db), None)
+        self.register(name, TenantEnv::cached(db))
     }
 
-    /// Register a tenant with explicit cache/IBG-sharing/ingress options.
+    /// Register a tenant with explicit cache options.
     pub fn add_tenant_with(
         &mut self,
         name: impl Into<String>,
         db: Arc<Database>,
         options: TenantOptions,
     ) -> TenantId {
-        let depth = options.ingress_depth;
-        self.register(name, TenantEnv::with_options(db, options), depth)
+        self.register(name, TenantEnv::with_options(db, options))
     }
 
     /// Register a tenant **without** a shared cache (every what-if request
     /// runs the optimizer) — the control arm for cache-effect studies.
     pub fn add_tenant_uncached(&mut self, name: impl Into<String>, db: Arc<Database>) -> TenantId {
-        self.register(name, TenantEnv::uncached(db), None)
+        self.register(name, TenantEnv::uncached(db))
     }
 
-    fn register(
-        &mut self,
-        name: impl Into<String>,
-        env: TenantEnv,
-        ingress_depth: Option<usize>,
-    ) -> TenantId {
-        let shard = self.ingress.add_shard_with(ingress_depth);
+    fn register(&mut self, name: impl Into<String>, env: TenantEnv) -> TenantId {
+        let shard = self.ingress.add_shard();
         debug_assert_eq!(shard, self.tenants.len(), "shards mirror the registry");
         let id = TenantId(self.tenants.len() as u32);
         self.tenants.push(Tenant {
@@ -567,20 +491,17 @@ impl TuningService {
         for ((t, tenant), run) in self.tenants.iter_mut().enumerate().zip(runs) {
             tenant.processed += run.len() as u64;
             if let Some(worker) = worker_of[t] {
-                bins[worker].push((t, &tenant.env, &mut tenant.slots[..], run));
+                bins[worker].push((t, &mut tenant.slots[..], run));
             }
         }
 
-        let batch_size = self.batch_size;
         let results: Vec<(usize, Vec<u64>)> = std::thread::scope(|scope| {
             let handles: Vec<_> = bins
                 .into_iter()
                 .map(|bin| {
                     scope.spawn(move || {
                         bin.into_iter()
-                            .map(|(t, env, slots, events)| {
-                                (t, drain_grouped(env, slots, &events, batch_size))
-                            })
+                            .map(|(t, slots, events)| (t, drain_run(slots, &events)))
                             .collect::<Vec<_>>()
                     })
                 })
@@ -673,18 +594,6 @@ impl TuningService {
         self.tenants.iter().fold(WhatIfStats::default(), |acc, t| {
             acc.merge(&t.env.cache_stats())
         })
-    }
-
-    /// Counters of a tenant's IBG store (zeros when IBG sharing is off).
-    pub fn ibg_stats(&self, tenant: TenantId) -> IbgStats {
-        self.tenant_ref(tenant).env.ibg_stats()
-    }
-
-    /// IBG-store counters aggregated over all tenants.
-    pub fn aggregate_ibg_stats(&self) -> IbgStats {
-        self.tenants
-            .iter()
-            .fold(IbgStats::default(), |acc, t| acc.merge(&t.env.ibg_stats()))
     }
 
     /// A session's label.
@@ -830,7 +739,7 @@ impl TuningService {
     }
 
     /// Write a checkpoint manifest for the current state: the WAL round
-    /// count it reflects, a configuration echo, full cache exports, IBG and
+    /// count it reflects, a configuration echo, full cache exports,
     /// per-session digests, and the admission-ledger counters replay cannot
     /// re-derive.  The file is written to a temp name and atomically
     /// renamed over `snapshot.json`, so readers only ever see a complete
@@ -858,7 +767,6 @@ impl TuningService {
     fn build_snapshot(&self, rounds: u64) -> Snapshot {
         Snapshot {
             rounds,
-            batch_size: self.batch_size as u64,
             peak_pending: self.ingress.stats().peak_pending,
             sched_rounds: self.sched.rounds,
             sched_session_runs: self.sched.session_runs,
@@ -874,7 +782,6 @@ impl TuningService {
                         deferred: stats.deferred,
                         rejected: stats.rejected,
                         cache: tenant.env.shared_cache().map(|c| c.export()),
-                        ibg_digest: tenant.env.ibg_store().map(|s| s.digest()),
                         sessions: tenant.slots.iter().map(session_digest_of).collect(),
                     }
                 })
@@ -885,8 +792,9 @@ impl TuningService {
     /// Recover a crashed incarnation's state from `dir` into this freshly
     /// assembled service, then attach persistence so new rounds append
     /// after the recovered history.  The host must have registered the
-    /// same tenants and sessions (same builder closures) as the original —
-    /// the snapshot's configuration echo is checked before any replay.  The
+    /// same tenants, cache shapes and sessions (same builder closures) as
+    /// the original — the snapshot's configuration echo is checked before
+    /// any replay.  The
     /// worker count is not part of the echo: it changes no restored state,
     /// so a snapshot restores on a host of any size.
     ///
@@ -984,12 +892,6 @@ impl TuningService {
     /// produce silently wrong state, so shape mismatches are hard errors.
     fn check_config_echo(&self, snap: &Snapshot) -> Result<(), PersistError> {
         let mismatch = |what: String| Err(PersistError::Config(what));
-        if snap.batch_size != self.batch_size as u64 {
-            return mismatch(format!(
-                "snapshot used batch size {}, this service has {}",
-                snap.batch_size, self.batch_size
-            ));
-        }
         if snap.tenants.len() != self.tenants.len() {
             return mismatch(format!(
                 "snapshot had {} tenant(s), this service has {}",
@@ -1002,6 +904,20 @@ impl TuningService {
                 return mismatch(format!(
                     "tenant {t} was named {:?}, this service has {:?}",
                     ts.name, tenant.name
+                ));
+            }
+            // A cache of another shape replays to other hit, miss and
+            // eviction counters: refuse before replaying, not after.
+            let live_cache = tenant
+                .env
+                .shared_cache()
+                .map(|c| c.config().capacity as u64);
+            let snap_cache = ts.cache.as_ref().map(|c| c.capacity);
+            if live_cache != snap_cache {
+                return mismatch(format!(
+                    "tenant {t} had {}, this service has {}",
+                    cache_shape(snap_cache),
+                    cache_shape(live_cache)
                 ));
             }
             if ts.sessions.len() != tenant.slots.len() {
@@ -1024,8 +940,8 @@ impl TuningService {
     }
 
     /// Compare the replayed state against the snapshot's digests at the
-    /// checkpoint round: per-session accounting, every cache export and
-    /// every IBG store are bit-checked, as is the scheduler ledger.
+    /// checkpoint round: per-session accounting and every cache export are
+    /// bit-checked, as is the scheduler ledger.
     fn verify_snapshot(&self, snap: &Snapshot) -> Result<(), PersistError> {
         for (t, (ts, tenant)) in snap.tenants.iter().zip(&self.tenants).enumerate() {
             for (s, (expected, slot)) in ts.sessions.iter().zip(&tenant.slots).enumerate() {
@@ -1044,13 +960,6 @@ impl TuningService {
                 return Err(PersistError::Divergence(format!(
                     "tenant {t} cache digest mismatch: snapshot {snap_cache:?}, \
                      replayed {live_cache:?}"
-                )));
-            }
-            let live_ibg = tenant.env.ibg_store().map(|s| s.digest());
-            if live_ibg != ts.ibg_digest {
-                return Err(PersistError::Divergence(format!(
-                    "tenant {t} IBG digest mismatch: snapshot {:?}, replayed {live_ibg:?}",
-                    ts.ibg_digest
                 )));
             }
         }
@@ -1085,6 +994,16 @@ impl TuningService {
             .slots
             .get(id.index)
             .unwrap_or_else(|| panic!("unknown session {id:?}"))
+    }
+}
+
+/// Describe a cache shape from its export capacity (`None` = no cache,
+/// 0 = unbounded) for configuration-echo errors.
+fn cache_shape(capacity: Option<u64>) -> String {
+    match capacity {
+        None => "no cache".to_string(),
+        Some(0) => "an unbounded cache".to_string(),
+        Some(n) => format!("a capacity-{n} cache"),
     }
 }
 
@@ -1146,6 +1065,7 @@ fn decode_events(
 mod tests {
     use super::*;
     use simdb::catalog::CatalogBuilder;
+    use simdb::query::Statement;
     use simdb::types::DataType;
     use wfit_core::{Wfit, WfitConfig};
 
@@ -1354,124 +1274,73 @@ mod tests {
         }
     }
 
-    /// Regression (batch drain): interleaving `Query`/`Vote` events across
-    /// batch boundaries — including a session registered *after* a batch
-    /// drain — must leave every session in exactly the state sequential
-    /// (batch size 1) replay produces.  Votes close batches, so a vote
-    /// submitted after a drained batch observes the same recommendation
-    /// state either way; a late-joining session sees only post-join events
-    /// in both modes.
+    /// A session registered after a drain sees only the events submitted
+    /// after it joined: it ends in exactly the state of the one session of
+    /// a fresh service that received only those events.
     #[test]
-    fn votes_and_late_sessions_see_identical_state_across_batch_sizes() {
-        let run = |batch_size: usize| {
-            let mut svc = TuningService::with_workers(2).with_batch_size(batch_size);
-            let handle = db();
+    fn late_session_matches_a_fresh_service_fed_only_later_events() {
+        let database = db();
+        let idx = database.define_index("t", &["a"]).unwrap();
+        // Structurally distinct statements (fingerprints hash predicate
+        // shape, not literals), so the drains exercise several cache keys.
+        let queries: Vec<_> = [
+            "SELECT b FROM t WHERE a = 1",
+            "SELECT a FROM t WHERE b = 2",
+            "SELECT b FROM t WHERE a < 5",
+            "SELECT a FROM t WHERE b < 9",
+        ]
+        .iter()
+        .map(|sql| Arc::new(database.parse(sql).unwrap()))
+        .collect();
+        // Both services share the database, so index ids agree.
+        let service = || {
+            let mut svc = TuningService::with_workers(2);
             let id = svc.add_tenant_with(
                 "t",
-                handle.clone(),
-                TenantOptions::default()
-                    .with_cache_capacity(6)
-                    .with_ibg_reuse(true),
+                database.clone(),
+                TenantOptions::default().with_cache_capacity(6),
             );
-            svc.add_session(id, "wfit-a", wfit_builder);
-            svc.add_session(id, "wfit-b", wfit_builder);
-            let idx = handle.define_index("t", &["a"]).unwrap();
-            // Structurally distinct statements (fingerprints hash predicate
-            // shape, not literals), so batches exercise multiple cache keys.
-            let queries: Vec<_> = [
-                "SELECT b FROM t WHERE a = 1",
-                "SELECT a FROM t WHERE b = 2",
-                "SELECT b FROM t WHERE a < 5",
-                "SELECT a FROM t WHERE b < 9",
-            ]
-            .iter()
-            .map(|sql| Arc::new(handle.parse(sql).unwrap()))
-            .collect();
-            // Queries and votes interleaved so votes land on batch
-            // boundaries for every batch size under test.
-            for (round, q) in queries.iter().enumerate() {
-                svc.submit(Event::query(id, q.clone()));
-                svc.submit(Event::query(id, queries[(round + 1) % 4].clone()));
-                if round % 2 == 1 {
-                    svc.submit(Event::vote(id, IndexSet::single(idx), IndexSet::empty()));
-                }
-            }
-            svc.process_pending();
-
-            // A session created after the batch drain: it must observe the
-            // same (empty) history and the same subsequent events.
-            svc.add_session(id, "late", wfit_builder);
+            (svc, id)
+        };
+        let submit_later_events = |svc: &TuningService, id: TenantId| {
             svc.submit(Event::vote(id, IndexSet::empty(), IndexSet::single(idx)));
             for q in &queries {
                 svc.submit(Event::query(id, q.clone()));
             }
-            svc.process_pending();
-
-            let mut fingerprint = Vec::new();
-            for sid in svc.session_ids() {
-                let stats = svc.session_stats(sid);
-                fingerprint.push(format!(
-                    "{} q={} v={} tw={} rec={} series={:?}",
-                    svc.session_label(sid),
-                    stats.queries,
-                    stats.votes,
-                    stats.total_work.to_bits(),
-                    svc.recommendation(sid),
-                    svc.cost_series(sid)
-                        .iter()
-                        .map(|c| c.to_bits())
-                        .collect::<Vec<_>>(),
-                ));
-            }
-            fingerprint
         };
-        let sequential = run(1);
-        for batch_size in [2, 3, 8] {
-            assert_eq!(sequential, run(batch_size), "batch size {batch_size}");
+
+        // Two sessions drain an interleaved query/vote history, then a late
+        // session joins.
+        let (mut veteran, id) = service();
+        veteran.add_session(id, "wfit-a", wfit_builder);
+        veteran.add_session(id, "wfit-b", wfit_builder);
+        for (round, q) in queries.iter().enumerate() {
+            veteran.submit(Event::query(id, q.clone()));
+            veteran.submit(Event::query(id, queries[(round + 1) % 4].clone()));
+            if round % 2 == 1 {
+                veteran.submit(Event::vote(id, IndexSet::single(idx), IndexSet::empty()));
+            }
         }
-    }
+        veteran.process_pending();
+        let late = veteran.add_session(id, "late", wfit_builder);
+        submit_later_events(&veteran, id);
+        veteran.process_pending();
 
-    #[test]
-    fn batched_ibg_reuse_cuts_optimizer_work_without_changing_costs() {
-        let run = |options: TenantOptions, batch_size: usize| {
-            let mut svc = TuningService::with_workers(1).with_batch_size(batch_size);
-            let handle = db();
-            let id = svc.add_tenant_with("t", handle.clone(), options);
-            svc.add_session(id, "wfit-a", wfit_builder);
-            svc.add_session(id, "wfit-b", wfit_builder);
-            let queries: Vec<_> = [
-                "SELECT b FROM t WHERE a = 1",
-                "SELECT a FROM t WHERE b = 2",
-                "SELECT b FROM t WHERE a < 5",
-            ]
-            .iter()
-            .map(|sql| Arc::new(handle.parse(sql).unwrap()))
-            .collect();
-            for _ in 0..3 {
-                for q in &queries {
-                    svc.submit(Event::query(id, q.clone()));
-                }
-            }
-            svc.process_pending();
-            let series: Vec<Vec<u64>> = svc
-                .session_ids()
-                .iter()
-                .map(|&sid| svc.cost_series(sid).iter().map(|c| c.to_bits()).collect())
-                .collect();
-            (series, svc.cache_stats(id), svc.ibg_stats(id))
+        let (mut fresh, fid) = service();
+        let only = fresh.add_session(fid, "late", wfit_builder);
+        submit_later_events(&fresh, fid);
+        fresh.process_pending();
+
+        let series_bits = |svc: &TuningService, sid: SessionId| -> Vec<u64> {
+            svc.cost_series(sid).iter().map(|c| c.to_bits()).collect()
         };
-        let (baseline, base_cache, base_ibg) = run(TenantOptions::default(), 1);
-        let (shared, shared_cache, shared_ibg) =
-            run(TenantOptions::default().with_ibg_reuse(true), 4);
-        assert_eq!(baseline, shared, "reuse must not change any cost series");
-        assert_eq!(base_ibg, IbgStats::default());
-        assert!(shared_ibg.reuses > 0, "stats = {shared_ibg:?}");
-        assert!(
-            shared_cache.requests < base_cache.requests,
-            "reused graphs skip what-if traffic: {} !< {}",
-            shared_cache.requests,
-            base_cache.requests
+        assert_eq!(series_bits(&veteran, late), series_bits(&fresh, only));
+        assert_eq!(veteran.session_stats(late).votes, 1);
+        assert_eq!(
+            veteran.session_stats(late).votes,
+            fresh.session_stats(only).votes
         );
+        assert_eq!(veteran.recommendation(late), fresh.recommendation(only));
     }
 
     #[test]
@@ -1598,7 +1467,7 @@ mod tests {
     /// The host-side assembly closure a persisted deployment re-runs after
     /// a crash: same database shape, same interned index, same sessions.
     fn restorable_service() -> (TuningService, TenantId, IndexId) {
-        let mut svc = TuningService::with_workers(2).with_batch_size(2);
+        let mut svc = TuningService::with_workers(2);
         let database = db();
         let idx = database.define_index("t", &["a"]).unwrap();
         let id = svc.add_tenant("acme", database);
@@ -1706,7 +1575,7 @@ mod tests {
 
         // A host shaped differently from the snapshot's echo is rejected
         // before any replay.
-        let mut mismatched = TuningService::with_workers(2).with_batch_size(2);
+        let mut mismatched = TuningService::with_workers(2);
         let tid = mismatched.add_tenant("acme", db());
         mismatched.add_session(tid, "other-label", wfit_builder);
         let err = mismatched.restore(&dir).expect_err("echo must mismatch");

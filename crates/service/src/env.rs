@@ -1,8 +1,6 @@
-//! The per-tenant tuning environment: a shared database handle, the tenant's
-//! shared what-if cost cache, and (optionally) its shared IBG store.
+//! The per-tenant tuning environment: a shared database handle and the
+//! tenant's shared what-if cost cache.
 
-use crate::ibg_store::{IbgStats, IbgStore};
-use ibg::IndexBenefitGraph;
 use simdb::cache::{CacheConfig, SharedWhatIfCache};
 use simdb::database::Database;
 use simdb::index::{IndexId, IndexSet};
@@ -11,36 +9,24 @@ use simdb::query::Statement;
 use simdb::whatif::WhatIfStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use wfit_core::{SharedIbg, TuningEnv};
+use wfit_core::TuningEnv;
 
-/// Knobs of a tenant's environment: how what-if answers are cached and
-/// whether built IBGs are shared across the tenant's sessions.
+/// Knobs of a tenant's environment: how what-if answers are cached.
 ///
-/// The default (`unbounded cache, no IBG sharing`) reproduces the historical
-/// service behaviour bit-for-bit; production deployments bound the cache and
-/// enable IBG reuse.
+/// The default (an unbounded cache) reproduces the historical service
+/// behaviour bit-for-bit; production deployments bound the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantOptions {
     /// Capacity policy of the tenant's shared what-if cache; `None` disables
     /// the cache entirely (every request runs the optimizer — the control
     /// arm for cache-effect studies).
     pub cache: Option<CacheConfig>,
-    /// Whether the tenant's sessions share built IBGs through an
-    /// [`IbgStore`].
-    pub ibg_reuse: bool,
-    /// Per-tenant override of the service's ingress depth limit
-    /// (`IngressConfig::per_tenant_depth`): `None` inherits the service
-    /// default, `Some(0)` makes this tenant's queue unbounded, `Some(n)`
-    /// caps it at `n` pending events (see [`crate::ingress`]).
-    pub ingress_depth: Option<usize>,
 }
 
 impl Default for TenantOptions {
     fn default() -> Self {
         Self {
             cache: Some(CacheConfig::unbounded()),
-            ibg_reuse: false,
-            ingress_depth: None,
         }
     }
 }
@@ -56,31 +42,17 @@ impl TenantOptions {
         });
         self
     }
-
-    /// Enable or disable cross-session IBG sharing.
-    pub fn with_ibg_reuse(mut self, reuse: bool) -> Self {
-        self.ibg_reuse = reuse;
-        self
-    }
-
-    /// Cap this tenant's ingress queue at `depth` pending events, overriding
-    /// the service-wide `IngressConfig::per_tenant_depth` (0 = unbounded for
-    /// this tenant).
-    pub fn with_ingress_depth(mut self, depth: usize) -> Self {
-        self.ingress_depth = Some(depth);
-        self
-    }
 }
 
 /// A cloneable, owned [`TuningEnv`] over one tenant's database.
 ///
 /// Every clone shares the same [`Database`] and (optionally) the same
-/// [`SharedWhatIfCache`] and [`IbgStore`], so all sessions of a tenant
-/// answer what-if questions out of one memo and reuse each other's IBG node
-/// expansions.  Each *session* gets its own clone with a fresh request
-/// counter (see [`TenantEnv::fork_counter`]), which is how the service
-/// attributes what-if traffic to individual sessions even though the cache
-/// is shared.
+/// [`SharedWhatIfCache`], so all sessions of a tenant answer what-if
+/// questions out of one memo, while each session builds its own IBGs
+/// through the default [`TuningEnv::ibg`].  Each *session* gets its own
+/// clone with a fresh request counter (see [`TenantEnv::fork_counter`]),
+/// which is how the service attributes what-if traffic to individual
+/// sessions even though the cache is shared.
 ///
 /// Because the handle is `Arc`-backed it is `'static`, `Send` and `Sync`:
 /// advisors built over it can live inside a long-running service and migrate
@@ -90,25 +62,23 @@ impl TenantOptions {
 pub struct TenantEnv {
     db: Arc<Database>,
     cache: Option<Arc<SharedWhatIfCache>>,
-    ibg_store: Option<Arc<IbgStore>>,
     whatif_requests: Arc<AtomicU64>,
 }
 
 impl TenantEnv {
-    /// An environment with the given cache/IBG-sharing policy.
+    /// An environment with the given cache policy.
     pub fn with_options(db: Arc<Database>, options: TenantOptions) -> Self {
         Self {
             db,
             cache: options
                 .cache
                 .map(|config| Arc::new(SharedWhatIfCache::with_config(config))),
-            ibg_store: options.ibg_reuse.then(|| Arc::new(IbgStore::new())),
             whatif_requests: Arc::new(AtomicU64::new(0)),
         }
     }
 
     /// An environment answering what-if questions through an unbounded
-    /// shared cache (no IBG sharing).
+    /// shared cache.
     pub fn cached(db: Arc<Database>) -> Self {
         Self::with_options(db, TenantOptions::default())
     }
@@ -116,22 +86,15 @@ impl TenantEnv {
     /// An environment that always runs the optimizer (no shared cache) —
     /// the control arm for cache-effect measurements.
     pub fn uncached(db: Arc<Database>) -> Self {
-        Self::with_options(
-            db,
-            TenantOptions {
-                cache: None,
-                ..TenantOptions::default()
-            },
-        )
+        Self::with_options(db, TenantOptions { cache: None })
     }
 
-    /// A clone sharing the database, cache and IBG store but carrying a
-    /// **fresh** what-if request counter.  The service forks one per session.
+    /// A clone sharing the database and cache but carrying a **fresh**
+    /// what-if request counter.  The service forks one per session.
     pub fn fork_counter(&self) -> Self {
         Self {
             db: self.db.clone(),
             cache: self.cache.clone(),
-            ibg_store: self.ibg_store.clone(),
             whatif_requests: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -147,38 +110,15 @@ impl TenantEnv {
         self.cache.as_ref().map(|c| c.stats()).unwrap_or_default()
     }
 
-    /// Counters of the tenant's IBG store ([`IbgStats::default`] when IBG
-    /// sharing is disabled).
-    pub fn ibg_stats(&self) -> IbgStats {
-        self.ibg_store
-            .as_ref()
-            .map(|s| s.stats())
-            .unwrap_or_default()
-    }
-
     /// Whether a shared cache is attached.
     pub fn is_cached(&self) -> bool {
         self.cache.is_some()
-    }
-
-    /// Whether an IBG store is attached.
-    pub fn shares_ibgs(&self) -> bool {
-        self.ibg_store.is_some()
     }
 
     /// The shared cache's capacity bound (`None` when uncached or
     /// unbounded).
     pub fn cache_capacity(&self) -> Option<usize> {
         self.cache.as_ref().and_then(|c| c.capacity())
-    }
-
-    /// Advance the IBG store's generation (a no-op without a store).  The
-    /// service's batch drain calls this after each coalesced query batch to
-    /// retire graphs that fell out of the working set.
-    pub fn advance_ibg_generation(&self) {
-        if let Some(store) = &self.ibg_store {
-            store.advance_generation();
-        }
     }
 
     /// What-if requests issued through *this* handle (i.e. by the session it
@@ -192,11 +132,6 @@ impl TenantEnv {
     pub fn shared_cache(&self) -> Option<&Arc<SharedWhatIfCache>> {
         self.cache.as_ref()
     }
-
-    /// The tenant's shared IBG store, when IBG sharing is on.
-    pub fn ibg_store(&self) -> Option<&Arc<IbgStore>> {
-        self.ibg_store.as_ref()
-    }
 }
 
 impl TuningEnv for TenantEnv {
@@ -209,20 +144,6 @@ impl TuningEnv for TenantEnv {
             // Bypass the database's own cache as well, so cached and
             // uncached runs differ only in memoization, never in results.
             None => self.db.whatif_cost_uncached(stmt, config),
-        }
-    }
-
-    fn ibg(&self, stmt: &Statement, relevant: IndexSet) -> SharedIbg {
-        match &self.ibg_store {
-            Some(store) => {
-                let (graph, reused) = store.get_or_build(stmt.fingerprint, &relevant, || {
-                    IndexBenefitGraph::build(relevant.clone(), |cfg| self.whatif(stmt, cfg))
-                });
-                SharedIbg { graph, reused }
-            }
-            None => SharedIbg::fresh(IndexBenefitGraph::build(relevant, |cfg| {
-                self.whatif(stmt, cfg)
-            })),
         }
     }
 
@@ -279,7 +200,6 @@ mod tests {
         assert_eq!(stats.evictions, 0);
         assert_eq!(env.whatif_requests(), 2);
         assert_eq!(env.cache_capacity(), None, "default cache is unbounded");
-        assert!(!env.shares_ibgs(), "IBG sharing is opt-in");
     }
 
     #[test]
@@ -340,54 +260,5 @@ mod tests {
         let stats = bounded.cache_stats();
         assert!(stats.evictions > 0, "stats = {stats:?}");
         assert!(stats.entries <= 2);
-    }
-
-    #[test]
-    fn ibg_store_is_shared_across_forks() {
-        let db = db();
-        let env =
-            TenantEnv::with_options(db.clone(), TenantOptions::default().with_ibg_reuse(true));
-        assert!(env.shares_ibgs());
-        let fork_a = env.fork_counter();
-        let fork_b = env.fork_counter();
-        let q = db.parse("SELECT b FROM t WHERE a = 4").unwrap();
-        let idx = db.define_index("t", &["a"]).unwrap();
-        let relevant = IndexSet::single(idx);
-
-        let first = fork_a.ibg(&q, relevant.clone());
-        assert!(!first.reused);
-        assert!(fork_a.whatif_requests() > 0, "the build issued what-ifs");
-
-        let second = fork_b.ibg(&q, relevant.clone());
-        assert!(second.reused, "second session reuses the built graph");
-        assert_eq!(fork_b.whatif_requests(), 0, "reuse issues no what-ifs");
-        assert!(Arc::ptr_eq(&first.graph, &second.graph));
-        assert_eq!(env.ibg_stats().builds, 1);
-        assert_eq!(env.ibg_stats().reuses, 1);
-
-        // The reused graph answers exactly like a fresh build.
-        let fresh = TenantEnv::cached(db.clone()).ibg(&q, relevant.clone());
-        for config in [IndexSet::empty(), relevant.clone()] {
-            assert_eq!(
-                second.graph.cost(&config).to_bits(),
-                fresh.graph.cost(&config).to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn generation_advance_retires_idle_graphs() {
-        let db = db();
-        let env =
-            TenantEnv::with_options(db.clone(), TenantOptions::default().with_ibg_reuse(true));
-        let q = db.parse("SELECT b FROM t WHERE a = 5").unwrap();
-        env.ibg(&q, IndexSet::empty());
-        assert_eq!(env.ibg_stats().entries, 1);
-        env.advance_ibg_generation();
-        env.advance_ibg_generation();
-        assert_eq!(env.ibg_stats().entries, 0);
-        assert_eq!(env.ibg_stats().retired, 1);
-        // A no-op on environments without a store.
-        TenantEnv::cached(db).advance_ibg_generation();
     }
 }

@@ -75,9 +75,7 @@ use std::time::Duration;
 /// default reproduces the historical (unlimited) ingestion exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IngressConfig {
-    /// Maximum events queued per tenant shard (0 = unbounded).  Individual
-    /// tenants can override this via
-    /// [`crate::TenantOptions::with_ingress_depth`].
+    /// Maximum events queued per tenant shard (0 = unbounded).
     pub per_tenant_depth: usize,
     /// Maximum events queued across **all** shards (0 = unbounded).
     pub global_depth: usize,
@@ -160,14 +158,6 @@ struct ShardState {
     rejected: u64,
 }
 
-#[derive(Debug, Default)]
-struct Shard {
-    state: Mutex<ShardState>,
-    /// Resolved depth limit of this shard (0 = unbounded): the ingress
-    /// default unless the tenant was registered with an override.
-    depth: usize,
-}
-
 /// Deterministic ingestion counters.  See the module docs for the snapshot
 /// semantics: `pending == submitted - drained - shed` holds in **every**
 /// snapshot, concurrent drains included, and `submitted + rejected` is the
@@ -199,7 +189,7 @@ pub struct IngressStats {
 /// concurrently with a running drain.
 #[derive(Debug, Default)]
 pub struct Ingress {
-    shards: RwLock<Vec<Shard>>,
+    shards: RwLock<Vec<Mutex<ShardState>>>,
     config: IngressConfig,
     /// Events queued across all shards, maintained by the admission gate
     /// (reserve on push, release on drain/displacement) so the global
@@ -230,22 +220,18 @@ impl Ingress {
     }
 
     /// Register a new tenant shard, returning its index (== the tenant id
-    /// the service will assign).  The shard inherits the configured
+    /// the service will assign).  The shard is bounded by the configured
     /// `per_tenant_depth`.
     pub fn add_shard(&self) -> usize {
-        self.add_shard_with(None)
+        let mut shards = self.shards.write();
+        shards.push(Mutex::default());
+        shards.len() - 1
     }
 
-    /// Register a tenant shard with an explicit depth limit, overriding the
-    /// configured `per_tenant_depth` (`Some(0)` = unbounded for this
-    /// tenant).
-    pub fn add_shard_with(&self, depth: Option<usize>) -> usize {
-        let mut shards = self.shards.write();
-        shards.push(Shard {
-            state: Mutex::default(),
-            depth: depth.unwrap_or(self.config.per_tenant_depth),
-        });
-        shards.len() - 1
+    /// Whether a shard holding `queued` events is at the per-tenant depth
+    /// limit.
+    fn shard_full(&self, queued: usize) -> bool {
+        self.config.per_tenant_depth > 0 && queued >= self.config.per_tenant_depth
     }
 
     /// Number of registered shards.
@@ -290,8 +276,8 @@ impl Ingress {
         let shard = shards
             .get(tenant.0 as usize)
             .unwrap_or_else(|| panic!("unknown tenant {tenant:?}"));
-        let mut state = shard.state.lock();
-        let tenant_full = shard.depth > 0 && state.queue.len() >= shard.depth;
+        let mut state = shard.lock();
+        let tenant_full = self.shard_full(state.queue.len());
 
         if event.is_sheddable() {
             let reason = if tenant_full {
@@ -352,8 +338,8 @@ impl Ingress {
         let Some(shard) = shards.get(tenant.0 as usize) else {
             return false;
         };
-        let state = shard.state.lock();
-        if shard.depth > 0 && state.queue.len() >= shard.depth {
+        let state = shard.lock();
+        if self.shard_full(state.queue.len()) {
             return false;
         }
         self.config.global_depth == 0
@@ -365,7 +351,7 @@ impl Ingress {
     fn note_deferred(&self, tenant: TenantId) {
         let shards = self.shards.read();
         if let Some(shard) = shards.get(tenant.0 as usize) {
-            shard.state.lock().deferred += 1;
+            shard.lock().deferred += 1;
         }
     }
 
@@ -436,7 +422,7 @@ impl Ingress {
         self.shards
             .read()
             .iter()
-            .map(|s| s.state.lock().queue.len())
+            .map(|s| s.lock().queue.len())
             .sum()
     }
 
@@ -445,7 +431,7 @@ impl Ingress {
         self.shards
             .read()
             .get(tenant.0 as usize)
-            .map(|s| s.state.lock().queue.len())
+            .map(|s| s.lock().queue.len())
             .unwrap_or(0)
     }
 
@@ -456,7 +442,7 @@ impl Ingress {
         let shards = self.shards.read();
         let mut stats = IngressStats::default();
         for shard in shards.iter() {
-            let state = shard.state.lock();
+            let state = shard.lock();
             stats.submitted += state.submitted;
             stats.pending += state.queue.len() as u64;
             stats.drained += state.drained;
@@ -475,7 +461,7 @@ impl Ingress {
         let Some(shard) = shards.get(tenant.0 as usize) else {
             return IngressStats::default();
         };
-        let state = shard.state.lock();
+        let state = shard.lock();
         IngressStats {
             submitted: state.submitted,
             pending: state.queue.len() as u64,
@@ -499,7 +485,7 @@ impl Ingress {
             .read()
             .iter()
             .map(|s| {
-                let mut state = s.state.lock();
+                let mut state = s.lock();
                 if state.queue.is_empty() {
                     return Vec::new();
                 }
@@ -533,7 +519,7 @@ impl Ingress {
             .unwrap_or_else(|| panic!("replay into unregistered tenant {}", tenant.0));
         let n = events.len() as u64;
         {
-            let mut state = shard.state.lock();
+            let mut state = shard.lock();
             state.queue.extend(events);
             state.submitted += n;
         }
@@ -559,7 +545,7 @@ impl Ingress {
         let Some(shard) = shards.get(tenant.0 as usize) else {
             return;
         };
-        let mut state = shard.state.lock();
+        let mut state = shard.lock();
         state.submitted += shed;
         state.shed += shed;
         state.deferred += deferred;
@@ -798,22 +784,6 @@ mod tests {
         assert_eq!(stats.deferred, 1);
         assert_eq!(stats.pending, 1);
         assert!(reconciles(&stats));
-    }
-
-    #[test]
-    fn per_shard_depth_overrides_the_config_default() {
-        let ingress = Ingress::with_config(IngressConfig::bounded(2, 0));
-        ingress.add_shard(); // inherits depth 2
-        ingress.add_shard_with(Some(5)); // wider
-        ingress.add_shard_with(Some(0)); // unbounded
-        for t in 0..3u32 {
-            for _ in 0..10 {
-                ingress.try_submit(query(t));
-            }
-        }
-        assert_eq!(ingress.tenant_pending(TenantId(0)), 2);
-        assert_eq!(ingress.tenant_pending(TenantId(1)), 5);
-        assert_eq!(ingress.tenant_pending(TenantId(2)), 10);
     }
 
     #[test]

@@ -9,11 +9,9 @@
 //!   ([`simdb::Database`] behind an `Arc`) plus a
 //!   [`simdb::cache::SharedWhatIfCache`] shared by all of the tenant's
 //!   sessions (optionally capacity-bounded with deterministic CLOCK
-//!   eviction, see [`simdb::cache::CacheConfig`]), and optionally an
-//!   [`IbgStore`] interning built index benefit graphs by statement
-//!   fingerprint so concurrent sessions reuse node expansions
-//!   ([`TenantOptions`]) — redundant what-if optimization across sessions
-//!   collapses into cache hits and graph reuses;
+//!   eviction, see [`simdb::cache::CacheConfig`] and [`TenantOptions`]) —
+//!   redundant what-if optimization across sessions collapses into cache
+//!   hits;
 //! * a fleet of **tuning sessions** per tenant — each a
 //!   [`wfit_core::TuningSession`] driving any boxed
 //!   [`wfit_core::IndexAdvisor`] (WFIT, BC, …) over the tenant's
@@ -22,12 +20,10 @@
 //!   [`Event::Vote`] items submitted with [`TuningService::submit`] (or a
 //!   cloned [`ServiceHandle`], from any thread, **while a drain is
 //!   running**) are sharded by tenant id into per-tenant FIFO queues
-//!   ([`Ingress`]) and drained in submission order by
-//!   [`TuningService::poll`] rounds ([`TuningService::process_pending`]
-//!   loops rounds until empty); with [`TuningService::with_batch_size`]
-//!   runs of consecutive queries are coalesced and processed session-major
-//!   against one warmed cache generation (votes always close a batch);
-//!   with [`TuningService::with_ingress`] the ingress is **bounded**
+//!   ([`Ingress`]) and drained by [`TuningService::poll`] rounds
+//!   ([`TuningService::process_pending`] loops rounds until empty): each
+//!   event, in submission order, goes to every healthy session of its
+//!   tenant; with [`TuningService::with_ingress`] the ingress is **bounded**
 //!   ([`IngressConfig`]): an admission gate enforces per-tenant and global
 //!   depth budgets, [`TuningService::try_submit`] reports
 //!   [`SubmitOutcome::Accepted`]/[`SubmitOutcome::Rejected`]/
@@ -45,7 +41,7 @@
 //! tenant's events in submission order, one worker drains each tenant, the
 //! plan is a pure function of queue depths, and the shared cache returns
 //! exactly what the optimizer would — parallelism only changes wall-clock
-//! numbers ([`BatchReport`]), never recommendations, costs or cache and IBG
+//! numbers ([`BatchReport`]), never recommendations, costs or cache
 //! counters.
 //!
 //! ## Quickstart
@@ -99,7 +95,6 @@
 pub mod daemon;
 pub mod env;
 pub mod event;
-pub mod ibg_store;
 pub mod ingress;
 pub mod persist;
 pub mod scheduler;
@@ -107,7 +102,6 @@ pub mod scheduler;
 pub use daemon::{BatchReport, ServiceSession, TuningService};
 pub use env::{TenantEnv, TenantOptions};
 pub use event::{Event, SessionId, TenantId};
-pub use ibg_store::{IbgStats, IbgStore};
 pub use ingress::{
     Ingress, IngressConfig, IngressStats, RejectReason, ServiceHandle, SubmitOutcome,
 };

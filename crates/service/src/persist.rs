@@ -1,7 +1,7 @@
 //! Durable service state: deterministic snapshot + append-only event WAL.
 //!
 //! The service's in-memory state (advisor partitions, vote history, shared
-//! what-if caches, IBG stores, admission ledgers) is a pure function of the
+//! what-if caches, admission ledgers) is a pure function of the
 //! event sequence each drain round executed — that is the house
 //! bit-determinism invariant.  Persistence therefore logs **events**, not
 //! state: every [`crate::TuningService::poll`] round appends the drained
@@ -44,6 +44,7 @@
 
 use crate::event::Event;
 use simdb::cache::{CacheExport, ShardExport, SlotExport};
+use simdb::digest::Fnv64;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
@@ -58,12 +59,14 @@ pub const WAL_MAGIC: [u8; 8] = *b"WFITWAL1";
 /// Snapshot manifest format version.  A manifest of any other version is
 /// rejected as [`PersistError::Corrupt`]: a version-1 manifest's cache
 /// exports may describe ARC state and resized capacities that this format
-/// cannot represent, and a version-2 manifest may come from a service
-/// that split a tenant's sessions across workers, whose cache and IBG
-/// digests then depended on thread timing, while this format verifies both
-/// on every restore.  Both older versions hold every field this format
-/// reads, so only the version check tells them apart.
-pub const SNAPSHOT_VERSION: u64 = 3;
+/// cannot represent, a version-2 manifest may come from a service that
+/// split a tenant's sessions across workers, whose cache digests then
+/// depended on thread timing, and a version-3 manifest may come from a
+/// service that batched queries or shared IBGs across sessions, whose
+/// cache contents this service cannot reproduce.  Every older version
+/// holds every field this format reads, so only the version check tells
+/// them apart.
+pub const SNAPSHOT_VERSION: u64 = 4;
 
 /// Why a persistence operation failed.  Recovery paths return these as
 /// typed errors — corruption and divergence are reported, never panicked.
@@ -83,7 +86,7 @@ pub enum PersistError {
     /// snapshot ahead of its WAL).
     Corrupt(String),
     /// The live service does not match the persisted configuration echo
-    /// (different tenants, session labels, batch size, …), or an operation was
+    /// (different tenants, session labels, cache shapes, …), or an operation was
     /// attempted in an invalid order (e.g. [`crate::TuningService::with_persistence`]
     /// over a non-empty WAL).
     Config(String),
@@ -128,46 +131,6 @@ fn io_err(op: &str, source: std::io::Error) -> PersistError {
     PersistError::Io {
         op: op.to_string(),
         source,
-    }
-}
-
-/// Incremental FNV-1a 64-bit hasher — the workspace's deterministic,
-/// dependency-free digest (the same construction `simdb`'s cache export
-/// uses).  Fields are length-prefixed by the callers that need framing.
-#[derive(Debug, Clone)]
-pub struct Fnv64(u64);
-
-impl Fnv64 {
-    const OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-
-    /// A fresh hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        Fnv64(Self::OFFSET)
-    }
-
-    /// Fold raw bytes into the digest.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    /// Fold a `u64` (little-endian) into the digest.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    /// The digest so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -497,8 +460,8 @@ pub struct SessionDigest {
 }
 
 /// One tenant's slice of the snapshot: configuration echo, the admission
-/// ledger's non-replayable counters, the full what-if cache export, the IBG
-/// store digest, and per-session digests.
+/// ledger's non-replayable counters, the full what-if cache export, and
+/// per-session digests.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantSnapshot {
     /// Tenant display name (configuration echo).
@@ -514,8 +477,6 @@ pub struct TenantSnapshot {
     /// reference bits and hands, interners, hit/miss counters), when the
     /// tenant has one.
     pub cache: Option<CacheExport>,
-    /// Digest of the tenant's IBG store keys and counters, when present.
-    pub ibg_digest: Option<u64>,
     /// Per-session state digests, in registration order.
     pub sessions: Vec<SessionDigest>,
 }
@@ -526,8 +487,6 @@ pub struct TenantSnapshot {
 pub struct Snapshot {
     /// WAL rounds whose effects this snapshot reflects.
     pub rounds: u64,
-    /// Batch-size configuration echo.
-    pub batch_size: u64,
     /// Global ingress high-water mark (not replayable round-by-round).
     pub peak_pending: u64,
     /// Scheduler ledger echo, verified after replay: non-empty rounds.
@@ -566,7 +525,6 @@ impl Snapshot {
         Json::obj(vec![
             ("version", Json::Num(SNAPSHOT_VERSION as f64)),
             ("rounds", Json::Num(self.rounds as f64)),
-            ("batch_size", Json::Num(self.batch_size as f64)),
             ("peak_pending", Json::Num(self.peak_pending as f64)),
             ("sched_rounds", Json::Num(self.sched_rounds as f64)),
             (
@@ -589,7 +547,6 @@ impl Snapshot {
         }
         Ok(Snapshot {
             rounds: get_u64(doc, "rounds")?,
-            batch_size: get_u64(doc, "batch_size")?,
             peak_pending: get_u64(doc, "peak_pending")?,
             sched_rounds: get_u64(doc, "sched_rounds")?,
             sched_session_runs: get_u64(doc, "sched_session_runs")?,
@@ -611,9 +568,6 @@ fn tenant_to_json(t: &TenantSnapshot) -> Json {
     if let Some(cache) = &t.cache {
         fields.push(("cache", cache_to_json(cache)));
     }
-    if let Some(digest) = t.ibg_digest {
-        fields.push(("ibg_digest", hex(digest)));
-    }
     fields.push((
         "sessions",
         Json::Arr(t.sessions.iter().map(session_to_json).collect()),
@@ -628,7 +582,6 @@ fn tenant_from_json(doc: &Json) -> Result<TenantSnapshot, PersistError> {
         deferred: get_u64(doc, "deferred")?,
         rejected: get_u64(doc, "rejected")?,
         cache: doc.get("cache").map(cache_from_json).transpose()?,
-        ibg_digest: doc.get("ibg_digest").map(parse_hex).transpose()?,
         sessions: get_arr(doc, "sessions")?
             .iter()
             .map(session_from_json)
@@ -968,7 +921,6 @@ mod tests {
         let dir = temp_dir("snapshot");
         let snap = Snapshot {
             rounds: 7,
-            batch_size: 8,
             peak_pending: 12,
             sched_rounds: 7,
             sched_session_runs: 21,
@@ -978,7 +930,6 @@ mod tests {
                 deferred: 1,
                 rejected: 0,
                 cache: None,
-                ibg_digest: Some(0xDEAD_BEEF_0123_4567),
                 sessions: vec![SessionDigest {
                     label: "wfit".into(),
                     advisor: "WFIT(16)".into(),

@@ -3,8 +3,8 @@
 //! A drain round starts from a snapshot of per-tenant queue depths (taken by
 //! [`crate::ingress::Ingress::drain_all`]).  Every busy tenant is placed
 //! **whole** on one worker — heaviest tenant first, onto the lightest bin —
-//! where all of its sessions drain its event run grouped, in submission
-//! order.  A tenant's load is its **session-runs** × its depth: each of its
+//! where every event of its run, in submission order, goes to each of its
+//! sessions.  A tenant's load is its **session-runs** × its depth: each of its
 //! `S` sessions replays every one of its `d` pending events.
 //!
 //! Two invariants keep the result bit-deterministic (see
@@ -12,8 +12,8 @@
 //!
 //! 1. **A tenant never spans workers** — one worker drains all of its
 //!    sessions sequentially, so every session sees the tenant's events in
-//!    submission order and the tenant's what-if cache and IBG store see one
-//!    request order whatever the worker count.
+//!    submission order and the tenant's what-if cache sees one request order
+//!    whatever the worker count.
 //! 2. **The plan is a pure function of queue depths** — all of it (bins,
 //!    session-run count, load imbalance) is computed from the depth
 //!    snapshot before any event is processed, never from wall-clock

@@ -45,6 +45,7 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use crate::digest::Fnv64;
 use crate::index::IndexSet;
 use crate::optimizer::PlanCost;
 use crate::whatif::WhatIfStats;
@@ -585,44 +586,34 @@ impl CacheExport {
     /// structurally equal, which is what the service's snapshot verification
     /// compares.
     pub fn digest(&self) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01B3;
-        fn eat(hash: &mut u64, bytes: &[u8]) {
-            for &b in bytes {
-                *hash ^= b as u64;
-                *hash = hash.wrapping_mul(PRIME);
-            }
-        }
-        fn eat_u64(hash: &mut u64, v: u64) {
-            eat(hash, &v.to_le_bytes());
-        }
-        let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-        eat_u64(&mut hash, self.capacity);
-        eat_u64(&mut hash, self.statements.len() as u64);
+        let mut hash = Fnv64::new();
+        hash.write_u64(self.capacity);
+        hash.write_u64(self.statements.len() as u64);
         for &f in &self.statements {
-            eat_u64(&mut hash, f);
+            hash.write_u64(f);
         }
-        eat_u64(&mut hash, self.configs.len() as u64);
+        hash.write_u64(self.configs.len() as u64);
         for ids in &self.configs {
-            eat_u64(&mut hash, ids.len() as u64);
+            hash.write_u64(ids.len() as u64);
             for &id in ids {
-                eat_u64(&mut hash, id as u64);
+                hash.write_u64(id as u64);
             }
         }
-        eat_u64(&mut hash, self.shards.len() as u64);
+        hash.write_u64(self.shards.len() as u64);
         for shard in &self.shards {
-            eat_u64(&mut hash, shard.hand);
-            eat_u64(&mut hash, shard.slots.len() as u64);
+            hash.write_u64(shard.hand);
+            hash.write_u64(shard.slots.len() as u64);
             for slot in &shard.slots {
-                eat_u64(&mut hash, slot.stmt as u64);
-                eat_u64(&mut hash, slot.config as u64);
-                eat_u64(&mut hash, slot.total_bits);
-                eat_u64(&mut hash, slot.used_indexes.len() as u64);
+                hash.write_u64(slot.stmt as u64);
+                hash.write_u64(slot.config as u64);
+                hash.write_u64(slot.total_bits);
+                hash.write_u64(slot.used_indexes.len() as u64);
                 for &id in &slot.used_indexes {
-                    eat_u64(&mut hash, id as u64);
+                    hash.write_u64(id as u64);
                 }
-                eat_u64(&mut hash, slot.description.len() as u64);
-                eat(&mut hash, slot.description.as_bytes());
-                eat_u64(&mut hash, slot.referenced as u64);
+                hash.write_u64(slot.description.len() as u64);
+                hash.write_bytes(slot.description.as_bytes());
+                hash.write_u64(slot.referenced as u64);
             }
         }
         for counter in [
@@ -631,9 +622,9 @@ impl CacheExport {
             self.cache_hits,
             self.evictions,
         ] {
-            eat_u64(&mut hash, counter);
+            hash.write_u64(counter);
         }
-        hash
+        hash.finish()
     }
 
     /// Number of resident entries across all shards.

@@ -34,6 +34,7 @@
 //! * [`cache`] — a concurrent, interned what-if cost cache shared across all
 //!   tuning sessions of a tenant (the scaling layer the multi-tenant service
 //!   in `crates/service` builds on);
+//! * [`digest`] — the FNV-1a hasher behind every deterministic digest;
 //! * [`extract`] — `extractIndices(q)`.
 //!
 //! ## Quick example
@@ -67,6 +68,7 @@ pub mod cache;
 pub mod catalog;
 pub mod cost;
 pub mod database;
+pub mod digest;
 pub mod error;
 pub mod extract;
 pub mod index;

@@ -2,11 +2,10 @@
 //! independent benchmark workload stream, served concurrently by one
 //! `TuningService` — a WFIT session and a BC session per tenant, both
 //! answering what-if questions out of the tenant's shared cost cache.
-//! The hot-path knobs are all on: each tenant's cache is capacity-bounded
-//! (deterministic CLOCK eviction), built IBGs are shared across the
-//! tenant's sessions, the drain coalesces queries into session-major
-//! batches, and four workers drain the tenants in parallel, each tenant
-//! whole on one worker.
+//! Each tenant's cache is capacity-bounded (deterministic CLOCK eviction),
+//! and four workers drain the tenants in parallel, each tenant whole on one
+//! worker, every event going to each of the tenant's sessions in
+//! submission order.
 //!
 //! The second act demonstrates **async ingestion**: a producer thread keeps
 //! submitting events through a cloned `ServiceHandle` while the main thread
@@ -36,8 +35,6 @@ const TENANTS: usize = 8;
 const STATEMENTS_PER_PHASE: usize = 8;
 /// Per-tenant cap on resident what-if plan costs.
 const CACHE_CAPACITY: usize = 256;
-/// Consecutive queries coalesced into one session-major batch.
-const BATCH_SIZE: usize = 8;
 /// Worker threads (pinned, not host-derived, so the worker plan is the
 /// same on every machine).
 const WORKERS: usize = 4;
@@ -46,7 +43,7 @@ fn main() {
     // Generate eight independent tenant workloads (same benchmark shape,
     // decorrelated seeds) and mine each tenant's offline candidates.
     println!("preparing {TENANTS} tenant workloads…");
-    let mut service = TuningService::with_workers(WORKERS).with_batch_size(BATCH_SIZE);
+    let mut service = TuningService::with_workers(WORKERS);
     let mut streams = Vec::new();
     for t in 0..TENANTS {
         let bench = Benchmark::generate(BenchmarkSpec {
@@ -61,9 +58,7 @@ fn main() {
         let tenant = service.add_tenant_with(
             format!("tenant-{t}"),
             db,
-            TenantOptions::default()
-                .with_cache_capacity(CACHE_CAPACITY)
-                .with_ibg_reuse(true),
+            TenantOptions::default().with_cache_capacity(CACHE_CAPACITY),
         );
         let partition = selection.partition.clone();
         service.add_session(tenant, "wfit", move |env| {
@@ -161,13 +156,6 @@ fn main() {
         "cache bounding: {} entries resident (≤ {} per tenant), {} evicted",
         cache.entries, CACHE_CAPACITY, cache.evictions
     );
-    let ibg = service.aggregate_ibg_stats();
-    println!(
-        "ibg stores: {} graphs built, {} reused across sessions (reuse rate {:.3})",
-        ibg.builds,
-        ibg.reuses,
-        ibg.reuse_rate()
-    );
 
     println!();
     println!(
@@ -196,9 +184,7 @@ fn main() {
     // displacing the newest queued query when their shard is full.
     println!();
     println!("overload act: bounded ingress (depth 8/tenant, 24 global)…");
-    let mut bounded = TuningService::with_workers(2)
-        .with_batch_size(BATCH_SIZE)
-        .with_ingress(IngressConfig::bounded(8, 24));
+    let mut bounded = TuningService::with_workers(2).with_ingress(IngressConfig::bounded(8, 24));
     let mut flood = Vec::new();
     for t in 0..2 {
         let bench = Benchmark::generate(BenchmarkSpec {
@@ -266,7 +252,7 @@ fn main() {
     // database instance or shape, same session builders, same order) and
     // the persistence layer replays the state into it.
     let assemble = || {
-        let mut svc = TuningService::with_workers(2).with_batch_size(BATCH_SIZE);
+        let mut svc = TuningService::with_workers(2);
         let tenant = svc.add_tenant("durable", db.clone());
         svc.add_session(tenant, "wfit", |env| {
             Box::new(Wfit::new(env, WfitConfig::default())) as Box<dyn IndexAdvisor + Send>

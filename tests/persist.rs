@@ -15,6 +15,8 @@
 //! * damage that cannot be a torn tail (corrupt magic, a snapshot claiming
 //!   more rounds than the log holds, a manifest in an older format) is a
 //!   hard [`PersistError`], not a guess;
+//! * a host whose caches are shaped differently from the snapshot's is a
+//!   [`PersistError::Config`], raised before any round is replayed;
 //! * a manifest whose session digests or cache exports disagree with the
 //!   replayed state is a [`PersistError::Divergence`];
 //! * after a torn-tail restore the log is physically truncated, so the
@@ -62,10 +64,15 @@ fn wfit(env: TenantEnv) -> Box<dyn IndexAdvisor + Send> {
 /// The host-side assembly a persisted deployment re-runs after a crash:
 /// same database shape, same interned index, same session fleet.
 fn assemble() -> (TuningService, TenantId, IndexId) {
-    let mut svc = TuningService::with_workers(2).with_batch_size(2);
+    assemble_with(TenantOptions::default())
+}
+
+/// [`assemble`] with the tenant's cache shaped by `options`.
+fn assemble_with(options: TenantOptions) -> (TuningService, TenantId, IndexId) {
+    let mut svc = TuningService::with_workers(2);
     let database = db();
     let idx = database.define_index("t", &["a"]).unwrap();
-    let tenant = svc.add_tenant("acme", database);
+    let tenant = svc.add_tenant_with("acme", database, options);
     svc.add_session(tenant, "wfit-0", wfit);
     svc.add_session(tenant, "wfit-1", wfit);
     (svc, tenant, idx)
@@ -314,16 +321,16 @@ fn edit_snapshot(dir: &Path, edit: impl FnOnce(&mut Json)) {
     std::fs::write(&path, doc.render().unwrap()).unwrap();
 }
 
-/// A manifest stamped with an older format version (1 or 2) parses as JSON
-/// and holds every field the current version reads, so only the version
-/// check keeps restore from silently misparsing it: restore must report it
-/// as corruption.
+/// A manifest stamped with an older format version (1, 2 or 3) parses as
+/// JSON and holds every field the current version reads, so only the
+/// version check keeps restore from silently misparsing it: restore must
+/// report it as corruption.
 #[test]
 fn version_one_snapshot_is_corrupt_not_misparsed() {
-    assert_eq!(SNAPSHOT_VERSION, 3, "the current format");
+    assert_eq!(SNAPSHOT_VERSION, 4, "the current format");
     let reference = scratch_dir("old-version-ref");
     let (_, wal_lens) = reference_run(&reference);
-    for old in [1u64, 2] {
+    for old in [1u64, 2, 3] {
         let dir = damaged_copy(&reference, &format!("v{old}"), wal_lens[ROUNDS - 1]);
         edit_snapshot(&dir, |doc| {
             let version = field(doc, "version");
@@ -388,10 +395,9 @@ fn altered_digests_are_divergence_not_accepted() {
     let _ = std::fs::remove_dir_all(&reference);
 }
 
-/// Three tenants, each with a bounded cache and a shared IBG store, drained
-/// by `workers` workers.
+/// Three tenants, each with a bounded cache, drained by `workers` workers.
 fn assemble_fleet(workers: usize) -> (TuningService, Vec<(TenantId, IndexId)>) {
-    let mut svc = TuningService::with_workers(workers).with_batch_size(2);
+    let mut svc = TuningService::with_workers(workers);
     let mut tenants = Vec::new();
     for t in 0..3 {
         let database = db();
@@ -399,9 +405,7 @@ fn assemble_fleet(workers: usize) -> (TuningService, Vec<(TenantId, IndexId)>) {
         let tenant = svc.add_tenant_with(
             format!("tenant-{t}"),
             database,
-            TenantOptions::default()
-                .with_cache_capacity(6)
-                .with_ibg_reuse(true),
+            TenantOptions::default().with_cache_capacity(6),
         );
         svc.add_session(tenant, "wfit-0", wfit);
         svc.add_session(tenant, "wfit-1", wfit);
@@ -412,8 +416,8 @@ fn assemble_fleet(workers: usize) -> (TuningService, Vec<(TenantId, IndexId)>) {
 
 /// A host's worker count (`TuningService::new` takes it from the machine)
 /// reaches no state that restore verifies: a snapshot taken on 2 workers
-/// restores on 1 and on 4 with every session, cache and IBG digest
-/// verified, and the restored host writes a byte-identical manifest.
+/// restores on 1 and on 4 with every session and cache digest verified,
+/// and the restored host writes a byte-identical manifest.
 #[test]
 fn snapshot_restores_bit_identically_on_any_worker_count() {
     let reference = scratch_dir("workers-ref");
@@ -438,7 +442,7 @@ fn snapshot_restores_bit_identically_on_any_worker_count() {
     let manifest = std::fs::read_to_string(reference.join(SNAPSHOT_FILE)).unwrap();
     let doc = Json::parse(&manifest).unwrap();
     for tenant in doc.get("tenants").and_then(Json::as_arr).unwrap() {
-        assert!(tenant.get("cache").is_some() && tenant.get("ibg_digest").is_some());
+        assert!(tenant.get("cache").is_some());
     }
     drop(svc);
     let wal_len = std::fs::metadata(reference.join(WAL_FILE)).unwrap().len();
@@ -464,5 +468,59 @@ fn snapshot_restores_bit_identically_on_any_worker_count() {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
+    let _ = std::fs::remove_dir_all(&reference);
+}
+
+/// A snapshot's caches replay only into caches of the same shape: a host
+/// with another capacity, an unbounded cache or no cache would replay every
+/// logged round and then fail the cache digest.  Restore compares the
+/// shapes first and refuses with [`PersistError::Config`] before any round
+/// is replayed.
+#[test]
+fn cache_shape_mismatch_is_config_before_any_replay() {
+    let reference = scratch_dir("cache-shape-ref");
+    let bounded = || TenantOptions::default().with_cache_capacity(16);
+    let (svc, tenant, idx) = assemble_with(bounded());
+    let mut svc = svc
+        .with_persistence(&reference)
+        .expect("fresh dir attaches");
+    for round in 0..ROUNDS {
+        for event in round_events(&svc, tenant, idx, round) {
+            svc.submit(event);
+        }
+        svc.poll();
+    }
+    svc.snapshot().expect("snapshot of a quiescent service");
+    drop(svc);
+
+    for (shape, options) in [
+        (
+            "a capacity-32 cache",
+            TenantOptions::default().with_cache_capacity(32),
+        ),
+        ("an unbounded cache", TenantOptions::default()),
+        ("no cache", TenantOptions { cache: None }),
+    ] {
+        let (mut host, tenant, _) = assemble_with(options);
+        match host.restore(&reference) {
+            Err(PersistError::Config(message)) => assert!(
+                message.contains("had a capacity-16 cache")
+                    && message.contains(&format!("has {shape}")),
+                "unexpected message: {message}"
+            ),
+            other => panic!("a host with {shape} must be Config, got {other:?}"),
+        }
+        assert_eq!(
+            host.tenant_processed(tenant),
+            0,
+            "{shape}: nothing replayed"
+        );
+        assert_eq!(host.sched_stats().rounds, 0, "{shape}: nothing replayed");
+    }
+
+    // The matching shape restores with the snapshot verified.
+    let (mut host, _, _) = assemble_with(bounded());
+    let report = host.restore(&reference).expect("same shape restores");
+    assert_eq!(report.snapshot_rounds, Some(ROUNDS as u64));
     let _ = std::fs::remove_dir_all(&reference);
 }

@@ -316,16 +316,11 @@ fn service_evict_mini_matches_golden() {
         scenarios::EVICT_MINI_CACHE_CAPACITY,
         service.cache_entries
     );
-    assert!(
-        service.ibg_reuses > 0,
-        "fleet sessions must reuse each other's IBGs"
-    );
     assert!(service.cache_hit_rate > 0.0 && service.cache_hit_rate < 1.0);
 
-    // Bounding the cache, batching the drain and sharing IBGs may only
-    // change overhead counters: every cost-derived metric must be
-    // bit-identical to the unbounded `service-mini` run of the same
-    // workload.
+    // Bounding the cache may only change the cache's own counters: every
+    // cost-derived metric and every session's what-if calls must equal the
+    // unbounded `service-mini` run of the same workload.
     let unbounded = run_service_scenario(&scenarios::service_mini());
     assert_eq!(unbounded.cells.len(), report.cells.len());
     for (u, b) in unbounded.cells.iter().zip(&report.cells) {
@@ -338,11 +333,12 @@ fn service_evict_mini_matches_golden() {
         );
         assert_eq!(u.ratio_series, b.ratio_series, "{}", u.label);
         assert_eq!(u.transitions, b.transitions, "{}", u.label);
+        assert_eq!(u.whatif_calls, b.whatif_calls, "{}", u.label);
     }
     assert_eq!(unbounded.service.as_ref().unwrap().cache_evictions, 0);
 
-    // Determinism: a rerun (parallel workers, eviction, batching and all)
-    // renders byte-identical deterministic JSON.
+    // Determinism: a rerun (parallel workers, eviction and all) renders
+    // byte-identical deterministic JSON.
     let rerun = run_service_scenario(&scenarios::service_evict_mini());
     assert_eq!(report.to_json(), rerun.to_json());
 }
@@ -369,9 +365,8 @@ fn service_skew_mini_matches_golden() {
         spec.statements_for_tenant(0) + spec.statements_for_tenant(0) / spec.feedback_every,
         "hot tenant queue depth = statements + scheduled votes"
     );
-    // The uncached control arm keeps every overhead counter at zero.
+    // The uncached control arm never touches a cache.
     assert_eq!(service.cache_requests, 0);
-    assert_eq!(service.ibg_builds + service.ibg_reuses, 0);
 
     // Determinism: a rerun renders byte-identical JSON.
     let rerun = run_service_scenario(&scenarios::service_skew_mini());
@@ -494,7 +489,7 @@ fn service_restore_mini_matches_golden() {
 /// `service-evict-mini` drained on one worker and on four render the golden
 /// run's JSON byte-identically apart from the echoed `workers` field.  Each
 /// tenant drains whole on one worker, so even the bounded cache's
-/// hit/eviction split and the IBG store's build/reuse split are unchanged.
+/// hit/eviction split is unchanged.
 #[test]
 fn worker_count_never_changes_service_goldens() {
     for spec in [scenarios::service_mini(), scenarios::service_evict_mini()] {

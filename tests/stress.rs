@@ -1,6 +1,5 @@
 //! Concurrency stress suite for the service hot path: N threads hammering
-//! one tenant's [`SharedWhatIfCache`] and [`IbgStore`] with overlapping
-//! fingerprints.
+//! one tenant's [`SharedWhatIfCache`] with overlapping fingerprints.
 //!
 //! What these tests pin down:
 //!
@@ -33,8 +32,7 @@ use std::sync::Arc;
 use wfit::core::hypercube::set_of;
 use wfit::core::{IndexAdvisor, TuningEnv};
 use wfit::service::{
-    Event, IbgStore, Ingress, IngressConfig, SessionId, TenantEnv, TenantId, TenantOptions,
-    TuningService,
+    Event, Ingress, IngressConfig, SessionId, TenantEnv, TenantId, TenantOptions, TuningService,
 };
 use wfit::{Wfit, WfitConfig};
 
@@ -164,70 +162,9 @@ fn concurrent_cache_counters_reconcile_with_total_calls() {
 }
 
 #[test]
-fn concurrent_ibg_store_reuses_identical_graphs() {
-    let (db, idx) = database();
-    let store = IbgStore::new();
-    let stmts: Vec<_> = [
-        "SELECT c FROM t WHERE a = 1",
-        "SELECT c FROM t WHERE b = 2",
-        "SELECT c FROM t WHERE a < 3",
-        "SELECT c FROM t WHERE b < 4",
-    ]
-    .iter()
-    .map(|sql| db.parse(sql).unwrap())
-    .collect();
-    let relevant = IndexSet::from_iter(idx.iter().copied());
-
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let db = &db;
-            let store = &store;
-            let stmts = &stmts;
-            let relevant = &relevant;
-            let idx = &idx;
-            scope.spawn(move || {
-                for i in 0..64 {
-                    let stmt = &stmts[(t + i) % stmts.len()];
-                    let (graph, _) = store.get_or_build(stmt.fingerprint, relevant, || {
-                        ibg::IndexBenefitGraph::build(relevant.clone(), |cfg| {
-                            db.whatif_cost_uncached(stmt, cfg)
-                        })
-                    });
-                    // Every handed-out graph answers exactly like the
-                    // optimizer, for every subset of the relevant set.
-                    for mask in 0..4usize {
-                        let cfg = set_of(&idx[..], mask);
-                        assert_eq!(
-                            graph.cost(&cfg).to_bits(),
-                            db.whatif_cost_uncached(stmt, &cfg).total.to_bits(),
-                            "thread {t} op {i} mask {mask}"
-                        );
-                    }
-                }
-            });
-        }
-    });
-
-    let stats = store.stats();
-    assert_eq!(stats.builds + stats.reuses, (THREADS * 64) as u64);
-    // Concurrent racing builds of one key are possible (and harmless), but
-    // the store never interns more than one graph per key.
-    assert_eq!(store.len(), stmts.len());
-    assert!(
-        stats.reuses >= (THREADS * 64 - THREADS * stmts.len()) as u64,
-        "at worst every thread builds every key once: {stats:?}"
-    );
-}
-
-#[test]
 fn tenant_env_fork_counters_sum_to_shared_cache_requests() {
     let (db, idx) = database();
-    let env = TenantEnv::with_options(
-        db.clone(),
-        TenantOptions::default()
-            .with_cache_capacity(32)
-            .with_ibg_reuse(true),
-    );
+    let env = TenantEnv::with_options(db.clone(), TenantOptions::default().with_cache_capacity(32));
     let stmts: Vec<_> = [
         "SELECT c FROM t WHERE a = 1",
         "SELECT c FROM t WHERE b = 2",
@@ -254,7 +191,7 @@ fn tenant_env_fork_counters_sum_to_shared_cache_requests() {
                         db.whatif_cost_uncached(stmt, &config).total.to_bits(),
                     );
                     if i % 16 == 0 {
-                        // IBG fetches interleave with raw cost probes.
+                        // IBG builds interleave with raw cost probes.
                         let shared = fork.ibg(stmt, IndexSet::from_iter(idx.iter().copied()));
                         assert!(shared.graph.cost(&config) > 0.0);
                     }
@@ -270,7 +207,6 @@ fn tenant_env_fork_counters_sum_to_shared_cache_requests() {
     assert_eq!(forked, stats.requests);
     assert_eq!(stats.cache_hits + stats.optimizer_calls, stats.requests);
     assert!(stats.entries <= 32);
-    assert!(env.ibg_stats().builds + env.ibg_stats().reuses == (THREADS * 6) as u64);
 }
 
 /// The async-ingestion stress scenario of the pipelined executor: **8
@@ -295,16 +231,14 @@ fn concurrent_submission_with_four_worker_drain_matches_sequential_replay() {
     // (each tenant still gets its own Database instance — tenants never
     // share state).
     let build_service = |workers: usize| {
-        let mut svc = TuningService::with_workers(workers).with_batch_size(2);
+        let mut svc = TuningService::with_workers(workers);
         let mut streams: Vec<Vec<Event>> = Vec::new();
         for t in 0..TENANTS {
             let (db, idx) = database();
             let id = svc.add_tenant_with(
                 format!("tenant-{t}"),
                 db.clone(),
-                TenantOptions::default()
-                    .with_cache_capacity(48)
-                    .with_ibg_reuse(true),
+                TenantOptions::default().with_cache_capacity(48),
             );
             for s in 0..2 {
                 svc.add_session(id, format!("t{t}/s{s}"), |env| {
@@ -768,7 +702,6 @@ fn soak_bounded_service_overload_stays_within_budget() {
 
     let start = std::time::Instant::now();
     let mut svc = TuningService::with_workers(4)
-        .with_batch_size(4)
         .with_ingress(IngressConfig::bounded(TENANT_DEPTH, GLOBAL_DEPTH));
     let mut tenants = Vec::new();
     for t in 0..TENANTS {
@@ -776,9 +709,7 @@ fn soak_bounded_service_overload_stays_within_budget() {
         let id = svc.add_tenant_with(
             format!("soak-{t}"),
             db.clone(),
-            TenantOptions::default()
-                .with_cache_capacity(64)
-                .with_ibg_reuse(true),
+            TenantOptions::default().with_cache_capacity(64),
         );
         svc.add_session(id, format!("soak-{t}/s0"), |env| {
             Box::new(Wfit::new(env, WfitConfig::default())) as Box<dyn IndexAdvisor + Send>
