@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the building blocks: the per-statement cost
 //! of `WFA.analyzeQuery` as a function of part size, IBG construction, the
-//! what-if optimizer itself, and `choosePartition`.
+//! what-if optimizer itself (`Database::whatif_cost_uncached`, bypassing the
+//! per-database memo), and `choosePartition`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ibg::partition::InteractionWeights;
@@ -50,8 +51,11 @@ fn bench_ibg_and_whatif(c: &mut Criterion) {
     let relevant = IndexSet::from_iter(candidates.iter().copied());
 
     c.bench_function("whatif_single_call", |b| {
-        b.iter(|| bench.db.whatif(&stmt, &relevant));
+        b.iter(|| bench.db.whatif_cost_uncached(&stmt, &relevant));
     });
+    // Builds through the memoized `Database::whatif`: after the first
+    // iteration every node's cost is a memo hit, so this times the graph
+    // construction over a warm memo, not the optimizer.
     c.bench_function("ibg_build_per_statement", |b| {
         b.iter(|| IndexBenefitGraph::build(relevant.clone(), |cfg| bench.db.whatif(&stmt, cfg)));
     });

@@ -15,7 +15,7 @@
 //!   concurrent scenarios cannot race (the benches read `WFIT_PHASE_LEN`
 //!   once, at their own entry points).
 //! * **Deterministic replay.** All id-interning and offline analysis happens
-//!   single-threaded in [`ScenarioContext::prepare`]; the independent
+//!   single-threaded in [`PreparedWorkload::prepare`]; the independent
 //!   (advisor × options) cells then run in parallel with
 //!   `std::thread::scope`, each owning its advisor and RNG, so thread
 //!   interleaving never changes a reported metric.  Identical specs render
@@ -29,7 +29,10 @@
 //! **service** scenarios — many workload streams pushed through
 //! [`service::TuningService`] with shared per-tenant what-if caches — live
 //! in [`service_run`] and report through the same [`RunReport`] (plus a
-//! [`report::ServiceSummary`] block).
+//! [`report::ServiceSummary`] block).  Both share one path from spec to
+//! report: the session fleet is the same [`AdvisorSpec`] list the cells
+//! use, every tenant is a [`PreparedWorkload`], and one builder constructs
+//! every advisor, so an advisor reports the same name in both.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -43,9 +46,9 @@ pub mod spec;
 
 pub use json::Json;
 pub use report::{CellReport, RunReport, ServiceSummary};
-pub use runner::{run_scenario, ScenarioContext};
+pub use runner::{run_scenario, PreparedWorkload, ScenarioContext};
 pub use service_run::{
     run_service_control, run_service_scenario, run_service_scenario_traced, ServiceEventKind,
-    ServiceScenarioSpec, ServiceSessionSpec, ServiceTrace,
+    ServiceScenarioSpec, ServiceTrace,
 };
-pub use spec::{AcceptanceSpec, AdvisorSpec, CellSpec, FeedbackEvent, FeedbackSpec, ScenarioSpec};
+pub use spec::{AdvisorSpec, CellSpec, FeedbackEvent, FeedbackSpec, ScenarioSpec};

@@ -1,83 +1,89 @@
 //! Deterministic scenario replay.
 //!
-//! [`ScenarioContext::prepare`] does all the order-sensitive work once, on a
-//! single thread: generate the workload from the spec's seed, mine the
-//! offline candidate selections (which interns every candidate `IndexId` in
-//! workload order, fixing the id space for the rest of the run) and compute
-//! the OPT oracle.  [`ScenarioContext::run`] then replays the independent
-//! (advisor × options) cells in parallel with `std::thread::scope`; every
-//! cell owns its advisor and RNG state, so thread interleaving cannot change
-//! any reported metric.
+//! [`PreparedWorkload::prepare`] does all the order-sensitive work once, on
+//! a single thread: generate the workload from its seed, mine the offline
+//! candidate selection for every `stateCnt` a fleet needs (which interns
+//! every candidate `IndexId` in workload order, fixing the id space for the
+//! rest of the run) and compute the OPT oracle.  The offline replay and
+//! every service tenant ([`crate::service_run`]) prepare through it, and
+//! both build their advisors through one builder,
+//! `PreparedWorkload::build_advisor`: over `&Database` here, boxed over
+//! `TenantEnv` as a service session.
+//! [`ScenarioContext::run`] then replays the independent (advisor × options)
+//! cells in parallel with `std::thread::scope`; every cell owns its advisor
+//! and RNG state, so thread interleaving cannot change any reported metric.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use advisors::{compute_optimal, good_feedback_stream, OptSchedule};
 use advisors::{
     AllCandidatesAdvisor, BanditAdvisor, BanditConfig, BruchoChaudhuriAdvisor, NoIndexAdvisor,
 };
-use ibg::partition::Partition;
 use simdb::database::Database;
 use simdb::index::IndexSet;
 use simdb::query::Statement;
 use wfit_core::candidates::{offline_selection, OfflineSelection};
 use wfit_core::config::WfitConfig;
-use wfit_core::evaluator::{AcceptancePolicy, Evaluator, FeedbackStream, RunOptions, RunResult};
+use wfit_core::env::TuningEnv;
+use wfit_core::evaluator::{AcceptancePolicy, Evaluator, FeedbackStream, RunOptions};
 use wfit_core::wfit::Wfit;
 use wfit_core::IndexAdvisor;
-use workload::Benchmark;
+use workload::{Benchmark, BenchmarkSpec};
 
 use crate::report::{CellReport, RunReport};
-use crate::spec::{AcceptanceSpec, AdvisorSpec, CellSpec, FeedbackSpec, ScenarioSpec};
+use crate::spec::{AdvisorSpec, CellSpec, FeedbackSpec, ScenarioSpec};
 
-/// A prepared scenario: the generated workload, the offline selections for
-/// every `stateCnt` the fleet needs, and the OPT reference curve.
-pub struct ScenarioContext {
-    /// The scenario being replayed.
-    pub spec: ScenarioSpec,
-    /// The generated benchmark (database + statements).
-    pub bench: Benchmark,
-    /// Offline selections keyed by `stateCnt`; the spec's default is first.
+/// A generated workload and its offline analysis: the database, the
+/// statements, the offline selection for every `stateCnt` a fleet needs and
+/// the OPT reference curve.
+pub struct PreparedWorkload {
+    /// The database.  Its index registry holds the candidate ids the
+    /// selections refer to, so this instance backs every advisor built
+    /// over the workload (shared, so a service tenant can host it).
+    pub db: Arc<Database>,
+    /// The workload statements in order.
+    pub statements: Vec<Statement>,
+    /// Offline selections keyed by `stateCnt`; the default is first.
     pub selections: Vec<(u64, OfflineSelection)>,
     /// The OPT oracle over the default selection.
     pub opt: OptSchedule,
 }
 
-impl ScenarioContext {
-    /// Generate the workload and run the offline analysis for a spec.
-    pub fn prepare(spec: ScenarioSpec) -> Self {
-        let bench = Benchmark::generate(spec.benchmark_spec());
-        let selections: Vec<(u64, OfflineSelection)> = spec
-            .state_cnts_needed()
-            .into_iter()
-            .map(|state_cnt| {
-                let config = WfitConfig::with_state_cnt(state_cnt);
-                (
-                    state_cnt,
-                    offline_selection(&bench.db, &bench.statements, &config),
-                )
+impl PreparedWorkload {
+    /// Generate the workload, mine one offline selection per entry of
+    /// `state_cnts` (the first is the default) and run OPT over the
+    /// default selection's partition.
+    pub fn prepare(spec: BenchmarkSpec, state_cnts: &[u64]) -> Self {
+        let Benchmark { db, statements, .. } = Benchmark::generate(spec);
+        let selections: Vec<(u64, OfflineSelection)> = state_cnts
+            .iter()
+            .map(|&cnt| {
+                let config = WfitConfig::with_state_cnt(cnt);
+                (cnt, offline_selection(&db, &statements, &config))
             })
             .collect();
         let opt = compute_optimal(
-            &bench.db,
-            &bench.statements,
+            &db,
+            &statements,
             &selections[0].1.partition,
             &IndexSet::empty(),
         );
         Self {
-            spec,
-            bench,
+            db: Arc::new(db),
+            statements,
             selections,
             opt,
         }
     }
 
-    /// The offline selection for the spec's default `stateCnt`.
+    /// The offline selection for the default `stateCnt`.
     pub fn selection(&self) -> &OfflineSelection {
         &self.selections[0].1
     }
 
-    /// The offline selection for a specific `stateCnt` (must be one of
-    /// [`ScenarioSpec::state_cnts_needed`]).
+    /// The offline selection for a specific `stateCnt` (must be one of the
+    /// prepared ones).
     pub fn selection_for(&self, state_cnt: u64) -> &OfflineSelection {
         self.selections
             .iter()
@@ -86,48 +92,92 @@ impl ScenarioContext {
             .unwrap_or_else(|| panic!("no offline selection prepared for stateCnt {state_cnt}"))
     }
 
-    /// The singleton (full independence) partition over the default
-    /// candidate set.
-    pub fn independent_partition(&self) -> Partition {
-        self.selection()
-            .candidates
-            .iter()
-            .map(|&c| vec![c])
-            .collect()
-    }
-
-    /// Checkpoint positions (x-axis of the figures): every eighth of the
-    /// workload plus the final statement.
-    pub fn checkpoints(&self) -> Vec<usize> {
-        checkpoint_positions(self.bench.len())
-    }
-
-    /// The paper's performance metric at a checkpoint:
-    /// `totWork(OPT, Q_n) / totWork(A, Q_n)` (1.0 means optimal).
-    pub fn ratio_at(&self, run: &RunResult, n: usize) -> f64 {
-        let alg = run.cumulative_at(n);
+    /// The paper's performance metric after `n` statements,
+    /// `totWork(OPT, Q_n) / totWork(A, Q_n)`, given the advisor's
+    /// cumulative work `alg` (1.0 means optimal).
+    pub fn opt_ratio(&self, n: usize, alg: f64) -> f64 {
         if alg <= 0.0 {
             return 1.0;
         }
         self.opt.cumulative_at(n) / alg
     }
 
-    /// Ratio series over the checkpoints.
-    pub fn ratio_series(&self, run: &RunResult) -> Vec<(usize, f64)> {
-        self.checkpoints()
-            .into_iter()
-            .map(|n| (n, self.ratio_at(run, n)))
-            .collect()
+    /// Build the advisor `spec` names over `env`: `&Database` for the
+    /// offline replay, the tenant's `TenantEnv` for a service session.
+    pub(crate) fn build_advisor<E: TuningEnv>(
+        &self,
+        spec: &AdvisorSpec,
+        env: E,
+    ) -> BuiltAdvisor<E> {
+        let candidates = || self.selection().candidates.clone();
+        match spec {
+            AdvisorSpec::WfitFixed { state_cnt } => {
+                BuiltAdvisor::Wfit(Box::new(Wfit::with_fixed_partition(
+                    env,
+                    WfitConfig::with_state_cnt(*state_cnt),
+                    self.selection_for(*state_cnt).partition.clone(),
+                    IndexSet::empty(),
+                )))
+            }
+            AdvisorSpec::WfitIndependent => BuiltAdvisor::Wfit(Box::new(
+                Wfit::with_fixed_partition(
+                    env,
+                    WfitConfig::independent(),
+                    candidates().into_iter().map(|c| vec![c]).collect(),
+                    IndexSet::empty(),
+                )
+                .with_name("WFIT-IND"),
+            )),
+            AdvisorSpec::WfitAuto { config } => {
+                BuiltAdvisor::Wfit(Box::new(Wfit::new(env, config.clone())))
+            }
+            AdvisorSpec::Bc => BuiltAdvisor::Bc(BruchoChaudhuriAdvisor::new(
+                env,
+                candidates(),
+                &IndexSet::empty(),
+            )),
+            AdvisorSpec::Bandit { seed } => BuiltAdvisor::Bandit(Box::new(BanditAdvisor::new(
+                env,
+                candidates(),
+                BanditConfig::with_seed(*seed),
+            ))),
+            AdvisorSpec::NoIndex => BuiltAdvisor::NoIndex(NoIndexAdvisor),
+            AdvisorSpec::AllCandidates => {
+                BuiltAdvisor::All(AllCandidatesAdvisor::new(candidates()))
+            }
+        }
+    }
+}
+
+/// A prepared scenario: the spec and its prepared workload.
+pub struct ScenarioContext {
+    /// The scenario being replayed.
+    pub spec: ScenarioSpec,
+    /// The generated workload, its offline selections and OPT.
+    pub workload: PreparedWorkload,
+}
+
+impl ScenarioContext {
+    /// Generate the workload and run the offline analysis for a spec.
+    pub fn prepare(spec: ScenarioSpec) -> Self {
+        let workload = PreparedWorkload::prepare(spec.benchmark_spec(), &spec.state_cnts_needed());
+        Self { spec, workload }
+    }
+
+    /// Checkpoint positions (x-axis of the figures): every eighth of the
+    /// workload plus the final statement.
+    pub fn checkpoints(&self) -> Vec<usize> {
+        checkpoint_positions(self.workload.statements.len())
     }
 
     /// Resolve a cell's feedback script into a concrete vote stream.
     fn feedback_stream(&self, spec: &FeedbackSpec) -> FeedbackStream {
         match spec {
             FeedbackSpec::None => FeedbackStream::empty(),
-            FeedbackSpec::OptGood => good_feedback_stream(&self.opt),
-            FeedbackSpec::OptBad => good_feedback_stream(&self.opt).mirrored(),
+            FeedbackSpec::OptGood => good_feedback_stream(&self.workload.opt),
+            FeedbackSpec::OptBad => good_feedback_stream(&self.workload.opt).mirrored(),
             FeedbackSpec::Scripted(events) => {
-                let candidates = &self.selection().candidates;
+                let candidates = &self.workload.selection().candidates;
                 let rank_set = |ranks: &[usize]| {
                     IndexSet::from_iter(ranks.iter().filter_map(|&r| candidates.get(r)).copied())
                 };
@@ -146,22 +196,20 @@ impl ScenarioContext {
 
     /// Replay a single cell and collect its metrics.
     pub fn run_cell(&self, cell: &CellSpec) -> CellReport {
-        let mut advisor = self.build_advisor(&cell.advisor);
+        let workload = &self.workload;
+        let mut advisor = workload.build_advisor(&cell.advisor, &*workload.db);
         let options = RunOptions {
-            acceptance: match cell.acceptance {
-                AcceptanceSpec::Immediate => AcceptancePolicy::Immediate,
-                AcceptanceSpec::EveryT(t) => AcceptancePolicy::EveryT(t),
-            },
+            acceptance: cell.acceptance,
             feedback: self.feedback_stream(&cell.feedback),
             initial: IndexSet::empty(),
-            implicit_feedback_on_accept: cell.implicit_feedback_on_accept,
+            implicit_feedback_on_accept: matches!(cell.acceptance, AcceptancePolicy::EveryT(_)),
         };
-        let evaluator = Evaluator::new(&self.bench.db);
+        let evaluator = Evaluator::new(&*workload.db);
         let start = Instant::now();
-        let run = evaluator.run(&mut advisor, &self.bench.statements, &options);
+        let run = evaluator.run(&mut advisor, &workload.statements, &options);
         let wall_time_ms = start.elapsed().as_secs_f64() * 1000.0;
 
-        let n = self.bench.len();
+        let ratio_at = |n: usize| workload.opt_ratio(n, run.cumulative_at(n));
         let transition_cost: f64 = run.outcomes.iter().map(|o| o.transition_cost).sum();
         let transitions = run
             .outcomes
@@ -180,14 +228,18 @@ impl ScenarioContext {
             query_cost: run.total_work - transition_cost,
             transition_cost,
             transitions,
-            opt_ratio: self.ratio_at(&run, n),
-            ratio_series: self.ratio_series(&run),
+            opt_ratio: ratio_at(workload.statements.len()),
+            ratio_series: self
+                .checkpoints()
+                .into_iter()
+                .map(|n| (n, ratio_at(n)))
+                .collect(),
             whatif_calls: advisor.whatif_calls(),
             repartitions: advisor.repartitions(),
             states_tracked: advisor.states_tracked(),
             monitored: advisor.monitored(),
             final_config_size: run.outcomes.last().map_or(0, |o| o.configuration_size),
-            regret: self.opt.regret_of(&cumulative),
+            regret: workload.opt.regret_of(&cumulative),
             safety_fallbacks: advisor.safety_fallbacks(),
             wall_time_ms,
         }
@@ -222,55 +274,17 @@ impl ScenarioContext {
     }
 
     fn assemble(&self, cells: Vec<CellReport>) -> RunReport {
+        let selection = self.workload.selection();
         RunReport {
             scenario: self.spec.name.clone(),
             seed: self.spec.seed,
-            statements: self.bench.len(),
-            candidates: self.selection().candidates.len(),
-            partition_parts: self.selection().partition.len(),
-            opt_total: self.opt.total,
+            statements: self.workload.statements.len(),
+            candidates: selection.candidates.len(),
+            partition_parts: selection.partition.len(),
+            opt_total: self.workload.opt.total,
             checkpoints: self.checkpoints(),
             cells,
             service: None,
-        }
-    }
-
-    fn build_advisor(&self, spec: &AdvisorSpec) -> BuiltAdvisor<'_> {
-        match spec {
-            AdvisorSpec::WfitFixed { state_cnt } => {
-                BuiltAdvisor::Wfit(Box::new(Wfit::with_fixed_partition(
-                    &self.bench.db,
-                    WfitConfig::with_state_cnt(*state_cnt),
-                    self.selection_for(*state_cnt).partition.clone(),
-                    IndexSet::empty(),
-                )))
-            }
-            AdvisorSpec::WfitIndependent => {
-                BuiltAdvisor::Wfit(Box::new(Wfit::with_fixed_partition(
-                    &self.bench.db,
-                    WfitConfig::independent(),
-                    self.independent_partition(),
-                    IndexSet::empty(),
-                )))
-            }
-            AdvisorSpec::WfitAuto { config } => {
-                BuiltAdvisor::Wfit(Box::new(Wfit::new(&self.bench.db, config.clone())))
-            }
-            AdvisorSpec::Bc => BuiltAdvisor::Bc(BruchoChaudhuriAdvisor::new(
-                &self.bench.db,
-                self.selection().candidates.clone(),
-                &IndexSet::empty(),
-            )),
-            AdvisorSpec::Bandit { seed } => BuiltAdvisor::Bandit(Box::new(BanditAdvisor::new(
-                &self.bench.db,
-                self.selection().candidates.clone(),
-                BanditConfig::with_seed(*seed),
-            ))),
-            AdvisorSpec::NoIndex => BuiltAdvisor::NoIndex(NoIndexAdvisor),
-            AdvisorSpec::AllCandidates => BuiltAdvisor::All(
-                AllCandidatesAdvisor::new(self.selection().candidates.clone()),
-                self.selection().candidates.len(),
-            ),
         }
     }
 }
@@ -292,18 +306,39 @@ pub(crate) fn checkpoint_positions(n: usize) -> Vec<usize> {
     points
 }
 
-/// The advisor fleet member built for one cell, with uniform access to the
-/// per-advisor overhead metrics where they exist.  The WFIT state machine is
-/// boxed: it dwarfs the other variants and one allocation per cell is free.
-enum BuiltAdvisor<'e> {
-    Wfit(Box<Wfit<&'e Database>>),
-    Bc(BruchoChaudhuriAdvisor<&'e Database>),
-    Bandit(Box<BanditAdvisor<&'e Database>>),
+/// The advisor built for one cell or service session, generic over its
+/// environment, with uniform access to the per-advisor overhead metrics
+/// where they exist.  The WFIT state machine and the bandit are boxed:
+/// they dwarf the other variants and one allocation per advisor is free.
+pub(crate) enum BuiltAdvisor<E: TuningEnv> {
+    Wfit(Box<Wfit<E>>),
+    Bc(BruchoChaudhuriAdvisor<E>),
+    Bandit(Box<BanditAdvisor<E>>),
     NoIndex(NoIndexAdvisor),
-    All(AllCandidatesAdvisor, usize),
+    All(AllCandidatesAdvisor),
 }
 
-impl BuiltAdvisor<'_> {
+impl<E: TuningEnv> BuiltAdvisor<E> {
+    fn inner(&self) -> &dyn IndexAdvisor {
+        match self {
+            BuiltAdvisor::Wfit(w) => w.as_ref(),
+            BuiltAdvisor::Bc(b) => b,
+            BuiltAdvisor::Bandit(b) => b.as_ref(),
+            BuiltAdvisor::NoIndex(a) => a,
+            BuiltAdvisor::All(a) => a,
+        }
+    }
+
+    fn inner_mut(&mut self) -> &mut dyn IndexAdvisor {
+        match self {
+            BuiltAdvisor::Wfit(w) => w.as_mut(),
+            BuiltAdvisor::Bc(b) => b,
+            BuiltAdvisor::Bandit(b) => b.as_mut(),
+            BuiltAdvisor::NoIndex(a) => a,
+            BuiltAdvisor::All(a) => a,
+        }
+    }
+
     fn whatif_calls(&self) -> u64 {
         match self {
             BuiltAdvisor::Wfit(w) => w.whatif_calls(),
@@ -333,57 +368,30 @@ impl BuiltAdvisor<'_> {
             BuiltAdvisor::Bc(b) => b.candidates().len(),
             BuiltAdvisor::Bandit(b) => b.candidates().len(),
             BuiltAdvisor::NoIndex(_) => 0,
-            BuiltAdvisor::All(_, n) => *n,
+            BuiltAdvisor::All(a) => a.recommend().len(),
         }
     }
 }
 
-impl IndexAdvisor for BuiltAdvisor<'_> {
+impl<E: TuningEnv> IndexAdvisor for BuiltAdvisor<E> {
     fn analyze_query(&mut self, stmt: &Statement) {
-        match self {
-            BuiltAdvisor::Wfit(w) => w.analyze_query(stmt),
-            BuiltAdvisor::Bc(b) => b.analyze_query(stmt),
-            BuiltAdvisor::Bandit(b) => b.analyze_query(stmt),
-            BuiltAdvisor::NoIndex(a) => a.analyze_query(stmt),
-            BuiltAdvisor::All(a, _) => a.analyze_query(stmt),
-        }
+        self.inner_mut().analyze_query(stmt)
     }
 
     fn recommend(&self) -> IndexSet {
-        match self {
-            BuiltAdvisor::Wfit(w) => w.recommend(),
-            BuiltAdvisor::Bc(b) => b.recommend(),
-            BuiltAdvisor::Bandit(b) => b.recommend(),
-            BuiltAdvisor::NoIndex(a) => a.recommend(),
-            BuiltAdvisor::All(a, _) => a.recommend(),
-        }
+        self.inner().recommend()
     }
 
     fn feedback(&mut self, positive: &IndexSet, negative: &IndexSet) {
-        match self {
-            BuiltAdvisor::Wfit(w) => w.feedback(positive, negative),
-            BuiltAdvisor::Bc(b) => b.feedback(positive, negative),
-            BuiltAdvisor::Bandit(b) => b.feedback(positive, negative),
-            BuiltAdvisor::NoIndex(a) => a.feedback(positive, negative),
-            BuiltAdvisor::All(a, _) => a.feedback(positive, negative),
-        }
+        self.inner_mut().feedback(positive, negative)
     }
 
     fn name(&self) -> String {
-        match self {
-            BuiltAdvisor::Wfit(w) => w.name(),
-            BuiltAdvisor::Bc(b) => b.name(),
-            BuiltAdvisor::Bandit(b) => b.name(),
-            BuiltAdvisor::NoIndex(a) => a.name(),
-            BuiltAdvisor::All(a, _) => a.name(),
-        }
+        self.inner().name()
     }
 
     fn safety_fallbacks(&self) -> u64 {
-        match self {
-            BuiltAdvisor::Bandit(b) => IndexAdvisor::safety_fallbacks(b),
-            _ => 0,
-        }
+        self.inner().safety_fallbacks()
     }
 }
 
@@ -451,7 +459,7 @@ mod tests {
             ),
         );
         let ctx = ScenarioContext::prepare(spec);
-        let top = ctx.selection().candidates[0];
+        let top = ctx.workload.selection().candidates[0];
         let stream = ctx.feedback_stream(&ctx.spec.cells[0].feedback);
         let (pos, neg) = stream.at(1).expect("vote scheduled at statement 1");
         assert!(pos.contains(top));
@@ -473,7 +481,7 @@ mod tests {
         let cell = ctx.run_cell(&ctx.spec.cells[0]);
         assert_eq!(cell.label, "LAG 8");
         // Churn is bounded by the number of acceptance points.
-        assert!(cell.transitions <= ctx.bench.len() / 8);
+        assert!(cell.transitions <= ctx.workload.statements.len() / 8);
     }
 
     #[test]
@@ -488,8 +496,9 @@ mod tests {
                 AdvisorSpec::WfitFixed { state_cnt: 500 },
             ));
         let ctx = ScenarioContext::prepare(spec);
-        assert_eq!(ctx.selections.len(), 2);
+        assert_eq!(ctx.workload.selections.len(), 2);
         assert!(ctx
+            .workload
             .selection_for(100)
             .partition
             .iter()

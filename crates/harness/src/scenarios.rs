@@ -7,7 +7,7 @@
 //! `WFIT_PHASE_LEN` environment variable is the job of the bench entry
 //! points (`crates/bench`), never of the harness.
 
-use crate::service_run::{ServiceScenarioSpec, ServiceSessionSpec};
+use crate::service_run::ServiceScenarioSpec;
 use crate::spec::{AdvisorSpec, CellSpec, FeedbackEvent, FeedbackSpec, ScenarioSpec};
 use wfit_core::config::WfitConfig;
 use workload::{Dataset, PhaseSpec};
@@ -342,8 +342,8 @@ pub const SKEW_FACTOR: usize = 8;
 pub fn service_skew_mini() -> ServiceScenarioSpec {
     ServiceScenarioSpec::new("service-skew-mini", 3, 2)
         .with_sessions(vec![
-            ServiceSessionSpec::WfitFixed { state_cnt: 500 },
-            ServiceSessionSpec::Bc,
+            AdvisorSpec::WfitFixed { state_cnt: 500 },
+            AdvisorSpec::Bc,
         ])
         .with_feedback_every(8)
         .with_shared_cache(false)
@@ -377,8 +377,8 @@ pub const OVERLOAD_MINI_OFFERED: usize = 4;
 pub fn service_overload_mini() -> ServiceScenarioSpec {
     ServiceScenarioSpec::new("service-overload-mini", 3, MINI_PHASE_LEN)
         .with_sessions(vec![
-            ServiceSessionSpec::WfitFixed { state_cnt: 500 },
-            ServiceSessionSpec::Bc,
+            AdvisorSpec::WfitFixed { state_cnt: 500 },
+            AdvisorSpec::Bc,
         ])
         .with_feedback_every(6)
         .with_ingress_depths(OVERLOAD_MINI_DEPTH, OVERLOAD_MINI_GLOBAL)
@@ -403,8 +403,8 @@ pub const RESTORE_MINI_CRASH_WAVE: usize = 4;
 pub fn service_restore_mini() -> ServiceScenarioSpec {
     ServiceScenarioSpec::new("service-restore-mini", 2, MINI_PHASE_LEN)
         .with_sessions(vec![
-            ServiceSessionSpec::WfitFixed { state_cnt: 500 },
-            ServiceSessionSpec::Bc,
+            AdvisorSpec::WfitFixed { state_cnt: 500 },
+            AdvisorSpec::Bc,
         ])
         .with_feedback_every(6)
         .with_persist(true)
@@ -517,10 +517,10 @@ mod tests {
         assert_eq!(mini.tenants, 3);
         assert_eq!(mini.sessions.len(), 2);
         assert!(!mini.shared_cache);
-        assert_eq!(mini.resolved_workers(), 4);
+        assert_eq!(mini.workers, 4);
         // The default scenarios stay unskewed, one worker per tenant.
         assert_eq!(service_mini().skew, 1);
-        assert_eq!(service_mini().resolved_workers(), 3);
+        assert_eq!(service_mini().workers, 3);
     }
 
     #[test]

@@ -3,10 +3,13 @@
 //! Where [`crate::runner`] replays one workload against a fleet of advisors
 //! through the offline [`wfit_core::Evaluator`], this module replays *many*
 //! workloads — one per tenant — through the long-running
-//! [`service::TuningService`]: statements and votes are submitted as
-//! [`service::Event`]s interleaved round-robin across tenants, sharded by
-//! tenant id, and drained by the service's scoped worker pool.  The result
-//! is the same structured [`RunReport`], with one cell per
+//! [`service::TuningService`].  Each tenant is a
+//! [`crate::runner::PreparedWorkload`] and its sessions are built by the
+//! same [`AdvisorSpec`] builder the offline cells use.  Statements and votes
+//! are offered as [`service::Event`]s interleaved round-robin across
+//! tenants, in waves: each wave is submitted and then drained by one `poll`
+//! round (see [`run_service_scenario`] for the three wave shapes).  The
+//! result is the same structured [`RunReport`], with one cell per
 //! (tenant × session) and a [`ServiceSummary`] carrying the service-level
 //! metrics (event counts, shared-cache hit rate, throughput, latency).
 //!
@@ -22,46 +25,13 @@
 
 use std::sync::Arc;
 
-use advisors::{compute_optimal, OptSchedule};
-use advisors::{BanditAdvisor, BanditConfig, BruchoChaudhuriAdvisor};
-use service::{Event, IngressConfig, TenantEnv, TenantOptions, TuningService};
+use service::{BatchReport, Event, IngressConfig, TenantOptions, TuningService};
 use simdb::index::IndexSet;
-use wfit_core::candidates::{offline_selection, OfflineSelection};
-use wfit_core::config::WfitConfig;
-use wfit_core::{IndexAdvisor, Wfit};
-use workload::{Benchmark, BenchmarkSpec};
+use workload::BenchmarkSpec;
 
 use crate::report::{CellReport, RunReport, ServiceSummary};
-
-/// Which advisor one session of every tenant runs.
-#[derive(Debug, Clone)]
-pub enum ServiceSessionSpec {
-    /// WFIT with the tenant's fixed offline partition mined for `state_cnt`.
-    WfitFixed {
-        /// `stateCnt` for the offline partition and the advisor.
-        state_cnt: u64,
-    },
-    /// WFIT with every offline candidate in its own part (WFIT-IND).
-    WfitIndependent,
-    /// The Bruno–Chaudhuri baseline over the tenant's offline candidates.
-    Bc,
-    /// The C²UCB bandit over the tenant's offline candidates (safety-gated).
-    Bandit {
-        /// Seed for the deterministic splitmix64 tie-break hash.
-        seed: u64,
-    },
-}
-
-impl ServiceSessionSpec {
-    fn label(&self) -> String {
-        match self {
-            ServiceSessionSpec::WfitFixed { state_cnt } => format!("WFIT-{state_cnt}"),
-            ServiceSessionSpec::WfitIndependent => "WFIT-IND".to_string(),
-            ServiceSessionSpec::Bc => "BC".to_string(),
-            ServiceSessionSpec::Bandit { .. } => "BANDIT".to_string(),
-        }
-    }
-}
+use crate::runner::{checkpoint_positions, PreparedWorkload};
+use crate::spec::{state_cnts_needed, AdvisorSpec};
 
 /// A declarative multi-tenant service scenario: `tenants` independent
 /// workload streams (same phase structure, per-tenant seeds derived from
@@ -77,8 +47,9 @@ pub struct ServiceScenarioSpec {
     pub statements_per_phase: usize,
     /// Base seed; tenant `t` replays seed `mix(seed, t)`.
     pub seed: u64,
-    /// The session fleet instantiated for every tenant.
-    pub sessions: Vec<ServiceSessionSpec>,
+    /// The session fleet instantiated for every tenant; session `s` of
+    /// tenant `t` reports as cell `t{t}/{label}` ([`AdvisorSpec::label`]).
+    pub sessions: Vec<AdvisorSpec>,
     /// `stateCnt` for the offline candidate selection and the OPT oracle.
     pub selection_state_cnt: u64,
     /// Whether tenants get a shared what-if cache (`false` is the control
@@ -92,8 +63,7 @@ pub struct ServiceScenarioSpec {
     /// cache unbounded (the historical behaviour).  Ignored when
     /// `shared_cache` is false.
     pub cache_capacity: usize,
-    /// Worker threads draining the service; 0 (the default) uses one worker
-    /// per tenant — the historical behaviour.
+    /// Worker threads draining the service (default: one per tenant).
     pub workers: usize,
     /// Event-skew multiplier for tenant 0: the "hot" tenant replays
     /// `skew × statements_per_phase` statements per phase while every other
@@ -102,10 +72,9 @@ pub struct ServiceScenarioSpec {
     pub skew: usize,
     /// Per-tenant ingress depth limit (0 = unbounded, the historical
     /// default).  Setting either depth switches the replay into the
-    /// **overload shape**: events are offered in waves through the
-    /// non-blocking admission gate — `offered_multiplier ×` the capacity
-    /// per tenant between drain rounds — so offered load exceeds drain
-    /// capacity and the gate must shed deterministically.
+    /// **overload shape**: each wave offers `offered_multiplier ×` the
+    /// admission capacity per tenant between drain rounds, so offered load
+    /// exceeds drain capacity and the gate must shed deterministically.
     pub per_tenant_depth: usize,
     /// Global ingress budget across all tenants (0 = unbounded).
     pub global_depth: usize,
@@ -114,17 +83,27 @@ pub struct ServiceScenarioSpec {
     /// limit).
     pub offered_multiplier: usize,
     /// Attach durable persistence (snapshot + event WAL in a scratch
-    /// directory, removed when the run finishes).  Switches the replay into
-    /// the **wave shape**: events are submitted in waves of
-    /// [`PERSIST_WAVE`], each wave drained by one `poll` round (= one WAL
-    /// record), with a snapshot every [`PERSIST_SNAPSHOT_EVERY`] waves.
-    /// Only the unbounded shape supports persistence.
+    /// directory, removed when the run finishes).  Events are then offered
+    /// in waves of [`PERSIST_WAVE`], each drained by one `poll` round (= one
+    /// WAL record), with a snapshot every [`PERSIST_SNAPSHOT_EVERY`] waves.
+    ///
+    /// Only the unbounded ingress supports persistence.  Restore replays
+    /// the drained events from the WAL, but it seeds the shed, deferred and
+    /// rejected counts only from the last snapshot, so whatever the
+    /// admission gate counted after that snapshot is lost.  On a 2-tenant
+    /// bounded run (depths 2 and 6, offered at 3×, 9 waves), a kill right
+    /// after a snapshot restores the uninterrupted report, but a kill one
+    /// WAL round past it reports `offered_events` 100 and
+    /// `rejected_submits` 52 against 108 and 60 (every cost cell and cache
+    /// counter still equal).  Lifting the restriction needs each round's
+    /// per-tenant ledger deltas in the WAL.
     pub persist: bool,
     /// Kill-and-restore point for persistent replays: before submitting
-    /// wave `crash_at` the live service is dropped (a clean kill between
-    /// drain rounds) and a freshly assembled host recovers it from the
-    /// snapshot + WAL.  The recovered run must render the same report as an
-    /// uninterrupted one — that equality is what the restore golden pins.
+    /// wave `crash_at` (counted from 0, and below the run's wave count) the
+    /// live service is dropped (a clean kill between drain rounds) and a
+    /// freshly assembled host recovers it from the snapshot + WAL.  The
+    /// recovered run must render the same report as an uninterrupted one —
+    /// that equality is what the restore golden pins.
     pub crash_at: Option<usize>,
 }
 
@@ -138,7 +117,7 @@ pub const PERSIST_SNAPSHOT_EVERY: usize = 3;
 
 impl ServiceScenarioSpec {
     /// A scenario with the default fleet (WFIT-500, WFIT-IND, BC per
-    /// tenant), shared caches and no feedback.
+    /// tenant), shared caches, no feedback and one worker per tenant.
     pub fn new(name: impl Into<String>, tenants: usize, statements_per_phase: usize) -> Self {
         Self {
             name: name.into(),
@@ -146,15 +125,15 @@ impl ServiceScenarioSpec {
             statements_per_phase,
             seed: BenchmarkSpec::default().seed,
             sessions: vec![
-                ServiceSessionSpec::WfitFixed { state_cnt: 500 },
-                ServiceSessionSpec::WfitIndependent,
-                ServiceSessionSpec::Bc,
+                AdvisorSpec::WfitFixed { state_cnt: 500 },
+                AdvisorSpec::WfitIndependent,
+                AdvisorSpec::Bc,
             ],
             selection_state_cnt: 500,
             shared_cache: true,
             feedback_every: 0,
             cache_capacity: 0,
-            workers: 0,
+            workers: tenants,
             skew: 1,
             per_tenant_depth: 0,
             global_depth: 0,
@@ -171,7 +150,7 @@ impl ServiceScenarioSpec {
     }
 
     /// Replace the per-tenant session fleet.
-    pub fn with_sessions(mut self, sessions: Vec<ServiceSessionSpec>) -> Self {
+    pub fn with_sessions(mut self, sessions: Vec<AdvisorSpec>) -> Self {
         self.sessions = sessions;
         self
     }
@@ -186,10 +165,10 @@ impl ServiceScenarioSpec {
     /// the bandit stress tests do.  The tie-break seed is derived from the
     /// scenario's base seed, so the arm is fully reproducible.
     pub fn with_bandit(mut self, enabled: bool) -> Self {
-        let is_bandit = |s: &ServiceSessionSpec| matches!(s, ServiceSessionSpec::Bandit { .. });
+        let is_bandit = |s: &AdvisorSpec| matches!(s, AdvisorSpec::Bandit { .. });
         if enabled {
             if !self.sessions.iter().any(is_bandit) {
-                self.sessions.push(ServiceSessionSpec::Bandit {
+                self.sessions.push(AdvisorSpec::Bandit {
                     seed: self.seed ^ 0xC2CB,
                 });
             }
@@ -212,9 +191,9 @@ impl ServiceScenarioSpec {
         self
     }
 
-    /// Drain with `workers` worker threads (0 = one per tenant).
+    /// Drain with `workers` worker threads (values < 1 are clamped to 1).
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
+        self.workers = workers.max(1);
         self
     }
 
@@ -295,16 +274,6 @@ impl ServiceScenarioSpec {
             .map(|t| self.statements_for_tenant(t))
             .sum()
     }
-
-    /// The worker count the service is built with (0 resolves to one worker
-    /// per tenant).
-    pub fn resolved_workers(&self) -> usize {
-        if self.workers == 0 {
-            self.tenants
-        } else {
-            self.workers
-        }
-    }
 }
 
 /// A unique scratch directory for one persistent replay's snapshot + WAL
@@ -315,114 +284,6 @@ fn persist_scratch_dir(name: &str) -> std::path::PathBuf {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir().join(format!("wfit-harness-{name}-{}-{n}", std::process::id()))
-}
-
-/// One tenant's prepared state: the database (ready to be shared with the
-/// service), the workload statements, the offline selections and the OPT
-/// reference curve.
-struct PreparedTenant {
-    db: Arc<simdb::Database>,
-    statements: Vec<simdb::Statement>,
-    selections: Vec<(u64, OfflineSelection)>,
-    opt: OptSchedule,
-}
-
-impl PreparedTenant {
-    fn prepare(spec: &ServiceScenarioSpec, tenant: usize) -> Self {
-        let bench = Benchmark::generate(BenchmarkSpec {
-            statements_per_phase: spec.statements_per_phase_for(tenant),
-            seed: spec.tenant_seed(tenant),
-            phases: workload::default_phases(),
-        });
-        let mut state_cnts = vec![spec.selection_state_cnt];
-        for session in &spec.sessions {
-            if let ServiceSessionSpec::WfitFixed { state_cnt } = session {
-                if !state_cnts.contains(state_cnt) {
-                    state_cnts.push(*state_cnt);
-                }
-            }
-        }
-        let selections: Vec<(u64, OfflineSelection)> = state_cnts
-            .into_iter()
-            .map(|cnt| {
-                let config = WfitConfig::with_state_cnt(cnt);
-                (
-                    cnt,
-                    offline_selection(&bench.db, &bench.statements, &config),
-                )
-            })
-            .collect();
-        let opt = compute_optimal(
-            &bench.db,
-            &bench.statements,
-            &selections[0].1.partition,
-            &IndexSet::empty(),
-        );
-        // Move the database out of the benchmark: its index registry holds
-        // the candidate ids the selections refer to, so the *same* instance
-        // must back the service tenant.
-        let Benchmark { db, statements, .. } = bench;
-        Self {
-            db: Arc::new(db),
-            statements,
-            selections,
-            opt,
-        }
-    }
-
-    fn selection_for(&self, state_cnt: u64) -> &OfflineSelection {
-        self.selections
-            .iter()
-            .find(|(c, _)| *c == state_cnt)
-            .map(|(_, s)| s)
-            .expect("offline selection prepared for every requested stateCnt")
-    }
-
-    fn default_selection(&self) -> &OfflineSelection {
-        &self.selections[0].1
-    }
-}
-
-fn build_advisor(
-    spec: &ServiceSessionSpec,
-    prepared: &PreparedTenant,
-    env: TenantEnv,
-) -> Box<dyn IndexAdvisor + Send> {
-    match spec {
-        ServiceSessionSpec::WfitFixed { state_cnt } => Box::new(Wfit::with_fixed_partition(
-            env,
-            WfitConfig::with_state_cnt(*state_cnt),
-            prepared.selection_for(*state_cnt).partition.clone(),
-            IndexSet::empty(),
-        )),
-        ServiceSessionSpec::WfitIndependent => {
-            let partition = prepared
-                .default_selection()
-                .candidates
-                .iter()
-                .map(|&c| vec![c])
-                .collect();
-            Box::new(
-                Wfit::with_fixed_partition(
-                    env,
-                    WfitConfig::independent(),
-                    partition,
-                    IndexSet::empty(),
-                )
-                .with_name("WFIT-IND"),
-            )
-        }
-        ServiceSessionSpec::Bc => Box::new(BruchoChaudhuriAdvisor::new(
-            env,
-            prepared.default_selection().candidates.clone(),
-            &IndexSet::empty(),
-        )),
-        ServiceSessionSpec::Bandit { seed } => Box::new(BanditAdvisor::new(
-            env,
-            prepared.default_selection().candidates.clone(),
-            BanditConfig::with_seed(*seed),
-        )),
-    }
 }
 
 /// One entry of a tenant's scheduled replay stream.
@@ -466,12 +327,14 @@ impl ServiceTrace {
 ///
 /// Preparation (workload generation, offline analysis, OPT) runs one thread
 /// per tenant — tenants are fully independent, so this is deterministic —
-/// and the event stream is then pushed through a [`TuningService`], where
-/// every session of a tenant sees each of its events in submission order:
-/// in a single drain for unbounded specs (the historical behaviour), in
-/// logged waves with persistence on (see [`ServiceScenarioSpec::persist`]),
-/// or in overload waves through the admission gate when a depth limit is
-/// set (see [`ServiceScenarioSpec::per_tenant_depth`]).
+/// and the event schedule is then offered to a [`TuningService`] in waves,
+/// each submitted through the admission gate and drained by one `poll`
+/// round, so every session of a tenant sees each of its surviving events in
+/// submission order.  An unbounded in-memory run offers its whole schedule
+/// as one wave; a persistent run offers [`PERSIST_WAVE`] events per wave
+/// (see [`ServiceScenarioSpec::persist`]); a bounded run offers
+/// `offered_multiplier ×` the admission capacity per wave (see
+/// [`ServiceScenarioSpec::per_tenant_depth`]).
 pub fn run_service_scenario(spec: &ServiceScenarioSpec) -> RunReport {
     run_internal(spec, None).0
 }
@@ -513,6 +376,8 @@ fn run_internal(
         replay.is_none() || !spec.is_bounded(),
         "survivor replays run unbounded (they are the control arm)"
     );
+    // Restore cannot rebuild the admission ledger past the last snapshot
+    // (see `ServiceScenarioSpec::persist`).
     assert!(
         !(spec.persist && spec.is_bounded()),
         "persistence is supported only for the unbounded shape"
@@ -523,9 +388,18 @@ fn run_internal(
     );
 
     // Per-tenant offline preparation, in parallel (order restored by index).
-    let prepared: Vec<PreparedTenant> = std::thread::scope(|scope| {
+    let state_cnts = state_cnts_needed(spec.selection_state_cnt, &spec.sessions);
+    let prepared: Vec<PreparedWorkload> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..spec.tenants)
-            .map(|t| scope.spawn(move || PreparedTenant::prepare(spec, t)))
+            .map(|t| {
+                let bench = BenchmarkSpec {
+                    statements_per_phase: spec.statements_per_phase_for(t),
+                    seed: spec.tenant_seed(t),
+                    phases: workload::default_phases(),
+                };
+                let state_cnts = &state_cnts;
+                scope.spawn(move || PreparedWorkload::prepare(bench, state_cnts))
+            })
             .collect();
         handles
             .into_iter()
@@ -540,7 +414,7 @@ fn run_internal(
     // before restoring — the restore contract is "same databases, same
     // builder closures, same registration order".
     let assemble = || {
-        let mut svc = TuningService::with_workers(spec.resolved_workers());
+        let mut svc = TuningService::with_workers(spec.workers);
         if spec.is_bounded() {
             svc = svc.with_ingress(IngressConfig::bounded(
                 spec.per_tenant_depth,
@@ -556,7 +430,9 @@ fn run_internal(
             };
             let id = svc.add_tenant_with(format!("tenant-{t}"), prep.db.clone(), options);
             for session in &spec.sessions {
-                svc.add_session(id, session.label(), |env| build_advisor(session, prep, env));
+                svc.add_session(id, session.label(), |env| {
+                    Box::new(prep.build_advisor(session, env))
+                });
             }
             tenant_ids.push(id);
         }
@@ -614,7 +490,7 @@ fn run_internal(
                 Event::query(tenant_ids[t], Arc::new(prepared[t].statements[pos].clone()))
             }
             ServiceEventKind::Vote => {
-                let candidates = &prepared[t].default_selection().candidates;
+                let candidates = &prepared[t].selection().candidates;
                 let approve = candidates.first().map(|&c| IndexSet::single(c));
                 let reject = candidates.last().filter(|_| candidates.len() > 1);
                 Event::vote(
@@ -628,116 +504,91 @@ fn run_internal(
         }
     };
 
-    let mut survivors: Vec<Vec<ServiceEventKind>> = vec![Vec::new(); spec.tenants];
-    let batch = if spec.is_bounded() {
-        // Overload shape: offer `offered_multiplier ×` the admission
-        // capacity between drain rounds through the non-blocking gate, so
-        // offered load exceeds drain capacity and the gate must shed.  Each
-        // tenant's pending queue is mirrored on this side of the gate: a
-        // query is mirrored when `try_submit` accepts it, and a vote that
-        // bumps the tenant's shed counter displaced the newest queued
-        // query — so the surviving stream falls out of public counters,
-        // with no extra ingress introspection.
+    // Wave size.  The bounded shape offers `offered_multiplier ×` the
+    // admission capacity per wave, so offered load exceeds drain capacity
+    // and the gate must shed; a persistent run logs one WAL record per
+    // wave; an unbounded in-memory run is one wave.
+    let wave_len = if spec.is_bounded() {
         let base = if spec.per_tenant_depth > 0 {
             spec.per_tenant_depth
         } else {
-            spec.global_depth.max(1)
+            spec.global_depth
         };
-        let wave = (spec.offered_multiplier.max(1) * base * spec.tenants).max(1);
-        let mut mirror: Vec<std::collections::VecDeque<ServiceEventKind>> =
-            vec![std::collections::VecDeque::new(); spec.tenants];
-        let mut batch = service::BatchReport::default();
-        let mut drain_and_record =
-            |svc: &mut TuningService,
-             mirror: &mut Vec<std::collections::VecDeque<ServiceEventKind>>| {
-                batch.absorb(svc.poll());
-                for (t, pending) in mirror.iter_mut().enumerate() {
-                    survivors[t].extend(pending.drain(..));
-                }
-            };
-        for chunk in schedule.chunks(wave) {
-            for &(t, kind) in chunk {
-                match kind {
-                    ServiceEventKind::Query(_) => {
-                        if svc.try_submit(make_event(t, kind)).is_admitted() {
-                            mirror[t].push_back(kind);
-                        }
-                    }
-                    ServiceEventKind::Vote => {
-                        let shed_before = svc.tenant_ingress_stats(tenant_ids[t]).shed;
-                        let outcome = svc.try_submit(make_event(t, kind));
-                        debug_assert!(outcome.is_admitted(), "votes are never rejected");
-                        if svc.tenant_ingress_stats(tenant_ids[t]).shed > shed_before {
-                            let victim = mirror[t]
-                                .iter()
-                                .rposition(|k| matches!(k, ServiceEventKind::Query(_)))
-                                .expect("a shed bump means a query was displaced");
-                            mirror[t].remove(victim);
-                        }
-                        mirror[t].push_back(kind);
-                    }
-                }
-            }
-            drain_and_record(&mut svc, &mut mirror);
-        }
-        batch.absorb(svc.process_pending());
-        for (t, pending) in mirror.iter_mut().enumerate() {
-            survivors[t].extend(pending.drain(..));
-        }
-        batch
+        spec.offered_multiplier.max(1) * base * spec.tenants
     } else if spec.persist {
-        // Durable wave shape: every wave is submitted, drained by one poll
-        // round (which appends one WAL record before the events execute),
-        // and every PERSIST_SNAPSHOT_EVERY-th wave ends with a snapshot.
-        // At `crash_at` the live service is dropped between rounds — a
-        // clean kill — and a freshly assembled host recovers from disk; the
-        // replayed rounds are not re-logged, so the WAL-round total (and
-        // every other deterministic metric) is identical to an
-        // uninterrupted run's.
-        let dir = persist_scratch_dir(&spec.name);
+        PERSIST_WAVE
+    } else {
+        schedule.len()
+    }
+    .max(1);
+    let waves = schedule.len().div_ceil(wave_len);
+    if let Some(crash_at) = spec.crash_at {
+        assert!(
+            crash_at < waves,
+            "crash point {crash_at} is past the last of the run's {waves} waves (counted from 0)"
+        );
+    }
+    let dir = spec.persist.then(|| persist_scratch_dir(&spec.name));
+    if let Some(dir) = &dir {
         svc = svc
-            .with_persistence(&dir)
+            .with_persistence(dir)
             .expect("a fresh scratch directory always attaches");
-        let mut batch = service::BatchReport::default();
-        for (wave, chunk) in schedule.chunks(PERSIST_WAVE).enumerate() {
-            if spec.crash_at == Some(wave) {
-                drop(svc);
-                let (fresh, fresh_ids) = assemble();
-                assert_eq!(fresh_ids, tenant_ids, "tenant ids are deterministic");
-                svc = fresh;
-                let report = svc
-                    .restore(&dir)
-                    .expect("restore recovers a cleanly killed service");
-                assert_eq!(report.torn_bytes_discarded, 0, "clean kills tear nothing");
-                assert_eq!(report.wal_rounds, wave as u64);
-            }
-            for &(t, kind) in chunk {
-                svc.submit(make_event(t, kind));
-                survivors[t].push(kind);
-            }
-            batch.absorb(svc.poll());
-            if (wave + 1) % PERSIST_SNAPSHOT_EVERY == 0 {
-                svc.snapshot().expect("snapshot of a quiescent service");
-            }
+    }
+
+    // The one submission-and-drain loop.  Every event is offered through
+    // the non-blocking gate (which admits everything when unbounded), and
+    // `survivors` mirrors each tenant's pending queue on this side of the
+    // gate: a query is kept when `try_submit` admits it, and a vote that
+    // bumps the tenant's shed counter displaced the newest queued query —
+    // one of this wave's, since every wave ends drained — so the surviving
+    // stream falls out of public counters, with no ingress introspection.
+    // At `crash_at` the live service is dropped between rounds — a clean
+    // kill — and a freshly assembled host recovers from disk; the replayed
+    // rounds are not re-logged, so the WAL-round total (and every other
+    // deterministic metric) is identical to an uninterrupted run's.
+    let mut survivors: Vec<Vec<ServiceEventKind>> = vec![Vec::new(); spec.tenants];
+    let mut batch = BatchReport::default();
+    for (wave, chunk) in schedule.chunks(wave_len).enumerate() {
+        if spec.crash_at == Some(wave) {
+            let dir = dir.as_ref().expect("a crash point has persistence");
+            drop(svc);
+            let (fresh, fresh_ids) = assemble();
+            assert_eq!(fresh_ids, tenant_ids, "tenant ids are deterministic");
+            svc = fresh;
+            let report = svc
+                .restore(dir)
+                .expect("restore recovers a cleanly killed service");
+            assert_eq!(report.torn_bytes_discarded, 0, "clean kills tear nothing");
+            assert_eq!(report.wal_rounds, wave as u64);
         }
-        batch.absorb(svc.process_pending());
+        for &(t, kind) in chunk {
+            let shed_before = svc.tenant_ingress_stats(tenant_ids[t]).shed;
+            if !svc.try_submit(make_event(t, kind)).is_admitted() {
+                continue;
+            }
+            if svc.tenant_ingress_stats(tenant_ids[t]).shed > shed_before {
+                let victim = survivors[t]
+                    .iter()
+                    .rposition(|k| matches!(k, ServiceEventKind::Query(_)))
+                    .expect("a shed bump means a query was displaced");
+                survivors[t].remove(victim);
+            }
+            survivors[t].push(kind);
+        }
+        batch.absorb(svc.poll());
+        if spec.persist && (wave + 1) % PERSIST_SNAPSHOT_EVERY == 0 {
+            svc.snapshot().expect("snapshot of a quiescent service");
+        }
+    }
+    batch.absorb(svc.process_pending());
+    if let Some(dir) = &dir {
         assert!(
             svc.persist_fault().is_none(),
             "the WAL must stay healthy through the whole replay: {:?}",
             svc.persist_fault()
         );
-        let _ = std::fs::remove_dir_all(&dir);
-        batch
-    } else {
-        for &(t, kind) in &schedule {
-            svc.submit(make_event(t, kind));
-            survivors[t].push(kind);
-        }
-        let total_events = svc.pending() as u64;
-        let batch = svc.process_pending();
-        assert_eq!(batch.events, total_events);
-        batch
-    };
+        let _ = std::fs::remove_dir_all(dir);
+    }
     let trace = ServiceTrace { survivors };
 
     // Overload accounting must reconcile exactly once the service is
@@ -761,21 +612,14 @@ fn run_internal(
     // its tenant's whole surviving stream.
     let processed: Vec<usize> = (0..spec.tenants).map(|t| trace.queries(t)).collect();
     let min_per_tenant = processed.iter().copied().min().unwrap_or(0);
-    let checkpoints = crate::runner::checkpoint_positions(min_per_tenant);
+    let checkpoints = checkpoint_positions(min_per_tenant);
     let mut cells = Vec::with_capacity(spec.tenants * spec.sessions.len());
     for (t, prep) in prepared.iter().enumerate() {
         for (s, session_spec) in spec.sessions.iter().enumerate() {
             let id = service::SessionId::new(tenant_ids[t], s);
             let stats = svc.session_stats(id);
             let series = svc.cost_series(id);
-            let ratio_at = |n: usize| -> f64 {
-                let alg = if n == 0 { 0.0 } else { series[n - 1] };
-                if alg <= 0.0 {
-                    1.0
-                } else {
-                    prep.opt.cumulative_at(n) / alg
-                }
-            };
+            let ratio_at = |n: usize| prep.opt_ratio(n, if n == 0 { 0.0 } else { series[n - 1] });
             cells.push(CellReport {
                 label: format!("t{t}/{}", session_spec.label()),
                 advisor: svc.session_advisor_name(id),
@@ -788,7 +632,7 @@ fn run_internal(
                 whatif_calls: svc.session_whatif_requests(id),
                 repartitions: 0,
                 states_tracked: 0,
-                monitored: prep.default_selection().candidates.len(),
+                monitored: prep.selection().candidates.len(),
                 final_config_size: stats.configuration_size,
                 regret: prep.opt.regret_of(series),
                 safety_fallbacks: svc.session_safety_fallbacks(id),
@@ -813,12 +657,9 @@ fn run_internal(
         statements: query_events as usize,
         candidates: prepared
             .iter()
-            .map(|p| p.default_selection().candidates.len())
+            .map(|p| p.selection().candidates.len())
             .sum(),
-        partition_parts: prepared
-            .iter()
-            .map(|p| p.default_selection().partition.len())
-            .sum(),
+        partition_parts: prepared.iter().map(|p| p.selection().partition.len()).sum(),
         opt_total: prepared.iter().map(|p| p.opt.total).sum(),
         checkpoints,
         cells,
@@ -832,7 +673,7 @@ fn run_internal(
             cache_hit_rate: cache.hit_rate(),
             cache_evictions: cache.evictions,
             cache_entries: cache.entries,
-            workers: spec.resolved_workers(),
+            workers: spec.workers,
             session_runs: sched.session_runs,
             max_queue_depth: sched.max_queue_depth,
             load_imbalance: sched.max_imbalance,
@@ -1013,6 +854,44 @@ mod tests {
         // the *byte-identical* deterministic report.
         let crashed = run_service_scenario(&tiny("svc-persist").with_crash_at(1));
         assert_eq!(durable.to_json(), crashed.to_json());
+    }
+
+    #[test]
+    #[should_panic(expected = "crash point 3 is past the last of the run's 3 waves")]
+    fn crash_point_past_the_last_wave_panics() {
+        // 32 queries + 4 votes in waves of 16: waves 0, 1 and 2 exist, so a
+        // kill before wave 3 would silently replay an uninterrupted run.
+        run_service_scenario(&tiny("svc-crash-past-end").with_crash_at(3));
+    }
+
+    #[test]
+    fn every_advisor_spec_fields_a_service_session() {
+        // The fleet builder is shared with the offline cells, so a service
+        // tenant can host the advisors only scenarios used to run.
+        let spec = tiny("svc-fleet").with_sessions(vec![
+            AdvisorSpec::WfitAuto {
+                config: wfit_core::config::WfitConfig::default(),
+            },
+            AdvisorSpec::NoIndex,
+            AdvisorSpec::AllCandidates,
+        ]);
+        let report = run_service_scenario(&spec);
+        let labels: Vec<&str> = report.cells.iter().map(|c| c.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "t0/AUTO",
+                "t0/NO-INDEX",
+                "t0/ALL-CAND",
+                "t1/AUTO",
+                "t1/NO-INDEX",
+                "t1/ALL-CAND"
+            ]
+        );
+        let noop = report.cell("t0/NO-INDEX").unwrap();
+        assert_eq!((noop.transitions, noop.final_config_size), (0, 0));
+        assert!(report.cell("t0/ALL-CAND").unwrap().final_config_size > 0);
+        assert_eq!(report.to_json(), run_service_scenario(&spec).to_json());
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! makes golden-run regression testing possible.
 
 use wfit_core::config::WfitConfig;
+use wfit_core::evaluator::AcceptancePolicy;
 use workload::{default_phases, BenchmarkSpec, PhaseSpec};
 
-/// Which advisor a cell runs.
+/// Which advisor a scenario cell or a service session runs.
 #[derive(Debug, Clone)]
 pub enum AdvisorSpec {
     /// WFIT with the fixed offline partition mined for `state_cnt`
@@ -41,6 +42,39 @@ pub enum AdvisorSpec {
     AllCandidates,
 }
 
+impl AdvisorSpec {
+    /// The advisor's short label; a service session's cell is labelled
+    /// `t{tenant}/{label}`.
+    pub fn label(&self) -> String {
+        match self {
+            AdvisorSpec::WfitFixed { state_cnt } => format!("WFIT-{state_cnt}"),
+            AdvisorSpec::WfitIndependent => "WFIT-IND".to_string(),
+            AdvisorSpec::WfitAuto { .. } => "AUTO".to_string(),
+            AdvisorSpec::Bc => "BC".to_string(),
+            AdvisorSpec::Bandit { .. } => "BANDIT".to_string(),
+            AdvisorSpec::NoIndex => "NO-INDEX".to_string(),
+            AdvisorSpec::AllCandidates => "ALL-CAND".to_string(),
+        }
+    }
+}
+
+/// Every distinct `stateCnt` a fleet needs an offline selection for:
+/// `default` first, then the `WfitFixed` overrides in fleet order.
+pub(crate) fn state_cnts_needed<'a>(
+    default: u64,
+    fleet: impl IntoIterator<Item = &'a AdvisorSpec>,
+) -> Vec<u64> {
+    let mut cnts = vec![default];
+    for advisor in fleet {
+        if let AdvisorSpec::WfitFixed { state_cnt } = *advisor {
+            if !cnts.contains(&state_cnt) {
+                cnts.push(state_cnt);
+            }
+        }
+    }
+    cnts
+}
+
 /// A scripted DBA-feedback event, declarative over the offline candidate
 /// *ranks* (position in the offline `topIndices` ordering) so that specs do
 /// not depend on the numeric `IndexId`s a particular run happens to intern.
@@ -69,16 +103,6 @@ pub enum FeedbackSpec {
     Scripted(Vec<FeedbackEvent>),
 }
 
-/// How often the DBA adopts the recommendation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AcceptanceSpec {
-    /// After every statement (Figures 8–10, 12).
-    #[default]
-    Immediate,
-    /// Only every `T` statements (Figure 11's `LAG T`).
-    EveryT(usize),
-}
-
 /// One (advisor × options) cell of a scenario.
 #[derive(Debug, Clone)]
 pub struct CellSpec {
@@ -88,12 +112,11 @@ pub struct CellSpec {
     pub advisor: AdvisorSpec,
     /// Scheduled DBA feedback.
     pub feedback: FeedbackSpec,
-    /// Acceptance policy.
-    pub acceptance: AcceptanceSpec,
-    /// Whether adopting a recommendation also delivers implicit votes for the
-    /// created/dropped indices (the lease-renewal reading of delayed
-    /// acceptance, used by Figure 11).
-    pub implicit_feedback_on_accept: bool,
+    /// Acceptance policy.  A lagged policy ([`AcceptancePolicy::EveryT`])
+    /// also delivers implicit votes for the created/dropped indices on every
+    /// adoption (the lease-renewal reading of delayed acceptance, used by
+    /// Figure 11).
+    pub acceptance: AcceptancePolicy,
 }
 
 impl CellSpec {
@@ -103,8 +126,7 @@ impl CellSpec {
             label: label.into(),
             advisor,
             feedback: FeedbackSpec::None,
-            acceptance: AcceptanceSpec::Immediate,
-            implicit_feedback_on_accept: false,
+            acceptance: AcceptancePolicy::Immediate,
         }
     }
 
@@ -114,16 +136,14 @@ impl CellSpec {
         self
     }
 
-    /// Set the acceptance policy (with implicit feedback on accept when
-    /// lagged, matching the paper's Figure 11 setup).
+    /// Adopt the recommendation every `lag` statements (a lag of 0 or 1 is
+    /// immediate adoption), matching the paper's Figure 11 setup.
     pub fn with_lag(mut self, lag: usize) -> Self {
-        if lag <= 1 {
-            self.acceptance = AcceptanceSpec::Immediate;
-            self.implicit_feedback_on_accept = false;
+        self.acceptance = if lag <= 1 {
+            AcceptancePolicy::Immediate
         } else {
-            self.acceptance = AcceptanceSpec::EveryT(lag);
-            self.implicit_feedback_on_accept = true;
-        }
+            AcceptancePolicy::EveryT(lag)
+        };
         self
     }
 }
@@ -199,15 +219,10 @@ impl ScenarioSpec {
     /// Every distinct `stateCnt` that needs an offline selection: the
     /// scenario default plus any `WfitFixed` overrides.
     pub fn state_cnts_needed(&self) -> Vec<u64> {
-        let mut cnts = vec![self.selection_state_cnt];
-        for cell in &self.cells {
-            if let AdvisorSpec::WfitFixed { state_cnt } = cell.advisor {
-                if !cnts.contains(&state_cnt) {
-                    cnts.push(state_cnt);
-                }
-            }
-        }
-        cnts
+        state_cnts_needed(
+            self.selection_state_cnt,
+            self.cells.iter().map(|c| &c.advisor),
+        )
     }
 }
 
@@ -231,16 +246,14 @@ mod tests {
         assert_eq!(spec.cells.len(), 2);
         assert_eq!(spec.seed, 7);
         assert_eq!(spec.total_statements(), 40);
-        assert_eq!(spec.cells[1].acceptance, AcceptanceSpec::EveryT(10));
-        assert!(spec.cells[1].implicit_feedback_on_accept);
+        assert_eq!(spec.cells[1].acceptance, AcceptancePolicy::EveryT(10));
         assert!(matches!(spec.cells[1].feedback, FeedbackSpec::OptGood));
     }
 
     #[test]
     fn lag_of_one_is_immediate() {
         let cell = CellSpec::new("x", AdvisorSpec::NoIndex).with_lag(1);
-        assert_eq!(cell.acceptance, AcceptanceSpec::Immediate);
-        assert!(!cell.implicit_feedback_on_accept);
+        assert_eq!(cell.acceptance, AcceptancePolicy::Immediate);
     }
 
     #[test]

@@ -494,7 +494,7 @@ fn service_restore_mini_matches_golden() {
 fn worker_count_never_changes_service_goldens() {
     for spec in [scenarios::service_mini(), scenarios::service_evict_mini()] {
         let golden = run_service_scenario(&spec).to_json();
-        let echo = format!("\"workers\": {}", spec.resolved_workers());
+        let echo = format!("\"workers\": {}", spec.workers);
         for workers in [1, 4] {
             let run = run_service_scenario(&spec.clone().with_workers(workers));
             assert_eq!(
