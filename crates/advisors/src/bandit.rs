@@ -178,12 +178,6 @@ impl<E: TuningEnv> BanditAdvisor<E> {
         self.statements
     }
 
-    /// Cumulative number of what-if optimizer calls issued through the IBGs
-    /// built during analysis (fresh builds only, exactly like WFIT and BC).
-    pub fn whatif_calls(&self) -> u64 {
-        self.whatif_calls
-    }
-
     /// The arm pool (candidates plus any pinned outsiders), sorted by id.
     pub fn candidates(&self) -> &[IndexId] {
         &self.arms
@@ -436,6 +430,16 @@ impl<E: TuningEnv> IndexAdvisor for BanditAdvisor<E> {
 
     fn safety_fallbacks(&self) -> u64 {
         self.safety_fallbacks
+    }
+
+    /// Cumulative what-if optimizer calls issued through the IBGs built
+    /// during analysis, exactly like WFIT and BC.
+    fn whatif_calls(&self) -> u64 {
+        self.whatif_calls
+    }
+
+    fn monitored_count(&self) -> usize {
+        self.arms.len()
     }
 }
 

@@ -74,12 +74,6 @@ impl<E: TuningEnv> BruchoChaudhuriAdvisor<E> {
         self.statements
     }
 
-    /// Cumulative number of what-if optimizer calls issued through the IBGs
-    /// built during analysis.
-    pub fn whatif_calls(&self) -> u64 {
-        self.whatif_calls
-    }
-
     /// The candidate set this advisor selects from.
     pub fn candidates(&self) -> &[IndexId] {
         &self.candidates
@@ -138,6 +132,16 @@ impl<E: TuningEnv> IndexAdvisor for BruchoChaudhuriAdvisor<E> {
 
     fn name(&self) -> String {
         "BC".to_string()
+    }
+
+    /// Cumulative what-if optimizer calls issued through the IBGs built
+    /// during analysis.
+    fn whatif_calls(&self) -> u64 {
+        self.whatif_calls
+    }
+
+    fn monitored_count(&self) -> usize {
+        self.candidates.len()
     }
 }
 

@@ -47,6 +47,10 @@ impl IndexAdvisor for AllCandidatesAdvisor {
     fn name(&self) -> String {
         "ALL-CANDIDATES".to_string()
     }
+
+    fn monitored_count(&self) -> usize {
+        self.candidates.len()
+    }
 }
 
 #[cfg(test)]

@@ -33,6 +33,29 @@ pub trait IndexAdvisor {
     fn safety_fallbacks(&self) -> u64 {
         0
     }
+
+    /// What-if optimizer calls the advisor has issued (0 for advisors that
+    /// never ask the optimizer).
+    fn whatif_calls(&self) -> u64 {
+        0
+    }
+
+    /// Number of times the stable partition was rebuilt (WFIT's automatic
+    /// mode; 0 elsewhere).
+    fn repartitions(&self) -> u64 {
+        0
+    }
+
+    /// Configurations the work function tracks, `Σ_k 2^|C_k|` (WFIT only;
+    /// 0 elsewhere).
+    fn states_tracked(&self) -> u64 {
+        0
+    }
+
+    /// Number of indices the advisor monitors: its candidate set.
+    fn monitored_count(&self) -> usize {
+        0
+    }
 }
 
 /// Boxed advisors forward to their contents, so heterogeneous fleets (e.g.
@@ -57,6 +80,22 @@ impl<A: IndexAdvisor + ?Sized> IndexAdvisor for Box<A> {
 
     fn safety_fallbacks(&self) -> u64 {
         (**self).safety_fallbacks()
+    }
+
+    fn whatif_calls(&self) -> u64 {
+        (**self).whatif_calls()
+    }
+
+    fn repartitions(&self) -> u64 {
+        (**self).repartitions()
+    }
+
+    fn states_tracked(&self) -> u64 {
+        (**self).states_tracked()
+    }
+
+    fn monitored_count(&self) -> usize {
+        (**self).monitored_count()
     }
 }
 

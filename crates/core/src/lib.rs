@@ -16,12 +16,13 @@
 //!   stable partition (Section 4.2, Theorem 4.2) that Figures 8–11 run;
 //! * [`candidates`] — the candidate/partition selection machinery shared by
 //!   WFIT and the offline fixed-partition setup used by the experiments;
-//! * [`evaluator`] — the `totWork` metric, DBA acceptance models (immediate
-//!   and lagged) and feedback streams, used by every experiment in Section 6;
-//! * [`session`] — the online [`session::TuningSession`] API: the
-//!   event-driven submit-query / vote / read-recommendation interface a
-//!   long-lived tuning service speaks, with the same `totWork` accounting as
-//!   the offline evaluator;
+//! * [`evaluator`] — the inputs of the `totWork` metric: DBA acceptance
+//!   models (immediate and lagged) and scheduled feedback streams, plus the
+//!   fixed-schedule scorer that OPT and the tests use as a reference;
+//! * [`session`] — [`session::TuningSession`], the one loop that adopts
+//!   recommendations and adds up `totWork`: the event-driven submit-query /
+//!   vote / read-recommendation interface a long-lived tuning service
+//!   speaks, and the offline replay every experiment of Section 6 runs;
 //! * [`mod@env`] — the `TuningEnv` abstraction of the DBMS services the paper
 //!   requires (what-if optimization, candidate extraction, transition costs),
 //!   implemented by [`simdb::Database`] and by an in-memory [`env::MockEnv`]
@@ -71,7 +72,7 @@ pub mod wfit;
 pub use advisor::IndexAdvisor;
 pub use config::WfitConfig;
 pub use env::{MockEnv, SharedIbg, TuningEnv};
-pub use evaluator::{Evaluator, RunOptions, RunResult};
+pub use evaluator::{AcceptancePolicy, FeedbackStream};
 pub use session::{QueryOutcome, SessionStats, TuningSession};
 pub use wfa::WfaInstance;
 pub use wfit::Wfit;

@@ -1,16 +1,16 @@
-//! The online [`TuningSession`] API: the event-driven interface a long-lived
-//! tuning *service* speaks, decoupled from the offline
-//! [`Evaluator`](crate::evaluator::Evaluator) driver.
+//! The [`TuningSession`]: the one loop that drives an advisor and adds up
+//! `totWork`, for a long-lived tuning service and for the paper's offline
+//! experiments alike.
 //!
-//! The evaluator replays a complete, known workload and scores it; a session
-//! knows nothing about the future.  Callers push one event at a time —
-//! [`TuningSession::submit_query`] for a workload statement,
-//! [`TuningSession::vote`] for DBA feedback — and read the advisor's current
-//! recommendation back.  The session owns the full semi-automatic loop state:
-//! the advisor, the configuration actually materialized so far, the adoption
-//! policy, and the running `totWork` accounting (query cost + transition
-//! cost), so a service can host thousands of such sessions without any
-//! replay-harness scaffolding.
+//! A service pushes one event at a time — [`TuningSession::submit_query`]
+//! for a workload statement, [`TuningSession::vote`] for DBA feedback — and
+//! reads the advisor's current recommendation back; an experiment hands the
+//! session a whole known workload and a scheduled [`FeedbackStream`] through
+//! [`TuningSession::replay`].  The session owns the full semi-automatic loop
+//! state: the advisor, the configuration actually materialized so far, the
+//! adoption policy, and the running `totWork` accounting (query cost +
+//! transition cost, see [`crate::evaluator`]), so a service can host
+//! thousands of such sessions without any replay-harness scaffolding.
 //!
 //! Sessions own their environment by value.  Pass `&db` for a short-lived
 //! session that borrows a database, or an `Arc`-backed environment for a
@@ -19,7 +19,7 @@
 
 use crate::advisor::IndexAdvisor;
 use crate::env::TuningEnv;
-use crate::evaluator::AcceptancePolicy;
+use crate::evaluator::{AcceptancePolicy, FeedbackStream};
 use simdb::index::IndexSet;
 use simdb::query::Statement;
 
@@ -97,7 +97,10 @@ impl<E: TuningEnv, A: IndexAdvisor> TuningSession<E, A> {
     }
 
     /// Set the adoption policy (immediate, or only every `T` statements —
-    /// the `LAG T` DBA of the paper's Figure 11).
+    /// the `LAG T` DBA of the paper's Figure 11).  Every adoption under
+    /// [`AcceptancePolicy::EveryT`] that changes the configuration also
+    /// sends implicit feedback: the indices it creates are voted up and the
+    /// ones it drops voted down, as a DBA renewing the advisor's lease.
     pub fn with_policy(mut self, policy: AcceptancePolicy) -> Self {
         self.policy = policy;
         self
@@ -106,11 +109,41 @@ impl<E: TuningEnv, A: IndexAdvisor> TuningSession<E, A> {
     /// Submit the next workload statement: the advisor analyzes it, the
     /// session adopts the recommendation if the policy says so (paying the
     /// transition cost), and the statement is charged under the materialized
-    /// configuration.
+    /// configuration.  A [`TuningSession::vote`] after this call first shows
+    /// in the configuration the *next* statement is charged under.
     pub fn submit_query(&mut self, stmt: &Statement) -> QueryOutcome {
+        self.step(stmt, None)
+    }
+
+    /// Replay a whole known workload, one [`QueryOutcome`] per statement.
+    /// The votes `feedback` schedules at statement `n` arrive right after
+    /// `q_n` is analyzed and before the recommendation is read, so they
+    /// already shape the configuration `q_n` is charged under — the `S_n`
+    /// of the paper's `totWork`.  Positions count the session's statements
+    /// from 1, so a fresh session's positions are the workload's.
+    pub fn replay(
+        &mut self,
+        workload: &[Statement],
+        feedback: &FeedbackStream,
+    ) -> Vec<QueryOutcome> {
+        workload
+            .iter()
+            .map(|stmt| {
+                let votes = feedback.at(self.stats.queries as usize + 1);
+                self.step(stmt, votes)
+            })
+            .collect()
+    }
+
+    /// One turn of the loop: analyze, deliver the votes scheduled with the
+    /// statement, adopt if the policy says so, charge the statement.
+    fn step(&mut self, stmt: &Statement, votes: Option<&(IndexSet, IndexSet)>) -> QueryOutcome {
         self.stats.queries += 1;
         let position = self.stats.queries;
         self.advisor.analyze_query(stmt);
+        if let Some((positive, negative)) = votes {
+            self.vote(positive, negative);
+        }
 
         let adopt = match self.policy {
             AcceptancePolicy::Immediate => true,
@@ -123,6 +156,12 @@ impl<E: TuningEnv, A: IndexAdvisor> TuningSession<E, A> {
                 transition = self
                     .env
                     .transition_cost(&self.materialized, &recommendation);
+                if matches!(self.policy, AcceptancePolicy::EveryT(_)) {
+                    self.advisor.feedback(
+                        &recommendation.difference(&self.materialized),
+                        &self.materialized.difference(&recommendation),
+                    );
+                }
                 self.materialized = recommendation;
                 self.stats.transitions += 1;
             }
@@ -171,19 +210,8 @@ impl<E: TuningEnv, A: IndexAdvisor> TuningSession<E, A> {
         &self.cost_series
     }
 
-    /// The advisor's display name.
-    pub fn advisor_name(&self) -> String {
-        self.advisor.name()
-    }
-
-    /// Safety-gate fallbacks reported by the advisor (0 for advisors without
-    /// a gate).
-    pub fn safety_fallbacks(&self) -> u64 {
-        self.advisor.safety_fallbacks()
-    }
-
-    /// Access the advisor (e.g. to read algorithm-specific overhead counters
-    /// such as [`crate::wfit::Wfit::whatif_calls`]).
+    /// Access the advisor: its name and its overhead counters
+    /// ([`IndexAdvisor::whatif_calls`], [`IndexAdvisor::states_tracked`], …).
     pub fn advisor(&self) -> &A {
         &self.advisor
     }
@@ -206,6 +234,35 @@ mod tests {
         (Arc::new(env), q, a)
     }
 
+    /// Forwards to an inner advisor and logs every feedback call with the
+    /// number of statements analyzed when it arrived.
+    struct Recording<A> {
+        inner: A,
+        analyzed: usize,
+        feedback: Vec<(usize, IndexSet, IndexSet)>,
+    }
+
+    impl<A: IndexAdvisor> IndexAdvisor for Recording<A> {
+        fn analyze_query(&mut self, stmt: &Statement) {
+            self.analyzed += 1;
+            self.inner.analyze_query(stmt);
+        }
+
+        fn recommend(&self) -> IndexSet {
+            self.inner.recommend()
+        }
+
+        fn feedback(&mut self, positive: &IndexSet, negative: &IndexSet) {
+            self.feedback
+                .push((self.analyzed, positive.clone(), negative.clone()));
+            self.inner.feedback(positive, negative);
+        }
+
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+    }
+
     #[test]
     fn session_owns_arc_env_and_tracks_total_work() {
         let (env, q, a) = scripted();
@@ -217,8 +274,8 @@ mod tests {
         }
         let stats = session.stats();
         assert_eq!(stats.queries, 20);
-        // The index is created exactly once, and the accounting matches the
-        // Evaluator's convention (create cost 30, then 5 per query).
+        // The index is created exactly once (create cost 30, then 5 per
+        // query).
         assert_eq!(stats.transitions, 1);
         assert!((stats.transition_cost - 30.0).abs() < 1e-9);
         assert!(stats.total_work < 1000.0);
@@ -233,31 +290,56 @@ mod tests {
     }
 
     #[test]
-    fn session_matches_evaluator_accounting() {
-        use crate::evaluator::{Evaluator, RunOptions};
-        let (env, q, a) = scripted();
-        let workload = vec![q.clone(); 12];
+    fn scheduled_votes_shape_their_statement_and_online_votes_the_next() {
+        // Index `a` saves 5 per statement but costs 30 to create, so WFIT
+        // does not build it within three statements on its own: only the
+        // positive vote does.
+        let env = MockEnv::new(30.0, 0.0);
+        let a = IndexId(0);
+        let q = mock_statement(1);
+        env.set_cost(&q, &IndexSet::empty(), 50.0);
+        env.set_cost(&q, &IndexSet::single(a), 45.0);
+        let workload = vec![q.clone(); 3];
 
-        let mut offline_adv = fixed_wfit(env.clone(), vec![vec![a]]);
-        let offline =
-            Evaluator::new(env.clone()).run(&mut offline_adv, &workload, &RunOptions::default());
+        // A vote scheduled at statement 2 is delivered after q2 is analyzed
+        // and before adoption, so q2 is already charged under {a}.
+        let mut stream = FeedbackStream::empty();
+        stream.add(2, IndexSet::single(a), IndexSet::empty());
+        let mut scheduled = TuningSession::new(&env, fixed_wfit(&env, vec![vec![a]]));
+        let outcomes = scheduled.replay(&workload, &stream);
+        let sizes: Vec<usize> = outcomes.iter().map(|o| o.configuration_size).collect();
+        assert_eq!(sizes, [0, 1, 1]);
+        assert_eq!(outcomes[1].transition_cost, 30.0);
+        assert_eq!(outcomes[1].query_cost, 45.0);
+        assert_eq!(scheduled.stats().votes, 1);
 
-        let advisor = fixed_wfit(env.clone(), vec![vec![a]]);
-        let mut session = TuningSession::new(env, advisor);
-        for stmt in &workload {
-            session.submit_query(stmt);
-        }
-        assert!((session.stats().total_work - offline.total_work).abs() < 1e-9);
-        for (i, o) in offline.outcomes.iter().enumerate() {
-            assert!((session.cost_series()[i] - o.cumulative_total_work).abs() < 1e-9);
-        }
+        // The same vote cast online after submit_query(q2) finds q2 already
+        // charged: it first shows at q3.
+        let mut online = TuningSession::new(&env, fixed_wfit(&env, vec![vec![a]]));
+        let mut sizes = vec![
+            online.submit_query(&q).configuration_size,
+            online.submit_query(&q).configuration_size,
+        ];
+        online.vote(&IndexSet::single(a), &IndexSet::empty());
+        let third = online.submit_query(&q);
+        sizes.push(third.configuration_size);
+        assert_eq!(sizes, [0, 0, 1]);
+        assert_eq!(third.transition_cost, 30.0);
+        // One statement later costs exactly q2's saving.
+        let gap = online.stats().total_work - scheduled.stats().total_work;
+        assert_eq!(gap, 5.0);
     }
 
     #[test]
     fn lagged_policy_adopts_only_at_lag_points() {
         let (env, q, a) = scripted();
-        let advisor = fixed_wfit(env.clone(), vec![vec![a]]);
-        let mut session = TuningSession::new(env, advisor).with_policy(AcceptancePolicy::EveryT(5));
+        let recording = |env: Arc<MockEnv>| Recording {
+            inner: fixed_wfit(env, vec![vec![a]]),
+            analyzed: 0,
+            feedback: Vec::new(),
+        };
+        let mut session = TuningSession::new(env.clone(), recording(env.clone()))
+            .with_policy(AcceptancePolicy::EveryT(5));
         for i in 1..=10u64 {
             let outcome = session.submit_query(&q);
             assert_eq!(outcome.adopted, i % 5 == 0);
@@ -266,6 +348,23 @@ mod tests {
             }
         }
         assert_eq!(session.stats().transitions, 1);
+        // The one adoption that created `a` voted it up, at a lag point;
+        // implicit feedback is not a DBA vote event.
+        let sent = &session.advisor().feedback;
+        assert_eq!(sent.len(), 1);
+        let (at, positive, negative) = &sent[0];
+        assert_eq!(at % 5, 0);
+        assert_eq!(
+            (positive, negative),
+            (&IndexSet::single(a), &IndexSet::empty())
+        );
+        assert_eq!(session.stats().votes, 0);
+
+        // Immediate adoption sends no implicit feedback.
+        let mut immediate = TuningSession::new(env.clone(), recording(env));
+        immediate.replay(&vec![q; 10], &FeedbackStream::empty());
+        assert_eq!(immediate.stats().transitions, 1);
+        assert!(immediate.advisor().feedback.is_empty());
     }
 
     #[test]
@@ -291,7 +390,13 @@ mod tests {
         let mut session = TuningSession::new(env, advisor).with_initial(IndexSet::single(a));
         assert_eq!(session.stats().configuration_size, 1);
         session.submit_query(&q);
-        assert_eq!(session.advisor_name(), "WFIT-fixed");
-        assert!(session.advisor().recommend().contains(a));
+        // The box forwards the name and every overhead counter.
+        let advisor = session.advisor();
+        assert_eq!(advisor.name(), "WFIT-fixed");
+        assert!(advisor.recommend().contains(a));
+        assert!(advisor.whatif_calls() > 0);
+        assert_eq!(advisor.states_tracked(), 2);
+        assert_eq!(advisor.monitored_count(), 1);
+        assert_eq!(advisor.repartitions(), 0);
     }
 }

@@ -140,21 +140,6 @@ impl<E: TuningEnv> Wfit<E> {
         &self.partition
     }
 
-    /// Total number of configurations currently tracked (`Σ_k 2^|C_k|`).
-    pub fn state_count(&self) -> u64 {
-        self.parts.iter().map(|p| p.state_count() as u64).sum()
-    }
-
-    /// Number of times `repartition` changed the stable partition.
-    pub fn repartition_count(&self) -> u64 {
-        self.repartitions
-    }
-
-    /// Cumulative number of what-if optimizer calls issued through the IBG.
-    pub fn whatif_calls(&self) -> u64 {
-        self.whatif_calls
-    }
-
     /// Number of analyzed statements.
     pub fn statements_analyzed(&self) -> u64 {
         self.statements
@@ -377,6 +362,24 @@ impl<E: TuningEnv> IndexAdvisor for Wfit<E> {
     fn name(&self) -> String {
         self.name.clone()
     }
+
+    /// Cumulative what-if optimizer calls issued through the IBG.
+    fn whatif_calls(&self) -> u64 {
+        self.whatif_calls
+    }
+
+    /// Number of times `repartition` changed the stable partition.
+    fn repartitions(&self) -> u64 {
+        self.repartitions
+    }
+
+    fn states_tracked(&self) -> u64 {
+        self.parts.iter().map(|p| p.state_count() as u64).sum()
+    }
+
+    fn monitored_count(&self) -> usize {
+        self.monitored().len()
+    }
 }
 
 #[cfg(test)]
@@ -558,7 +561,7 @@ mod tests {
             wfit.analyze_query(&qs[0]);
             wfit.analyze_query(&qs[1]);
         }
-        assert_eq!(wfit.repartition_count(), 0);
+        assert_eq!(wfit.repartitions(), 0);
         assert_eq!(wfit.partition().len(), 2);
         assert!(wfit.recommend().contains(a));
         assert!(wfit.recommend().contains(b));
@@ -569,11 +572,11 @@ mod tests {
         let (env, _qs, a, b) = scripted_env();
         // Empty parts are dropped.
         let wfit = fixed_wfit(&env, vec![vec![], vec![a, b], vec![]]);
-        assert_eq!(wfit.state_count(), 4);
+        assert_eq!(wfit.states_tracked(), 4);
         assert_eq!(wfit.partition().len(), 1);
         let wfit2 = fixed_wfit(&env, vec![vec![a], vec![b]]);
-        assert_eq!(wfit2.state_count(), 4); // 2 + 2
-        assert_eq!(wfit2.monitored().len(), 2);
+        assert_eq!(wfit2.states_tracked(), 4); // 2 + 2
+        assert_eq!(wfit2.monitored_count(), 2);
     }
 
     #[test]

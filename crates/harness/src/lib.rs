@@ -17,12 +17,13 @@
 //! * **Deterministic replay.** All id-interning and offline analysis happens
 //!   single-threaded in [`PreparedWorkload::prepare`]; the independent
 //!   (advisor × options) cells then run in parallel with
-//!   `std::thread::scope`, each owning its advisor and RNG, so thread
-//!   interleaving never changes a reported metric.  Identical specs render
-//!   byte-identical [`RunReport::to_json`] output.
+//!   `std::thread::scope`, each a [`wfit_core::TuningSession`] owning its
+//!   advisor and RNG, so thread interleaving never changes a reported
+//!   metric.  Identical specs render byte-identical [`RunReport::to_json`]
+//!   output.
 //! * **Offline-friendly JSON.** The vendored `serde` stub cannot serialize,
-//!   so the [`json`] module provides a small deterministic writer/parser and
-//!   a tolerance-aware diff for golden files.
+//!   so reports render through [`wfit_core::json`]: a small deterministic
+//!   writer/parser and a tolerance-aware diff for golden files.
 //!
 //! The canonical scenarios (the paper's Figures 8–12, overhead, ablations,
 //! and the miniature golden variants) live in [`scenarios`].  Multi-tenant
@@ -31,20 +32,20 @@
 //! in [`service_run`] and report through the same [`RunReport`] (plus a
 //! [`report::ServiceSummary`] block).  Both share one path from spec to
 //! report: the session fleet is the same [`AdvisorSpec`] list the cells
-//! use, every tenant is a [`PreparedWorkload`], and one builder constructs
-//! every advisor, so an advisor reports the same name in both.
+//! use, every tenant is a [`PreparedWorkload`], one builder constructs
+//! every advisor, and one function reports every cell from its
+//! `TuningSession`, so an advisor reports the same name and counters in
+//! both.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod json;
 pub mod report;
 pub mod runner;
 pub mod scenarios;
 pub mod service_run;
 pub mod spec;
 
-pub use json::Json;
 pub use report::{CellReport, RunReport, ServiceSummary};
 pub use runner::{run_scenario, PreparedWorkload, ScenarioContext};
 pub use service_run::{

@@ -9,7 +9,7 @@
 //! [`RunReport::to_json_with_timing`] when wall-clock numbers are wanted,
 //! e.g. for CI artifacts).
 
-use crate::json::{diff_with_tolerance, Json};
+use wfit_core::json::{diff_with_tolerance, Json};
 
 /// Metrics of one (advisor × options) cell.
 #[derive(Debug, Clone)]
@@ -31,8 +31,10 @@ pub struct CellReport {
     pub opt_ratio: f64,
     /// The ratio at each checkpoint (the x/y series of the figures).
     pub ratio_series: Vec<(usize, f64)>,
-    /// What-if optimizer calls issued by the advisor (0 where the advisor
-    /// does not track them).
+    /// What-if optimizer calls: the advisor's own count offline (0 where
+    /// the advisor asks no optimizer), every request through the session's
+    /// environment in a service cell (the advisor's plus the session's
+    /// charging of each statement).
     pub whatif_calls: u64,
     /// Number of stable-partition rebuilds (WFIT AUTO only).
     pub repartitions: u64,

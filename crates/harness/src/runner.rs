@@ -5,13 +5,16 @@
 //! candidate selection for every `stateCnt` a fleet needs (which interns
 //! every candidate `IndexId` in workload order, fixing the id space for the
 //! rest of the run) and compute the OPT oracle.  The offline replay and
-//! every service tenant ([`crate::service_run`]) prepare through it, and
-//! both build their advisors through one builder,
-//! `PreparedWorkload::build_advisor`: over `&Database` here, boxed over
-//! `TenantEnv` as a service session.
+//! every service tenant ([`crate::service_run`]) prepare through it, build
+//! their boxed advisors through one builder,
+//! `PreparedWorkload::build_advisor` (over `&Database` here, over
+//! `TenantEnv` as a service session), and report every cell through one
+//! function over the cell's [`TuningSession`],
+//! `PreparedWorkload::cell_report`.
 //! [`ScenarioContext::run`] then replays the independent (advisor × options)
-//! cells in parallel with `std::thread::scope`; every cell owns its advisor
-//! and RNG state, so thread interleaving cannot change any reported metric.
+//! cells in parallel with `std::thread::scope`, each through
+//! [`TuningSession::replay`]; every cell owns its advisor and RNG state, so
+//! thread interleaving cannot change any reported metric.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -26,9 +29,9 @@ use simdb::query::Statement;
 use wfit_core::candidates::{offline_selection, OfflineSelection};
 use wfit_core::config::WfitConfig;
 use wfit_core::env::TuningEnv;
-use wfit_core::evaluator::{AcceptancePolicy, Evaluator, FeedbackStream, RunOptions};
+use wfit_core::evaluator::FeedbackStream;
 use wfit_core::wfit::Wfit;
-use wfit_core::IndexAdvisor;
+use wfit_core::{IndexAdvisor, TuningSession};
 use workload::{Benchmark, BenchmarkSpec};
 
 use crate::report::{CellReport, RunReport};
@@ -104,22 +107,20 @@ impl PreparedWorkload {
 
     /// Build the advisor `spec` names over `env`: `&Database` for the
     /// offline replay, the tenant's `TenantEnv` for a service session.
-    pub(crate) fn build_advisor<E: TuningEnv>(
+    pub(crate) fn build_advisor<'a, E: TuningEnv + Send + 'a>(
         &self,
         spec: &AdvisorSpec,
         env: E,
-    ) -> BuiltAdvisor<E> {
+    ) -> Box<dyn IndexAdvisor + Send + 'a> {
         let candidates = || self.selection().candidates.clone();
         match spec {
-            AdvisorSpec::WfitFixed { state_cnt } => {
-                BuiltAdvisor::Wfit(Box::new(Wfit::with_fixed_partition(
-                    env,
-                    WfitConfig::with_state_cnt(*state_cnt),
-                    self.selection_for(*state_cnt).partition.clone(),
-                    IndexSet::empty(),
-                )))
-            }
-            AdvisorSpec::WfitIndependent => BuiltAdvisor::Wfit(Box::new(
+            AdvisorSpec::WfitFixed { state_cnt } => Box::new(Wfit::with_fixed_partition(
+                env,
+                WfitConfig::with_state_cnt(*state_cnt),
+                self.selection_for(*state_cnt).partition.clone(),
+                IndexSet::empty(),
+            )),
+            AdvisorSpec::WfitIndependent => Box::new(
                 Wfit::with_fixed_partition(
                     env,
                     WfitConfig::independent(),
@@ -127,24 +128,57 @@ impl PreparedWorkload {
                     IndexSet::empty(),
                 )
                 .with_name("WFIT-IND"),
-            )),
-            AdvisorSpec::WfitAuto { config } => {
-                BuiltAdvisor::Wfit(Box::new(Wfit::new(env, config.clone())))
-            }
-            AdvisorSpec::Bc => BuiltAdvisor::Bc(BruchoChaudhuriAdvisor::new(
+            ),
+            AdvisorSpec::WfitAuto { config } => Box::new(Wfit::new(env, config.clone())),
+            AdvisorSpec::Bc => Box::new(BruchoChaudhuriAdvisor::new(
                 env,
                 candidates(),
                 &IndexSet::empty(),
             )),
-            AdvisorSpec::Bandit { seed } => BuiltAdvisor::Bandit(Box::new(BanditAdvisor::new(
+            AdvisorSpec::Bandit { seed } => Box::new(BanditAdvisor::new(
                 env,
                 candidates(),
                 BanditConfig::with_seed(*seed),
-            ))),
-            AdvisorSpec::NoIndex => BuiltAdvisor::NoIndex(NoIndexAdvisor),
-            AdvisorSpec::AllCandidates => {
-                BuiltAdvisor::All(AllCandidatesAdvisor::new(candidates()))
-            }
+            )),
+            AdvisorSpec::NoIndex => Box::new(NoIndexAdvisor),
+            AdvisorSpec::AllCandidates => Box::new(AllCandidatesAdvisor::new(candidates())),
+        }
+    }
+
+    /// The report of one cell, offline or a service session: `session` has
+    /// replayed a prefix of this workload.  Ratios are taken against OPT at
+    /// `checkpoints` and at the last statement the session processed;
+    /// `whatif_calls` is the caller's count of the session's optimizer
+    /// calls.
+    pub(crate) fn cell_report<E: TuningEnv, A: IndexAdvisor>(
+        &self,
+        label: String,
+        session: &TuningSession<E, A>,
+        checkpoints: &[usize],
+        whatif_calls: u64,
+        wall_time_ms: f64,
+    ) -> CellReport {
+        let stats = session.stats();
+        let series = session.cost_series();
+        let ratio_at = |n: usize| self.opt_ratio(n, if n == 0 { 0.0 } else { series[n - 1] });
+        let advisor = session.advisor();
+        CellReport {
+            label,
+            advisor: advisor.name(),
+            total_work: stats.total_work,
+            query_cost: stats.total_work - stats.transition_cost,
+            transition_cost: stats.transition_cost,
+            transitions: stats.transitions as usize,
+            opt_ratio: ratio_at(series.len()),
+            ratio_series: checkpoints.iter().map(|&n| (n, ratio_at(n))).collect(),
+            whatif_calls,
+            repartitions: advisor.repartitions(),
+            states_tracked: advisor.states_tracked(),
+            monitored: advisor.monitored_count(),
+            final_config_size: stats.configuration_size,
+            regret: self.opt.regret_of(series),
+            safety_fallbacks: advisor.safety_fallbacks(),
+            wall_time_ms,
         }
     }
 }
@@ -197,52 +231,20 @@ impl ScenarioContext {
     /// Replay a single cell and collect its metrics.
     pub fn run_cell(&self, cell: &CellSpec) -> CellReport {
         let workload = &self.workload;
-        let mut advisor = workload.build_advisor(&cell.advisor, &*workload.db);
-        let options = RunOptions {
-            acceptance: cell.acceptance,
-            feedback: self.feedback_stream(&cell.feedback),
-            initial: IndexSet::empty(),
-            implicit_feedback_on_accept: matches!(cell.acceptance, AcceptancePolicy::EveryT(_)),
-        };
-        let evaluator = Evaluator::new(&*workload.db);
+        let advisor = workload.build_advisor(&cell.advisor, &*workload.db);
+        let mut session = TuningSession::new(&*workload.db, advisor).with_policy(cell.acceptance);
+        let feedback = self.feedback_stream(&cell.feedback);
         let start = Instant::now();
-        let run = evaluator.run(&mut advisor, &workload.statements, &options);
+        session.replay(&workload.statements, &feedback);
         let wall_time_ms = start.elapsed().as_secs_f64() * 1000.0;
-
-        let ratio_at = |n: usize| workload.opt_ratio(n, run.cumulative_at(n));
-        let transition_cost: f64 = run.outcomes.iter().map(|o| o.transition_cost).sum();
-        let transitions = run
-            .outcomes
-            .iter()
-            .filter(|o| o.transition_cost > 0.0)
-            .count();
-        let cumulative: Vec<f64> = run
-            .outcomes
-            .iter()
-            .map(|o| o.cumulative_total_work)
-            .collect();
-        CellReport {
-            label: cell.label.clone(),
-            advisor: run.advisor.clone(),
-            total_work: run.total_work,
-            query_cost: run.total_work - transition_cost,
-            transition_cost,
-            transitions,
-            opt_ratio: ratio_at(workload.statements.len()),
-            ratio_series: self
-                .checkpoints()
-                .into_iter()
-                .map(|n| (n, ratio_at(n)))
-                .collect(),
-            whatif_calls: advisor.whatif_calls(),
-            repartitions: advisor.repartitions(),
-            states_tracked: advisor.states_tracked(),
-            monitored: advisor.monitored(),
-            final_config_size: run.outcomes.last().map_or(0, |o| o.configuration_size),
-            regret: workload.opt.regret_of(&cumulative),
-            safety_fallbacks: advisor.safety_fallbacks(),
+        let whatif_calls = session.advisor().whatif_calls();
+        workload.cell_report(
+            cell.label.clone(),
+            &session,
+            &self.checkpoints(),
+            whatif_calls,
             wall_time_ms,
-        }
+        )
     }
 
     /// Replay every cell — independent cells run in parallel — and assemble
@@ -304,95 +306,6 @@ pub(crate) fn checkpoint_positions(n: usize) -> Vec<usize> {
         points.push(n);
     }
     points
-}
-
-/// The advisor built for one cell or service session, generic over its
-/// environment, with uniform access to the per-advisor overhead metrics
-/// where they exist.  The WFIT state machine and the bandit are boxed:
-/// they dwarf the other variants and one allocation per advisor is free.
-pub(crate) enum BuiltAdvisor<E: TuningEnv> {
-    Wfit(Box<Wfit<E>>),
-    Bc(BruchoChaudhuriAdvisor<E>),
-    Bandit(Box<BanditAdvisor<E>>),
-    NoIndex(NoIndexAdvisor),
-    All(AllCandidatesAdvisor),
-}
-
-impl<E: TuningEnv> BuiltAdvisor<E> {
-    fn inner(&self) -> &dyn IndexAdvisor {
-        match self {
-            BuiltAdvisor::Wfit(w) => w.as_ref(),
-            BuiltAdvisor::Bc(b) => b,
-            BuiltAdvisor::Bandit(b) => b.as_ref(),
-            BuiltAdvisor::NoIndex(a) => a,
-            BuiltAdvisor::All(a) => a,
-        }
-    }
-
-    fn inner_mut(&mut self) -> &mut dyn IndexAdvisor {
-        match self {
-            BuiltAdvisor::Wfit(w) => w.as_mut(),
-            BuiltAdvisor::Bc(b) => b,
-            BuiltAdvisor::Bandit(b) => b.as_mut(),
-            BuiltAdvisor::NoIndex(a) => a,
-            BuiltAdvisor::All(a) => a,
-        }
-    }
-
-    fn whatif_calls(&self) -> u64 {
-        match self {
-            BuiltAdvisor::Wfit(w) => w.whatif_calls(),
-            BuiltAdvisor::Bc(b) => b.whatif_calls(),
-            BuiltAdvisor::Bandit(b) => b.whatif_calls(),
-            _ => 0,
-        }
-    }
-
-    fn repartitions(&self) -> u64 {
-        match self {
-            BuiltAdvisor::Wfit(w) => w.repartition_count(),
-            _ => 0,
-        }
-    }
-
-    fn states_tracked(&self) -> u64 {
-        match self {
-            BuiltAdvisor::Wfit(w) => w.state_count(),
-            _ => 0,
-        }
-    }
-
-    fn monitored(&self) -> usize {
-        match self {
-            BuiltAdvisor::Wfit(w) => w.monitored().len(),
-            BuiltAdvisor::Bc(b) => b.candidates().len(),
-            BuiltAdvisor::Bandit(b) => b.candidates().len(),
-            BuiltAdvisor::NoIndex(_) => 0,
-            BuiltAdvisor::All(a) => a.recommend().len(),
-        }
-    }
-}
-
-impl<E: TuningEnv> IndexAdvisor for BuiltAdvisor<E> {
-    fn analyze_query(&mut self, stmt: &Statement) {
-        self.inner_mut().analyze_query(stmt)
-    }
-
-    fn recommend(&self) -> IndexSet {
-        self.inner().recommend()
-    }
-
-    fn feedback(&mut self, positive: &IndexSet, negative: &IndexSet) {
-        self.inner_mut().feedback(positive, negative)
-    }
-
-    fn name(&self) -> String {
-        self.inner().name()
-    }
-
-    fn safety_fallbacks(&self) -> u64 {
-        self.inner().safety_fallbacks()
-    }
 }
 
 #[cfg(test)]

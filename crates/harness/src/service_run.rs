@@ -1,11 +1,12 @@
 //! Deterministic multi-tenant **service** scenarios.
 //!
-//! Where [`crate::runner`] replays one workload against a fleet of advisors
-//! through the offline [`wfit_core::Evaluator`], this module replays *many*
-//! workloads — one per tenant — through the long-running
+//! Where [`crate::runner`] replays one workload against a fleet of advisors,
+//! one offline [`wfit_core::TuningSession`] per cell, this module replays
+//! *many* workloads — one per tenant — through the long-running
 //! [`service::TuningService`].  Each tenant is a
-//! [`crate::runner::PreparedWorkload`] and its sessions are built by the
-//! same [`AdvisorSpec`] builder the offline cells use.  Statements and votes
+//! [`crate::runner::PreparedWorkload`]; its sessions are built by the same
+//! [`AdvisorSpec`] builder the offline cells use and reported by the same
+//! cell builder, read through [`service::TuningService::session`].  Statements and votes
 //! are offered as [`service::Event`]s interleaved round-robin across
 //! tenants, in waves: each wave is submitted and then drained by one `poll`
 //! round (see [`run_service_scenario`] for the three wave shapes).  The
@@ -29,7 +30,7 @@ use service::{BatchReport, Event, IngressConfig, TenantOptions, TuningService};
 use simdb::index::IndexSet;
 use workload::BenchmarkSpec;
 
-use crate::report::{CellReport, RunReport, ServiceSummary};
+use crate::report::{RunReport, ServiceSummary};
 use crate::runner::{checkpoint_positions, PreparedWorkload};
 use crate::spec::{state_cnts_needed, AdvisorSpec};
 
@@ -617,27 +618,13 @@ fn run_internal(
     for (t, prep) in prepared.iter().enumerate() {
         for (s, session_spec) in spec.sessions.iter().enumerate() {
             let id = service::SessionId::new(tenant_ids[t], s);
-            let stats = svc.session_stats(id);
-            let series = svc.cost_series(id);
-            let ratio_at = |n: usize| prep.opt_ratio(n, if n == 0 { 0.0 } else { series[n - 1] });
-            cells.push(CellReport {
-                label: format!("t{t}/{}", session_spec.label()),
-                advisor: svc.session_advisor_name(id),
-                total_work: stats.total_work,
-                query_cost: stats.query_cost,
-                transition_cost: stats.transition_cost,
-                transitions: stats.transitions as usize,
-                opt_ratio: ratio_at(processed[t]),
-                ratio_series: checkpoints.iter().map(|&n| (n, ratio_at(n))).collect(),
-                whatif_calls: svc.session_whatif_requests(id),
-                repartitions: 0,
-                states_tracked: 0,
-                monitored: prep.selection().candidates.len(),
-                final_config_size: stats.configuration_size,
-                regret: prep.opt.regret_of(series),
-                safety_fallbacks: svc.session_safety_fallbacks(id),
-                wall_time_ms: 0.0,
-            });
+            cells.push(prep.cell_report(
+                format!("t{t}/{}", session_spec.label()),
+                svc.session(id),
+                &checkpoints,
+                svc.session_whatif_requests(id),
+                0.0,
+            ));
         }
     }
 
@@ -890,6 +877,9 @@ mod tests {
         );
         let noop = report.cell("t0/NO-INDEX").unwrap();
         assert_eq!((noop.transitions, noop.final_config_size), (0, 0));
+        // The counters come from the session's own advisor, as offline.
+        assert_eq!(noop.monitored, 0);
+        assert!(report.cell("t0/AUTO").unwrap().states_tracked > 0);
         assert!(report.cell("t0/ALL-CAND").unwrap().final_config_size > 0);
         assert_eq!(report.to_json(), run_service_scenario(&spec).to_json());
     }

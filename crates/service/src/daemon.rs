@@ -22,7 +22,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
-use wfit_core::evaluator::AcceptancePolicy;
 use wfit_core::{IndexAdvisor, SessionStats, TuningSession};
 
 /// The session type hosted by the service: an owned environment driving a
@@ -165,11 +164,6 @@ impl BatchReport {
             .unwrap_or(0)
     }
 
-    /// One tenant's median per-event latency in microseconds.
-    pub fn tenant_p50_us(&self, tenant: TenantId) -> u64 {
-        self.tenant_latency_percentile_us(tenant, 0.50)
-    }
-
     /// One tenant's 99th-percentile per-event latency in microseconds.
     pub fn tenant_p99_us(&self, tenant: TenantId) -> u64 {
         self.tenant_latency_percentile_us(tenant, 0.99)
@@ -300,11 +294,6 @@ impl TuningService {
         }
     }
 
-    /// The configured maximum worker count.
-    pub fn max_workers(&self) -> usize {
-        self.max_workers
-    }
-
     /// Bound the ingress: per-tenant depth limits plus a global budget (see
     /// [`crate::ingress`] for the admission-gate semantics).  The default
     /// is unbounded — the historical behaviour.  Must be called before any
@@ -321,11 +310,6 @@ impl TuningService {
         self
     }
 
-    /// The admission limits the ingress enforces.
-    pub fn ingress_config(&self) -> IngressConfig {
-        self.ingress.config()
-    }
-
     /// Register a tenant with a shared what-if cache over its database.
     pub fn add_tenant(&mut self, name: impl Into<String>, db: Arc<Database>) -> TenantId {
         self.register(name, TenantEnv::cached(db))
@@ -339,12 +323,6 @@ impl TuningService {
         options: TenantOptions,
     ) -> TenantId {
         self.register(name, TenantEnv::with_options(db, options))
-    }
-
-    /// Register a tenant **without** a shared cache (every what-if request
-    /// runs the optimizer) — the control arm for cache-effect studies.
-    pub fn add_tenant_uncached(&mut self, name: impl Into<String>, db: Arc<Database>) -> TenantId {
-        self.register(name, TenantEnv::uncached(db))
     }
 
     fn register(&mut self, name: impl Into<String>, env: TenantEnv) -> TenantId {
@@ -369,21 +347,10 @@ impl TuningService {
         label: impl Into<String>,
         build: impl FnOnce(TenantEnv) -> Box<dyn IndexAdvisor + Send>,
     ) -> SessionId {
-        self.add_session_with_policy(tenant, label, AcceptancePolicy::Immediate, build)
-    }
-
-    /// Add a tuning session with an explicit adoption policy.
-    pub fn add_session_with_policy(
-        &mut self,
-        tenant: TenantId,
-        label: impl Into<String>,
-        policy: AcceptancePolicy,
-        build: impl FnOnce(TenantEnv) -> Box<dyn IndexAdvisor + Send>,
-    ) -> SessionId {
         let t = self.tenant_mut(tenant);
         let env = t.env.fork_counter();
         let advisor = build(env.clone());
-        let session = TuningSession::new(env.clone(), advisor).with_policy(policy);
+        let session = TuningSession::new(env.clone(), advisor);
         t.slots.push(SessionSlot {
             label: label.into(),
             env,
@@ -601,21 +568,15 @@ impl TuningService {
         &self.slot_ref(id).label
     }
 
-    /// A session's advisor display name.
-    pub fn session_advisor_name(&self, id: SessionId) -> String {
-        self.slot_ref(id).session.advisor_name()
+    /// A session: its accounting, cost series and advisor (name and
+    /// overhead counters).
+    pub fn session(&self, id: SessionId) -> &ServiceSession {
+        &self.slot_ref(id).session
     }
 
     /// A session's aggregate accounting.
     pub fn session_stats(&self, id: SessionId) -> SessionStats {
         self.slot_ref(id).session.stats()
-    }
-
-    /// Safety-gate fallbacks reported by a session's advisor (0 for
-    /// advisors without a gate; see
-    /// [`wfit_core::IndexAdvisor::safety_fallbacks`]).
-    pub fn session_safety_fallbacks(&self, id: SessionId) -> u64 {
-        self.slot_ref(id).session.safety_fallbacks()
     }
 
     /// What-if requests issued on behalf of a session (through its forked
@@ -701,11 +662,6 @@ impl TuningService {
             fault: None,
         });
         Ok(self)
-    }
-
-    /// Whether persistence is attached.
-    pub fn persist_enabled(&self) -> bool {
-        self.persist.is_some()
     }
 
     /// Rounds durably logged in the attached WAL (0 without persistence).
@@ -800,12 +756,15 @@ impl TuningService {
     ///
     /// Recovery replays the **entire WAL** round-by-round through the
     /// normal execution path (advisor state is not serializable; replay
-    /// *is* the restore mechanism, and bit-determinism makes it exact).  A
-    /// torn final record is discarded and physically truncated — never
-    /// fatal.  When a snapshot manifest is present its digests are
-    /// verified at the checkpoint round ([`PersistError::Divergence`] on
-    /// any mismatch) and its non-replayable ledger counters are seeded
-    /// afterwards.
+    /// *is* the restore mechanism, and bit-determinism makes it exact for
+    /// every session and cache).  A torn final record is discarded and
+    /// physically truncated — never fatal.  When a snapshot manifest is
+    /// present its digests are verified at the checkpoint round
+    /// ([`PersistError::Divergence`] on any mismatch) and its
+    /// non-replayable ledger counters are seeded afterwards: the shed,
+    /// deferred and rejected counts and `peak_pending` come back as of the
+    /// last snapshot, so a bounded ingress loses whatever its admission
+    /// gate counted after it (see [`crate::persist`]).
     ///
     /// # Errors
     /// [`PersistError::Config`] when the service already processed events,
@@ -1018,7 +977,7 @@ fn session_digest_of(slot: &SessionSlot) -> SessionDigest {
     }
     SessionDigest {
         label: slot.label.clone(),
-        advisor: slot.session.advisor_name(),
+        advisor: slot.session.advisor().name(),
         queries: stats.queries,
         votes: stats.votes,
         total_work_bits: stats.total_work.to_bits(),
@@ -1127,7 +1086,7 @@ mod tests {
         // Per-tenant latency breakout: only the busy tenant has samples.
         assert_eq!(batch.tenant_latencies_us.len(), 1);
         assert_eq!(batch.tenant_latencies_us[0].0, ids[0]);
-        assert!(batch.tenant_p50_us(ids[0]) <= batch.tenant_p99_us(ids[0]));
+        assert!(batch.tenant_latency_percentile_us(ids[0], 0.50) <= batch.tenant_p99_us(ids[0]));
         assert_eq!(batch.tenant_p99_us(ids[1]), 0);
         // Scheduler counters: one round, two session-runs.
         let sched = svc.sched_stats();

@@ -110,17 +110,6 @@ impl TenantEnv {
         self.cache.as_ref().map(|c| c.stats()).unwrap_or_default()
     }
 
-    /// Whether a shared cache is attached.
-    pub fn is_cached(&self) -> bool {
-        self.cache.is_some()
-    }
-
-    /// The shared cache's capacity bound (`None` when uncached or
-    /// unbounded).
-    pub fn cache_capacity(&self) -> Option<usize> {
-        self.cache.as_ref().and_then(|c| c.capacity())
-    }
-
     /// What-if requests issued through *this* handle (i.e. by the session it
     /// was forked for).
     pub fn whatif_requests(&self) -> u64 {
@@ -199,7 +188,8 @@ mod tests {
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.evictions, 0);
         assert_eq!(env.whatif_requests(), 2);
-        assert_eq!(env.cache_capacity(), None, "default cache is unbounded");
+        let cache = env.shared_cache().expect("a cached env shares a cache");
+        assert_eq!(cache.capacity(), None, "default cache is unbounded");
     }
 
     #[test]
@@ -224,7 +214,7 @@ mod tests {
         let db = db();
         let cached = TenantEnv::cached(db.clone());
         let uncached = TenantEnv::uncached(db.clone());
-        assert!(!uncached.is_cached() && cached.is_cached());
+        assert!(uncached.shared_cache().is_none() && cached.shared_cache().is_some());
         let q = db.parse("SELECT b FROM t WHERE a = 3").unwrap();
         let e = IndexSet::empty();
         assert_eq!(cached.cost(&q, &e), uncached.cost(&q, &e));
@@ -237,7 +227,7 @@ mod tests {
         let bounded =
             TenantEnv::with_options(db.clone(), TenantOptions::default().with_cache_capacity(2));
         let uncached = TenantEnv::uncached(db.clone());
-        assert_eq!(bounded.cache_capacity(), Some(2));
+        assert_eq!(bounded.shared_cache().and_then(|c| c.capacity()), Some(2));
         let q = db.parse("SELECT b FROM t WHERE a = 1").unwrap();
         let ia = db.define_index("t", &["a"]).unwrap();
         let ib = db.define_index("t", &["b"]).unwrap();

@@ -214,11 +214,6 @@ impl Ingress {
         }
     }
 
-    /// The admission limits the gate enforces.
-    pub fn config(&self) -> IngressConfig {
-        self.config
-    }
-
     /// Register a new tenant shard, returning its index (== the tenant id
     /// the service will assign).  The shard is bounded by the configured
     /// `per_tenant_depth`.
@@ -232,11 +227,6 @@ impl Ingress {
     /// limit.
     fn shard_full(&self, queued: usize) -> bool {
         self.config.per_tenant_depth > 0 && queued >= self.config.per_tenant_depth
-    }
-
-    /// Number of registered shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.read().len()
     }
 
     /// Try to reserve one slot of the global budget.  Strict even under
@@ -424,15 +414,6 @@ impl Ingress {
             .iter()
             .map(|s| s.lock().queue.len())
             .sum()
-    }
-
-    /// Events currently queued for one tenant.
-    pub fn tenant_pending(&self, tenant: TenantId) -> usize {
-        self.shards
-            .read()
-            .get(tenant.0 as usize)
-            .map(|s| s.lock().queue.len())
-            .unwrap_or(0)
     }
 
     /// Current counters, summed across shards.  Each shard is read under
@@ -643,7 +624,7 @@ mod tests {
             ));
         }
         assert_eq!(ingress.pending(), 4);
-        assert_eq!(ingress.tenant_pending(TenantId(0)), 2);
+        assert_eq!(ingress.tenant_stats(TenantId(0)).pending, 2);
         let runs = ingress.drain_all();
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[0].len(), 2);
@@ -732,7 +713,7 @@ mod tests {
         }
         // Full queue: the vote displaces the newest query, length unchanged.
         assert_eq!(ingress.try_submit(vote(0)), SubmitOutcome::Accepted);
-        assert_eq!(ingress.tenant_pending(TenantId(0)), 3);
+        assert_eq!(ingress.tenant_stats(TenantId(0)).pending, 3);
         let stats = ingress.stats();
         assert_eq!(stats.shed, 1);
         assert_eq!(stats.submitted, 4);
@@ -751,7 +732,7 @@ mod tests {
         assert_eq!(ingress.try_submit(vote(0)), SubmitOutcome::Accepted);
         // Queue full of unsheddable votes: the third vote exceeds the cap.
         assert_eq!(ingress.try_submit(vote(0)), SubmitOutcome::Deferred);
-        assert_eq!(ingress.tenant_pending(TenantId(0)), 3);
+        assert_eq!(ingress.tenant_stats(TenantId(0)).pending, 3);
         let stats = ingress.stats();
         assert_eq!(stats.deferred, 1);
         assert_eq!(stats.shed, 0, "votes are never shed");

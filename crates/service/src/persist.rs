@@ -1,8 +1,8 @@
 //! Durable service state: deterministic snapshot + append-only event WAL.
 //!
-//! The service's in-memory state (advisor partitions, vote history, shared
-//! what-if caches, admission ledgers) is a pure function of the
-//! event sequence each drain round executed — that is the house
+//! The service's session and cache state (advisor partitions, vote
+//! history, session accounting, shared what-if caches) is a pure function
+//! of the event sequence each drain round executed — that is the house
 //! bit-determinism invariant.  Persistence therefore logs **events**, not
 //! state: every [`crate::TuningService::poll`] round appends the drained
 //! per-tenant runs to an append-only WAL *before* any of their effects
@@ -10,8 +10,8 @@
 //! execution path.  The snapshot is a *checkpoint manifest*: it pins the
 //! observable state at a known round (full cache exports, digests of
 //! per-session accounting) so a restore can verify that replay reconverged
-//! bit-for-bit, and it carries the few ledger counters replay cannot
-//! re-derive (shed/deferred/rejected outcomes never produce a drained
+//! bit-for-bit, and it carries the admission ledgers replay cannot
+//! re-derive (shed, deferred and rejected outcomes never produce a drained
 //! event, so they never reach the log).
 //!
 //! ```text
@@ -25,10 +25,16 @@
 //!
 //! Recovery invariants:
 //!
-//! * `snapshot ∘ WAL replay = live state` — replaying every logged round
-//!   into a freshly assembled service reproduces the crashed service's
-//!   snapshot-eligible state bit-for-bit, and the snapshot's digests prove
-//!   it at the checkpoint round.
+//! * `snapshot ∘ WAL replay = live state` for sessions and caches —
+//!   replaying every logged round into a freshly assembled service
+//!   reproduces the crashed service's sessions, caches and scheduler ledger
+//!   bit-for-bit, and the snapshot's digests prove it at the checkpoint
+//!   round.  The shed, deferred and rejected counts and `peak_pending`
+//!   come back as of the last snapshot.  An unbounded ingress never sheds,
+//!   defers or rejects, so its counts survive a kill at any point; a
+//!   bounded-ingress host killed one WAL round past a snapshot restores
+//!   `offered_events` 100 and `rejected_submits` 52, against 108 and 60
+//!   uninterrupted (ARCHITECTURE.md, durability table).
 //! * A torn or truncated final WAL record is **discarded, never fatal**:
 //!   the scan stops at the first record whose length prefix or content hash
 //!   does not validate, recovery physically truncates the tail, and the

@@ -6,7 +6,7 @@
 //!
 //! Run with `cargo run --example dba_feedback_session`.
 
-use wfit::core::evaluator::{Evaluator, FeedbackStream, RunOptions};
+use wfit::core::{FeedbackStream, TuningSession};
 use wfit::{IndexAdvisor, IndexSet, Wfit, WfitConfig};
 
 fn main() {
@@ -56,33 +56,26 @@ fn main() {
     }
 
     // Phase 3: keep tuning; the workload may eventually override the votes.
-    let rest: Vec<_> = bench.statements.iter().skip(40).cloned().collect();
-    let evaluator = Evaluator::new(db);
-    let result = evaluator.run(&mut tuner, &rest, &RunOptions::default());
+    // A session adopts each recommendation and adds up the work done.
+    let mut session = TuningSession::new(db, tuner);
+    session.replay(&bench.statements[40..], &FeedbackStream::empty());
     println!();
     println!(
         "after the full workload: total work {:.0}, final recommendation {} indices",
-        result.total_work,
-        tuner.recommend().len()
+        session.stats().total_work,
+        session.recommendation().len()
     );
 
-    // A scheduled feedback stream can also be replayed by the evaluator — this
-    // is how the paper's V_GOOD / V_BAD experiments are driven.
+    // A session also replays a scheduled feedback stream — this is how the
+    // paper's V_GOOD / V_BAD experiments are driven.
     let mut stream = FeedbackStream::empty();
     if let Some(acc) = accepted {
         stream.add(10, IndexSet::single(acc), IndexSet::empty());
     }
-    let mut fresh = Wfit::new(db, WfitConfig::default());
-    let replay = evaluator.run(
-        &mut fresh,
-        &bench.statements,
-        &RunOptions {
-            feedback: stream,
-            ..RunOptions::default()
-        },
-    );
+    let mut fresh = TuningSession::new(db, Wfit::new(db, WfitConfig::default()));
+    fresh.replay(&bench.statements, &stream);
     println!(
         "replay with a scheduled +vote at statement 10: total work {:.0}",
-        replay.total_work
+        fresh.stats().total_work
     );
 }

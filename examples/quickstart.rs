@@ -3,8 +3,8 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use wfit::core::evaluator::{Evaluator, RunOptions};
-use wfit::{Database, IndexAdvisor, IndexSet, Wfit, WfitConfig};
+use wfit::core::{FeedbackStream, TuningSession};
+use wfit::{Database, IndexSet, Wfit, WfitConfig};
 
 fn main() {
     // 1. Describe the schema (statistics only — no data is loaded).
@@ -31,8 +31,10 @@ fn main() {
         .finish();
     let db = Database::new(builder.build());
 
-    // 2. Create the semi-automatic tuner.
-    let mut tuner = Wfit::new(&db, WfitConfig::default());
+    // 2. Create the semi-automatic tuner, in a session that adopts its
+    //    recommendations and adds up the work done.
+    let tuner = Wfit::new(&db, WfitConfig::default());
+    let mut session = TuningSession::new(&db, tuner);
 
     // 3. Stream the workload through it (here: the same lookup repeated, plus
     //    a join and an update).
@@ -54,16 +56,13 @@ fn main() {
         repeated.extend(workload.iter().cloned());
     }
 
-    let evaluator = Evaluator::new(&db);
-    let result = evaluator.run(&mut tuner, &repeated, &RunOptions::default());
+    session.replay(&repeated, &FeedbackStream::empty());
 
     // 4. Inspect the recommendation.
-    let recommendation = tuner.recommend();
-    println!("analyzed {} statements", result.len());
-    println!(
-        "total work (optimizer cost units): {:.0}",
-        result.total_work
-    );
+    let recommendation = session.recommendation();
+    let total_work = session.stats().total_work;
+    println!("analyzed {} statements", session.stats().queries);
+    println!("total work (optimizer cost units): {total_work:.0}");
     println!("recommended indices:");
     for idx in recommendation.iter() {
         println!("  + {}", db.index_name(idx));
@@ -77,6 +76,6 @@ fn main() {
     println!(
         "workload cost without any index: {:.0}  (WFIT saved {:.0}%)",
         no_index_cost,
-        100.0 * (1.0 - result.total_work / no_index_cost)
+        100.0 * (1.0 - total_work / no_index_cost)
     );
 }

@@ -6,8 +6,8 @@
 
 use advisors::{compute_optimal, BruchoChaudhuriAdvisor};
 use wfit::core::candidates::offline_selection;
-use wfit::core::evaluator::{Evaluator, RunOptions};
-use wfit::{IndexSet, Wfit, WfitConfig};
+use wfit::core::{FeedbackStream, TuningSession};
+use wfit::{IndexAdvisor, IndexSet, Wfit, WfitConfig};
 
 fn main() {
     let bench = wfit::benchmark(25); // 8 phases × 25 statements
@@ -28,12 +28,12 @@ fn main() {
         &IndexSet::empty(),
     );
 
-    // Online advisors.
-    let evaluator = Evaluator::new(db);
-    let mut wfit_auto = Wfit::new(db, WfitConfig::default());
-    let auto = evaluator.run(&mut wfit_auto, &bench.statements, &RunOptions::default());
-    let mut bc = BruchoChaudhuriAdvisor::new(db, selection.candidates.clone(), &IndexSet::empty());
-    let bc_run = evaluator.run(&mut bc, &bench.statements, &RunOptions::default());
+    // Online advisors, each replayed in its own session.
+    let mut auto = TuningSession::new(db, Wfit::new(db, WfitConfig::default()));
+    auto.replay(&bench.statements, &FeedbackStream::empty());
+    let bc = BruchoChaudhuriAdvisor::new(db, selection.candidates.clone(), &IndexSet::empty());
+    let mut bc = TuningSession::new(db, bc);
+    bc.replay(&bench.statements, &FeedbackStream::empty());
 
     // Per-phase report.
     println!();
@@ -51,18 +51,18 @@ fn main() {
             "{:>6} {:>14.0} {:>14.0} {:>14.0}",
             phase + 1,
             opt.cumulative_at(end),
-            auto.cumulative_at(end),
-            bc_run.cumulative_at(end)
+            auto.cost_series()[end - 1],
+            bc.cost_series()[end - 1]
         );
     }
     println!();
     println!(
         "final ratios (OPT=1): WFIT {:.3}, BC {:.3}",
-        opt.total / auto.total_work,
-        opt.total / bc_run.total_work
+        opt.total / auto.stats().total_work,
+        opt.total / bc.stats().total_work
     );
     println!(
         "WFIT repartitioned {} times while following the phase shifts",
-        wfit_auto.repartition_count()
+        auto.advisor().repartitions()
     );
 }

@@ -8,8 +8,9 @@
 //!   optimizer, transition costs);
 //! * [`ibg`] — index benefit graphs, interaction analysis, stable partitions;
 //! * [`wfit_core`] (re-exported as `core`) — WFA and WFIT (whose
-//!   fixed-partition mode is WFA⁺), the feedback mechanism and the `totWork`
-//!   evaluation harness;
+//!   fixed-partition mode is WFA⁺), the feedback mechanism and
+//!   `TuningSession`, the one loop that adopts recommendations and adds up
+//!   `totWork`, online or replaying a whole workload;
 //! * [`advisors`] — the BC and OPT baselines;
 //! * [`workload`] — the eight-phase online index-tuning benchmark;
 //! * [`service`] — the multi-tenant online tuning daemon (tenant registry,

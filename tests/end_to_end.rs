@@ -3,9 +3,9 @@
 
 use advisors::{compute_optimal, good_feedback_stream, BruchoChaudhuriAdvisor, NoIndexAdvisor};
 use wfit::core::candidates::offline_selection;
-use wfit::core::evaluator::{AcceptancePolicy, Evaluator, RunOptions};
+use wfit::core::evaluator::{AcceptancePolicy, FeedbackStream};
 use wfit::core::wfa::WfaInstance;
-use wfit::core::TuningEnv;
+use wfit::core::{TuningEnv, TuningSession};
 use wfit::{IndexAdvisor, IndexSet, Wfit, WfitConfig};
 use workload::{Benchmark, BenchmarkSpec};
 
@@ -13,11 +13,17 @@ fn small_benchmark() -> Benchmark {
     Benchmark::generate(BenchmarkSpec::small(8))
 }
 
+/// `totWork` of `advisor` replayed over the whole benchmark with `feedback`.
+fn total_work<A: IndexAdvisor>(bench: &Benchmark, advisor: A, feedback: &FeedbackStream) -> f64 {
+    let mut session = TuningSession::new(&bench.db, advisor);
+    session.replay(&bench.statements, feedback);
+    session.stats().total_work
+}
+
 #[test]
 fn full_pipeline_wfit_beats_no_indexing_and_respects_opt_bound() {
     let bench = small_benchmark();
     let db = &bench.db;
-    let evaluator = Evaluator::new(db);
 
     let selection = offline_selection(db, &bench.statements, &WfitConfig::default());
     assert!(!selection.candidates.is_empty());
@@ -28,29 +34,25 @@ fn full_pipeline_wfit_beats_no_indexing_and_respects_opt_bound() {
         &IndexSet::empty(),
     );
 
-    let mut wfit = Wfit::with_fixed_partition(
+    let wfit = Wfit::with_fixed_partition(
         db,
         WfitConfig::default(),
         selection.partition.clone(),
         IndexSet::empty(),
     );
-    let wfit_run = evaluator.run(&mut wfit, &bench.statements, &RunOptions::default());
-
-    let mut noop = NoIndexAdvisor;
-    let noop_run = evaluator.run(&mut noop, &bench.statements, &RunOptions::default());
+    let wfit_work = total_work(&bench, wfit, &FeedbackStream::empty());
+    let noop_work = total_work(&bench, NoIndexAdvisor, &FeedbackStream::empty());
 
     // OPT is a lower bound for both schedules.
-    assert!(opt.total <= wfit_run.total_work + 1e-6);
-    assert!(opt.total <= noop_run.total_work + 1e-6);
+    assert!(opt.total <= wfit_work + 1e-6);
+    assert!(opt.total <= noop_work + 1e-6);
     // On this deliberately tiny workload (64 statements) index creations have
     // little room to amortize, so we only require WFIT to stay within a few
     // percent of the never-index schedule; the figure benches demonstrate the
     // actual gains at realistic workload lengths.
     assert!(
-        wfit_run.total_work <= noop_run.total_work * 1.05,
-        "WFIT {} should stay close to never-indexing {}",
-        wfit_run.total_work,
-        noop_run.total_work
+        wfit_work <= noop_work * 1.05,
+        "WFIT {wfit_work} should stay close to never-indexing {noop_work}"
     );
 }
 
@@ -58,27 +60,24 @@ fn full_pipeline_wfit_beats_no_indexing_and_respects_opt_bound() {
 fn wfit_outperforms_bc_on_the_benchmark() {
     let bench = small_benchmark();
     let db = &bench.db;
-    let evaluator = Evaluator::new(db);
     let selection = offline_selection(db, &bench.statements, &WfitConfig::default());
 
-    let mut wfit = Wfit::with_fixed_partition(
+    let wfit = Wfit::with_fixed_partition(
         db,
         WfitConfig::default(),
         selection.partition.clone(),
         IndexSet::empty(),
     );
-    let wfit_run = evaluator.run(&mut wfit, &bench.statements, &RunOptions::default());
+    let wfit_work = total_work(&bench, wfit, &FeedbackStream::empty());
 
-    let mut bc = BruchoChaudhuriAdvisor::new(db, selection.candidates.clone(), &IndexSet::empty());
-    let bc_run = evaluator.run(&mut bc, &bench.statements, &RunOptions::default());
+    let bc = BruchoChaudhuriAdvisor::new(db, selection.candidates.clone(), &IndexSet::empty());
+    let bc_work = total_work(&bench, bc, &FeedbackStream::empty());
 
     // The paper's headline comparison (Figure 8): WFIT ends up closer to OPT
     // than BC.  On the miniature workload we only require "not worse".
     assert!(
-        wfit_run.total_work <= bc_run.total_work * 1.02,
-        "WFIT {} vs BC {}",
-        wfit_run.total_work,
-        bc_run.total_work
+        wfit_work <= bc_work * 1.02,
+        "WFIT {wfit_work} vs BC {bc_work}"
     );
 }
 
@@ -86,7 +85,6 @@ fn wfit_outperforms_bc_on_the_benchmark() {
 fn good_feedback_does_not_hurt_and_consistency_holds() {
     let bench = small_benchmark();
     let db = &bench.db;
-    let evaluator = Evaluator::new(db);
     let selection = offline_selection(db, &bench.statements, &WfitConfig::default());
     let opt = compute_optimal(
         db,
@@ -95,46 +93,26 @@ fn good_feedback_does_not_hurt_and_consistency_holds() {
         &IndexSet::empty(),
     );
     let good = good_feedback_stream(&opt);
-
-    let mut base = Wfit::with_fixed_partition(
-        db,
-        WfitConfig::default(),
-        selection.partition.clone(),
-        IndexSet::empty(),
-    );
-    let base_run = evaluator.run(&mut base, &bench.statements, &RunOptions::default());
-
-    let mut guided = Wfit::with_fixed_partition(
-        db,
-        WfitConfig::default(),
-        selection.partition.clone(),
-        IndexSet::empty(),
-    );
-    let guided_run = evaluator.run(
-        &mut guided,
-        &bench.statements,
-        &RunOptions {
-            feedback: good.clone(),
-            ..RunOptions::default()
-        },
-    );
+    let wfit = || {
+        Wfit::with_fixed_partition(
+            db,
+            WfitConfig::default(),
+            selection.partition.clone(),
+            IndexSet::empty(),
+        )
+    };
+    let base_work = total_work(&bench, wfit(), &FeedbackStream::empty());
+    let guided_work = total_work(&bench, wfit(), &good);
 
     // Prescient votes should help (or at worst be neutral within noise).
     assert!(
-        guided_run.total_work <= base_run.total_work * 1.05,
-        "good feedback {} vs none {}",
-        guided_run.total_work,
-        base_run.total_work
+        guided_work <= base_work * 1.05,
+        "good feedback {guided_work} vs none {base_work}"
     );
 
     // Direct consistency check: right after a vote the recommendation
     // contains all positively voted indices and none of the negative ones.
-    let mut probe = Wfit::with_fixed_partition(
-        db,
-        WfitConfig::default(),
-        selection.partition.clone(),
-        IndexSet::empty(),
-    );
+    let mut probe = wfit();
     probe.analyze_query(&bench.statements[0]);
     if let Some((pos, neg)) = good.at(opt.creations.first().map(|(p, _)| *p).unwrap_or(1)) {
         probe.feedback(pos, neg);
@@ -148,7 +126,6 @@ fn good_feedback_does_not_hurt_and_consistency_holds() {
 fn bad_feedback_recovers() {
     let bench = small_benchmark();
     let db = &bench.db;
-    let evaluator = Evaluator::new(db);
     let selection = offline_selection(db, &bench.statements, &WfitConfig::default());
     let opt = compute_optimal(
         db,
@@ -158,30 +135,19 @@ fn bad_feedback_recovers() {
     );
     let bad = good_feedback_stream(&opt).mirrored();
 
-    let mut misled = Wfit::with_fixed_partition(
+    let misled = Wfit::with_fixed_partition(
         db,
         WfitConfig::default(),
         selection.partition.clone(),
         IndexSet::empty(),
     );
-    let misled_run = evaluator.run(
-        &mut misled,
-        &bench.statements,
-        &RunOptions {
-            feedback: bad,
-            ..RunOptions::default()
-        },
-    );
-
-    let mut noop = NoIndexAdvisor;
-    let noop_run = evaluator.run(&mut noop, &bench.statements, &RunOptions::default());
+    let misled_work = total_work(&bench, misled, &bad);
+    let noop_work = total_work(&bench, NoIndexAdvisor, &FeedbackStream::empty());
     // Even with adversarial votes, WFIT must remain within a sane factor of
     // the never-index baseline (the paper reports > 90% of OPT at the end).
     assert!(
-        misled_run.total_work <= noop_run.total_work * 1.5,
-        "bad feedback {} vs no-index {}",
-        misled_run.total_work,
-        noop_run.total_work
+        misled_work <= noop_work * 1.5,
+        "bad feedback {misled_work} vs no-index {noop_work}"
     );
 }
 
@@ -189,24 +155,18 @@ fn bad_feedback_recovers() {
 fn lagged_acceptance_changes_configuration_only_at_lag_points() {
     let bench = small_benchmark();
     let db = &bench.db;
-    let evaluator = Evaluator::new(db);
     let selection = offline_selection(db, &bench.statements, &WfitConfig::default());
 
-    let mut advisor = Wfit::with_fixed_partition(
+    let advisor = Wfit::with_fixed_partition(
         db,
         WfitConfig::default(),
         selection.partition.clone(),
         IndexSet::empty(),
     );
-    let run = evaluator.run(
-        &mut advisor,
-        &bench.statements,
-        &RunOptions {
-            acceptance: AcceptancePolicy::EveryT(16),
-            ..RunOptions::default()
-        },
-    );
-    for outcome in &run.outcomes {
+    let outcomes = TuningSession::new(db, advisor)
+        .with_policy(AcceptancePolicy::EveryT(16))
+        .replay(&bench.statements, &FeedbackStream::empty());
+    for outcome in &outcomes {
         if outcome.transition_cost > 0.0 {
             assert_eq!(
                 outcome.position % 16,
@@ -222,14 +182,14 @@ fn lagged_acceptance_changes_configuration_only_at_lag_points() {
 fn auto_wfit_tracks_phase_shifts_and_repartitions() {
     let bench = small_benchmark();
     let db = &bench.db;
-    let evaluator = Evaluator::new(db);
-    let mut auto = Wfit::new(db, WfitConfig::default());
-    let run = evaluator.run(&mut auto, &bench.statements, &RunOptions::default());
-    assert_eq!(run.len(), bench.len());
-    assert!(auto.monitored().len() <= WfitConfig::default().idx_cnt);
-    assert!(auto.state_count() <= WfitConfig::default().state_cnt.max(4));
+    let mut session = TuningSession::new(db, Wfit::new(db, WfitConfig::default()));
+    let outcomes = session.replay(&bench.statements, &FeedbackStream::empty());
+    assert_eq!(outcomes.len(), bench.len());
+    let auto = session.advisor();
+    assert!(auto.monitored_count() <= WfitConfig::default().idx_cnt);
+    assert!(auto.states_tracked() <= WfitConfig::default().state_cnt.max(4));
     assert!(
-        auto.repartition_count() > 0,
+        auto.repartitions() > 0,
         "the partition should evolve with the workload"
     );
     assert!(auto.whatif_calls() > 0);

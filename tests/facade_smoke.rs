@@ -2,7 +2,7 @@
 //! docs must resolve and cooperate end to end, so a wiring regression in
 //! `src/lib.rs` fails fast here rather than in downstream examples.
 
-use wfit::core::evaluator::{Evaluator, RunOptions};
+use wfit::core::{FeedbackStream, TuningSession};
 use wfit::{Database, IndexAdvisor, IndexSet, Wfit, WfitConfig};
 
 #[test]
@@ -30,12 +30,11 @@ fn facade_reexports_compose_end_to_end() {
         );
     }
 
-    // The trait object path used by the evaluator harness must also work
-    // through the façade re-exports.
-    let evaluator = Evaluator::new(db);
-    let mut advisor = Wfit::new(db, WfitConfig::default());
-    let run = evaluator.run(&mut advisor, &bench.statements, &RunOptions::default());
-    assert!(run.total_work > 0.0);
+    // The session replay every experiment runs must also work through the
+    // façade re-exports.
+    let mut session = TuningSession::new(db, Wfit::new(db, WfitConfig::default()));
+    session.replay(&bench.statements, &FeedbackStream::empty());
+    assert!(session.stats().total_work > 0.0);
 }
 
 #[test]

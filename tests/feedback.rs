@@ -8,7 +8,8 @@
 
 use advisors::{BanditAdvisor, BanditConfig};
 use wfit::core::env::{mock_statement, MockEnv};
-use wfit::core::evaluator::{Evaluator, FeedbackStream, RunOptions};
+use wfit::core::evaluator::FeedbackStream;
+use wfit::core::TuningSession;
 use wfit::{IndexAdvisor, IndexId, IndexSet, Wfit, WfitConfig};
 use wfit_core::candidates::offline_selection;
 use workload::{Benchmark, BenchmarkSpec};
@@ -161,7 +162,7 @@ fn votes_on_the_real_benchmark_take_effect_immediately() {
 
 #[test]
 fn scheduled_feedback_is_delivered_at_the_voted_statement() {
-    // End-to-end through the evaluator: a positive vote scheduled after
+    // End-to-end through a session replay: a positive vote scheduled after
     // statement 2 shows up in the adopted configuration at statement 2, not
     // before.
     let (env, q, a) = env_with_helpful_index();
@@ -169,18 +170,11 @@ fn scheduled_feedback_is_delivered_at_the_voted_statement() {
     let mut stream = FeedbackStream::empty();
     stream.add(2, IndexSet::single(a), IndexSet::empty());
 
-    let mut wfit = Wfit::new(&env, WfitConfig::default());
-    let run = Evaluator::new(&env).run(
-        &mut wfit,
-        &workload,
-        &RunOptions {
-            feedback: stream,
-            ..RunOptions::default()
-        },
-    );
-    assert_eq!(run.outcomes[0].configuration_size, 0);
-    assert_eq!(run.outcomes[1].configuration_size, 1);
-    assert!(run.outcomes[1].transition_cost > 0.0);
+    let wfit = Wfit::new(&env, WfitConfig::default());
+    let outcomes = TuningSession::new(&env, wfit).replay(&workload, &stream);
+    assert_eq!(outcomes[0].configuration_size, 0);
+    assert_eq!(outcomes[1].configuration_size, 1);
+    assert!(outcomes[1].transition_cost > 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -314,29 +308,22 @@ fn bandit_votes_on_the_real_benchmark_take_effect_immediately() {
 
 #[test]
 fn bandit_scheduled_feedback_is_delivered_at_the_voted_statement() {
-    // End-to-end through the evaluator: the bandit deploys the helpful index
-    // by itself, and a negative vote scheduled after statement 2 evicts it at
-    // statement 2 — not before.
+    // End-to-end through a session replay: the bandit deploys the helpful
+    // index by itself, and a negative vote scheduled after statement 2
+    // evicts it at statement 2 — not before.
     let (env, q, a) = env_with_helpful_index();
     let workload = vec![q; 4];
     let mut stream = FeedbackStream::empty();
     stream.add(2, IndexSet::empty(), IndexSet::single(a));
 
-    let mut bandit = BanditAdvisor::new(&env, vec![a], BanditConfig::default());
-    let run = Evaluator::new(&env).run(
-        &mut bandit,
-        &workload,
-        &RunOptions {
-            feedback: stream,
-            ..RunOptions::default()
-        },
-    );
+    let bandit = BanditAdvisor::new(&env, vec![a], BanditConfig::default());
+    let outcomes = TuningSession::new(&env, bandit).replay(&workload, &stream);
     assert_eq!(
-        run.outcomes[0].configuration_size, 1,
+        outcomes[0].configuration_size, 1,
         "the exploration bonus deploys the index on the first statement"
     );
     assert_eq!(
-        run.outcomes[1].configuration_size, 0,
+        outcomes[1].configuration_size, 0,
         "the scheduled ban must be delivered at the voted statement"
     );
 }

@@ -3,9 +3,10 @@
 use proptest::prelude::*;
 use simdb::index::{IndexId, IndexSet};
 use wfit::core::env::{mock_statement, MockEnv, TuningEnv};
-use wfit::core::evaluator::{total_work_of_schedule, Evaluator, RunOptions};
+use wfit::core::evaluator::{total_work_of_schedule, FeedbackStream};
 use wfit::core::hypercube;
 use wfit::core::wfa::WfaInstance;
+use wfit::core::TuningSession;
 use wfit::{IndexAdvisor, Wfit, WfitConfig};
 
 /// Build an additive (fully independent) scripted environment: `n_indexes`
@@ -87,26 +88,28 @@ proptest! {
         }
     }
 
-    /// The total work reported by the evaluator equals the replay of the
-    /// advisor's own adopted schedule (accounting consistency).
+    /// The session's cumulative total work equals the independent
+    /// fixed-schedule scorer's over the advisor's own adopted schedule
+    /// (accounting consistency).
     #[test]
-    fn evaluator_total_work_matches_schedule_replay(savings in savings_strategy(2, 6)) {
+    fn session_total_work_matches_schedule_replay(savings in savings_strategy(2, 6)) {
         let (env, stmts, ids) = additive_env(&savings, 120.0, 20.0);
         let parts: Vec<Vec<IndexId>> = ids.iter().map(|&i| vec![i]).collect();
-        let mut advisor = fixed(&env, parts.clone());
-        let evaluator = Evaluator::new(&env);
-        let run = evaluator.run(&mut advisor, &stmts, &RunOptions::default());
+        let mut session = TuningSession::new(&env, fixed(&env, parts.clone()));
+        session.replay(&stmts, &FeedbackStream::empty());
 
-        // Reconstruct the adopted schedule from the per-statement outcomes by
-        // replaying with a fresh advisor.
-        let mut advisor2 = fixed(&env, parts);
+        // Reconstruct the adopted schedule by replaying with a fresh advisor.
+        let mut advisor = fixed(&env, parts);
         let mut schedule = Vec::new();
         for q in &stmts {
-            advisor2.analyze_query(q);
-            schedule.push(advisor2.recommend());
+            advisor.analyze_query(q);
+            schedule.push(advisor.recommend());
         }
         let replay = total_work_of_schedule(&env, &stmts, &schedule, &IndexSet::empty());
-        prop_assert!((replay.total_work - run.total_work).abs() < 1e-6);
+        // Both add each statement's cost and transition once, so every
+        // prefix agrees to the bit.
+        let bits = |series: &[f64]| series.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&replay), bits(session.cost_series()));
     }
 
     /// Consistency (Section 3.1): immediately after feedback, every positively
@@ -637,7 +640,7 @@ mod bandit_properties {
 
         /// Cumulative regret is monotone non-decreasing — both for an
         /// arbitrary non-decreasing cost series and for the bandit's own
-        /// evaluator run — and `regret_of` is the series' last element.
+        /// session replay — and `regret_of` is the series' last element.
         #[test]
         fn regret_series_is_monotone_non_decreasing(
             savings in savings_strategy(2, 8),
@@ -668,12 +671,12 @@ mod bandit_properties {
                 series.last().copied().unwrap_or(0.0).to_bits()
             );
 
-            // The bandit's actual run through the evaluator obeys the same
-            // invariant end-to-end.
-            let mut bandit = BanditAdvisor::new(&env, ids.clone(), BanditConfig::with_seed(seed));
-            let run = Evaluator::new(&env).run(&mut bandit, &stmts, &RunOptions::default());
-            let cum: Vec<f64> = run.outcomes.iter().map(|o| o.cumulative_total_work).collect();
-            let bandit_series = opt.regret_series(&cum);
+            // The bandit's actual session replay obeys the same invariant
+            // end-to-end.
+            let bandit = BanditAdvisor::new(&env, ids.clone(), BanditConfig::with_seed(seed));
+            let mut session = TuningSession::new(&env, bandit);
+            session.replay(&stmts, &FeedbackStream::empty());
+            let bandit_series = opt.regret_series(session.cost_series());
             let mut prev = 0.0;
             for &r in &bandit_series {
                 prop_assert!(r >= prev);

@@ -6,7 +6,7 @@
 //! `crates/service` — are replayed from fixed seeds and their structured
 //! `RunReport`s are diffed — within a numeric tolerance — against the
 //! snapshots committed under `tests/golden/`.  Any behavioural change to WFIT/WFA⁺/BC/OPT, the
-//! workload generator, the cost model or the evaluator shows up here as a
+//! workload generator, the cost model or the session loop shows up here as a
 //! readable field-level diff.
 //!
 //! To regenerate the snapshots after an *intentional* behaviour change:

@@ -296,7 +296,7 @@ fn concurrent_submission_with_four_worker_drain_matches_sequential_replay() {
                     stats.queries,
                     stats.votes,
                     stats.total_work.to_bits(),
-                    svc.session_safety_fallbacks(id),
+                    svc.session(id).advisor().safety_fallbacks(),
                     svc.recommendation(id),
                     svc.cost_series(id)
                         .iter()
