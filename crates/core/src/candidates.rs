@@ -26,7 +26,6 @@ pub struct CandidatePool {
     pub int_stats: InteractionStats,
     /// Number of workload statements analyzed so far (`N`).
     statements_seen: u64,
-    hist_size: usize,
 }
 
 impl CandidatePool {
@@ -37,7 +36,6 @@ impl CandidatePool {
             idx_stats: IndexStatistics::new(hist_size),
             int_stats: InteractionStats::new(hist_size),
             statements_seen: 0,
-            hist_size,
         }
     }
 
@@ -49,11 +47,6 @@ impl CandidatePool {
     /// Number of statements analyzed.
     pub fn statements_seen(&self) -> u64 {
         self.statements_seen
-    }
-
-    /// The statistics window size.
-    pub fn hist_size(&self) -> usize {
-        self.hist_size
     }
 
     /// Register candidates extracted from a statement (`U ← U ∪ extractIndices(q)`).

@@ -124,43 +124,6 @@ impl<E: TuningEnv + ?Sized> TuningEnv for &E {
     }
 }
 
-/// `Arc<E>` environments let a long-lived advisor (e.g. a tuning-service
-/// session) **own** shared DBMS state without borrowing from anyone — the
-/// enabler for `'static` sessions that move across worker threads.
-impl<E: TuningEnv + ?Sized> TuningEnv for std::sync::Arc<E> {
-    fn whatif(&self, stmt: &Statement, config: &IndexSet) -> PlanCost {
-        (**self).whatif(stmt, config)
-    }
-
-    fn ibg(&self, stmt: &Statement, relevant: IndexSet) -> SharedIbg {
-        (**self).ibg(stmt, relevant)
-    }
-
-    fn cost(&self, stmt: &Statement, config: &IndexSet) -> f64 {
-        (**self).cost(stmt, config)
-    }
-
-    fn create_cost(&self, id: IndexId) -> f64 {
-        (**self).create_cost(id)
-    }
-
-    fn drop_cost(&self, id: IndexId) -> f64 {
-        (**self).drop_cost(id)
-    }
-
-    fn transition_cost(&self, from: &IndexSet, to: &IndexSet) -> f64 {
-        (**self).transition_cost(from, to)
-    }
-
-    fn extract_candidates(&self, stmt: &Statement) -> Vec<IndexId> {
-        (**self).extract_candidates(stmt)
-    }
-
-    fn describe_index(&self, id: IndexId) -> String {
-        (**self).describe_index(id)
-    }
-}
-
 impl TuningEnv for simdb::database::Database {
     fn whatif(&self, stmt: &Statement, config: &IndexSet) -> PlanCost {
         simdb::database::Database::whatif_cost(self, stmt, config)

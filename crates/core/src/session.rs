@@ -223,15 +223,14 @@ mod tests {
     use crate::env::{mock_statement, MockEnv};
     use crate::wfit::fixed_wfit;
     use simdb::index::IndexId;
-    use std::sync::Arc;
 
-    fn scripted() -> (Arc<MockEnv>, Statement, IndexId) {
+    fn scripted() -> (MockEnv, Statement, IndexId) {
         let env = MockEnv::new(30.0, 0.0);
         let a = IndexId(0);
         let q = mock_statement(1);
         env.set_cost(&q, &IndexSet::empty(), 50.0);
         env.set_cost(&q, &IndexSet::single(a), 5.0);
-        (Arc::new(env), q, a)
+        (env, q, a)
     }
 
     /// Forwards to an inner advisor and logs every feedback call with the
@@ -264,10 +263,9 @@ mod tests {
     }
 
     #[test]
-    fn session_owns_arc_env_and_tracks_total_work() {
+    fn session_tracks_total_work() {
         let (env, q, a) = scripted();
-        let advisor = fixed_wfit(env.clone(), vec![vec![a]]);
-        let mut session = TuningSession::new(env, advisor);
+        let mut session = TuningSession::new(&env, fixed_wfit(&env, vec![vec![a]]));
         let mut outcomes = Vec::new();
         for _ in 0..20 {
             outcomes.push(session.submit_query(&q));
@@ -333,13 +331,13 @@ mod tests {
     #[test]
     fn lagged_policy_adopts_only_at_lag_points() {
         let (env, q, a) = scripted();
-        let recording = |env: Arc<MockEnv>| Recording {
-            inner: fixed_wfit(env, vec![vec![a]]),
+        let recording = || Recording {
+            inner: fixed_wfit(&env, vec![vec![a]]),
             analyzed: 0,
             feedback: Vec::new(),
         };
-        let mut session = TuningSession::new(env.clone(), recording(env.clone()))
-            .with_policy(AcceptancePolicy::EveryT(5));
+        let mut session =
+            TuningSession::new(&env, recording()).with_policy(AcceptancePolicy::EveryT(5));
         for i in 1..=10u64 {
             let outcome = session.submit_query(&q);
             assert_eq!(outcome.adopted, i % 5 == 0);
@@ -361,7 +359,7 @@ mod tests {
         assert_eq!(session.stats().votes, 0);
 
         // Immediate adoption sends no implicit feedback.
-        let mut immediate = TuningSession::new(env.clone(), recording(env));
+        let mut immediate = TuningSession::new(&env, recording());
         immediate.replay(&vec![q; 10], &FeedbackStream::empty());
         assert_eq!(immediate.stats().transitions, 1);
         assert!(immediate.advisor().feedback.is_empty());
@@ -370,8 +368,7 @@ mod tests {
     #[test]
     fn votes_are_delivered_and_counted() {
         let (env, q, a) = scripted();
-        let advisor = fixed_wfit(env.clone(), vec![vec![a]]);
-        let mut session = TuningSession::new(env, advisor);
+        let mut session = TuningSession::new(&env, fixed_wfit(&env, vec![vec![a]]));
         session.vote(&IndexSet::single(a), &IndexSet::empty());
         assert_eq!(session.stats().votes, 1);
         assert!(session.recommendation().contains(a));
@@ -385,9 +382,8 @@ mod tests {
     #[test]
     fn boxed_advisors_work_as_session_fleets() {
         let (env, q, a) = scripted();
-        let advisor: Box<dyn IndexAdvisor + Send> =
-            Box::new(fixed_wfit(env.clone(), vec![vec![a]]));
-        let mut session = TuningSession::new(env, advisor).with_initial(IndexSet::single(a));
+        let advisor: Box<dyn IndexAdvisor + Send + '_> = Box::new(fixed_wfit(&env, vec![vec![a]]));
+        let mut session = TuningSession::new(&env, advisor).with_initial(IndexSet::single(a));
         assert_eq!(session.stats().configuration_size, 1);
         session.submit_query(&q);
         // The box forwards the name and every overhead counter.

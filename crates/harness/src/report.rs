@@ -12,7 +12,7 @@
 use wfit_core::json::{diff_with_tolerance, Json};
 
 /// Metrics of one (advisor × options) cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellReport {
     /// The cell's label from the spec.
     pub label: String,
@@ -31,10 +31,10 @@ pub struct CellReport {
     pub opt_ratio: f64,
     /// The ratio at each checkpoint (the x/y series of the figures).
     pub ratio_series: Vec<(usize, f64)>,
-    /// What-if optimizer calls: the advisor's own count offline (0 where
-    /// the advisor asks no optimizer), every request through the session's
-    /// environment in a service cell (the advisor's plus the session's
-    /// charging of each statement).
+    /// What-if optimizer calls the advisor asked for
+    /// ([`wfit_core::IndexAdvisor::whatif_calls`]; 0 where the advisor asks
+    /// no optimizer), offline and in a service cell alike.  The session's
+    /// charging of each statement is not counted.
     pub whatif_calls: u64,
     /// Number of stable-partition rebuilds (WFIT AUTO only).
     pub repartitions: u64,

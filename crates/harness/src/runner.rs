@@ -147,15 +147,13 @@ impl PreparedWorkload {
 
     /// The report of one cell, offline or a service session: `session` has
     /// replayed a prefix of this workload.  Ratios are taken against OPT at
-    /// `checkpoints` and at the last statement the session processed;
-    /// `whatif_calls` is the caller's count of the session's optimizer
-    /// calls.
+    /// `checkpoints` and at the last statement the session processed; every
+    /// counter, `whatif_calls` included, is read from the session's advisor.
     pub(crate) fn cell_report<E: TuningEnv, A: IndexAdvisor>(
         &self,
         label: String,
         session: &TuningSession<E, A>,
         checkpoints: &[usize],
-        whatif_calls: u64,
         wall_time_ms: f64,
     ) -> CellReport {
         let stats = session.stats();
@@ -171,7 +169,7 @@ impl PreparedWorkload {
             transitions: stats.transitions as usize,
             opt_ratio: ratio_at(series.len()),
             ratio_series: checkpoints.iter().map(|&n| (n, ratio_at(n))).collect(),
-            whatif_calls,
+            whatif_calls: advisor.whatif_calls(),
             repartitions: advisor.repartitions(),
             states_tracked: advisor.states_tracked(),
             monitored: advisor.monitored_count(),
@@ -237,12 +235,10 @@ impl ScenarioContext {
         let start = Instant::now();
         session.replay(&workload.statements, &feedback);
         let wall_time_ms = start.elapsed().as_secs_f64() * 1000.0;
-        let whatif_calls = session.advisor().whatif_calls();
         workload.cell_report(
             cell.label.clone(),
             &session,
             &self.checkpoints(),
-            whatif_calls,
             wall_time_ms,
         )
     }
@@ -269,7 +265,8 @@ impl ScenarioContext {
     /// metric is identical to [`ScenarioContext::run`] except `wall_time_ms`,
     /// which here measures each cell alone — use this when wall-clock time is
     /// the quantity under study (the overhead bench), since parallel cells
-    /// time-slice against each other and contend on the shared what-if cache.
+    /// time-slice against each other and contend on the database's what-if
+    /// memo.
     pub fn run_sequential(&self) -> RunReport {
         let cells = self.spec.cells.iter().map(|c| self.run_cell(c)).collect();
         self.assemble(cells)

@@ -622,7 +622,6 @@ fn run_internal(
                 format!("t{t}/{}", session_spec.label()),
                 svc.session(id),
                 &checkpoints,
-                svc.session_whatif_requests(id),
                 0.0,
             ));
         }
@@ -882,6 +881,54 @@ mod tests {
         assert!(report.cell("t0/AUTO").unwrap().states_tracked > 0);
         assert!(report.cell("t0/ALL-CAND").unwrap().final_config_size > 0);
         assert_eq!(report.to_json(), run_service_scenario(&spec).to_json());
+    }
+
+    #[test]
+    fn offline_cell_and_service_session_report_the_same_cell() {
+        use wfit_core::evaluator::FeedbackStream;
+        use wfit_core::TuningSession;
+
+        let fleet = [
+            AdvisorSpec::WfitFixed { state_cnt: 500 },
+            AdvisorSpec::WfitIndependent,
+            AdvisorSpec::Bc,
+            AdvisorSpec::Bandit { seed: 7 },
+            AdvisorSpec::NoIndex,
+            AdvisorSpec::WfitAuto {
+                config: wfit_core::config::WfitConfig::default(),
+            },
+        ];
+        let prep = PreparedWorkload::prepare(
+            BenchmarkSpec {
+                statements_per_phase: 2,
+                ..BenchmarkSpec::default()
+            },
+            &state_cnts_needed(500, &fleet),
+        );
+        let checkpoints = checkpoint_positions(prep.statements.len());
+
+        let mut svc = TuningService::with_workers(1);
+        let tenant = svc.add_tenant("tenant-0", prep.db.clone());
+        for spec in &fleet {
+            svc.add_session(tenant, spec.label(), |env| {
+                Box::new(prep.build_advisor(spec, env))
+            });
+        }
+        for stmt in &prep.statements {
+            svc.submit(Event::query(tenant, Arc::new(stmt.clone())));
+        }
+        svc.process_pending();
+
+        for (s, spec) in fleet.iter().enumerate() {
+            let mut offline = TuningSession::new(&*prep.db, prep.build_advisor(spec, &*prep.db));
+            offline.replay(&prep.statements, &FeedbackStream::empty());
+            // One label and one wall time for both, so every other field
+            // is compared, `whatif_calls` included.
+            let offline = prep.cell_report(spec.label(), &offline, &checkpoints, 0.0);
+            let session = svc.session(service::SessionId::new(tenant, s));
+            let served = prep.cell_report(spec.label(), session, &checkpoints, 0.0);
+            assert_eq!(offline, served, "{}", spec.label());
+        }
     }
 
     #[test]

@@ -56,18 +56,6 @@ pub fn marginal_benefit(ibg: &IndexBenefitGraph, a: IndexId, context: &IndexSet)
     benefit_single(ibg, a, &without)
 }
 
-/// Benefits of all relevant indices for this statement (id, β) with β > 0
-/// entries only.
-pub fn positive_benefits(ibg: &IndexBenefitGraph) -> Vec<(IndexId, f64)> {
-    ibg.relevant()
-        .iter()
-        .filter_map(|a| {
-            let b = max_benefit(ibg, a);
-            (b > 0.0).then_some((a, b))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,16 +150,6 @@ mod tests {
         assert!(b < 0.0, "benefit should be negative, got {b}");
         // ids[1] helps locate the rows to update.
         assert!(benefit_single(&ibg, ids[1], &IndexSet::empty()) > 0.0);
-    }
-
-    #[test]
-    fn positive_benefits_filters_nonpositive() {
-        let (db, ids, _, update) = setup();
-        let ibg = ibg_for(&db, &ids, &update);
-        let pos = positive_benefits(&ibg);
-        assert!(pos.iter().all(|(_, b)| *b > 0.0));
-        assert!(pos.iter().any(|(id, _)| *id == ids[1]));
-        assert!(!pos.iter().any(|(id, _)| *id == ids[0]));
     }
 
     #[test]

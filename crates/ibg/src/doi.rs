@@ -45,22 +45,6 @@ pub fn degree_of_interaction(ibg: &IndexBenefitGraph, a: IndexId, b: IndexId) ->
     best
 }
 
-/// All interacting pairs `(a, b, doi)` with `doi > threshold` among the
-/// relevant indices of the statement.
-pub fn interacting_pairs(ibg: &IndexBenefitGraph, threshold: f64) -> Vec<(IndexId, IndexId, f64)> {
-    let ids: Vec<IndexId> = ibg.relevant().iter().collect();
-    let mut out = Vec::new();
-    for (i, &a) in ids.iter().enumerate() {
-        for &b in ids.iter().skip(i + 1) {
-            let d = degree_of_interaction(ibg, a, b);
-            if d > threshold {
-                out.push((a, b, d));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,19 +152,6 @@ mod tests {
             degree_of_interaction(&g, f.same_table[0], IndexId(4242)),
             0.0
         );
-    }
-
-    #[test]
-    fn interacting_pairs_respects_threshold() {
-        let f = fixture();
-        let g = ibg(&f);
-        let all = interacting_pairs(&g, 0.0);
-        assert!(all
-            .iter()
-            .any(|(a, b, _)| (*a, *b) == (f.same_table[0], f.same_table[1])
-                || (*b, *a) == (f.same_table[0], f.same_table[1])));
-        let none = interacting_pairs(&g, f64::INFINITY);
-        assert!(none.is_empty());
     }
 
     #[test]

@@ -10,17 +10,19 @@
 //! degree of interaction across parts.
 
 use simdb::index::IndexId;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A partition: each inner vector is one part.  Parts and their members are
 /// kept sorted so partitions can be compared structurally.
 pub type Partition = Vec<Vec<IndexId>>;
 
 /// Symmetric map of pairwise interaction weights.  Keys are stored with the
-/// smaller index first.
+/// smaller index first, in key order, so every sum over the pairs (the
+/// [`partition_loss`] a partition choice compares) adds in the same order
+/// on every run.
 #[derive(Debug, Clone, Default)]
 pub struct InteractionWeights {
-    weights: HashMap<(IndexId, IndexId), f64>,
+    weights: BTreeMap<(IndexId, IndexId), f64>,
 }
 
 impl InteractionWeights {
@@ -57,7 +59,7 @@ impl InteractionWeights {
         self.weights.get(&Self::key(a, b)).copied().unwrap_or(0.0)
     }
 
-    /// Iterate over all positive-weight pairs.
+    /// Iterate over all positive-weight pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (IndexId, IndexId, f64)> + '_ {
         self.weights.iter().map(|(&(a, b), &w)| (a, b, w))
     }
@@ -240,6 +242,21 @@ mod tests {
         // Minimum stable partition has zero loss.
         let full = connected_components(&ids(&[1, 2, 3, 4]), &w, 0.0);
         assert_eq!(partition_loss(&full, &w), 0.0);
+    }
+
+    #[test]
+    fn loss_adds_weights_in_key_order() {
+        // 1e16 + 1.0 rounds back to 1e16, so the sum is 1e16 + 2.0 only when
+        // the two unit weights are added before the large one, which sits on
+        // the largest key.  Every fresh map must add them in that order.
+        let singletons: Partition = vec![ids(&[1]), ids(&[2]), ids(&[3])];
+        for _ in 0..32 {
+            let mut w = InteractionWeights::new();
+            w.set(IndexId(2), IndexId(3), 1e16);
+            w.set(IndexId(1), IndexId(3), 1.0);
+            w.set(IndexId(1), IndexId(2), 1.0);
+            assert_eq!(partition_loss(&singletons, &w), 1e16 + 2.0);
+        }
     }
 
     #[test]

@@ -110,17 +110,6 @@ impl IndexStatistics {
     pub fn current_benefit(&self, a: IndexId, now: u64) -> f64 {
         self.stats.get(&a).map(|s| s.current(now)).unwrap_or(0.0)
     }
-
-    /// Indices with at least one recorded positive benefit.
-    pub fn known_indexes(&self) -> impl Iterator<Item = IndexId> + '_ {
-        self.stats.keys().copied()
-    }
-
-    /// Drop statistics for indices not in `keep` (used when the candidate pool
-    /// is pruned).
-    pub fn retain(&mut self, keep: impl Fn(IndexId) -> bool) {
-        self.stats.retain(|id, _| keep(*id));
-    }
 }
 
 /// `intStats`: per-pair interaction windows.
@@ -179,20 +168,6 @@ impl InteractionStats {
             .filter(|&b| b != a)
             .map(|b| self.current_doi(a, b, now))
             .sum()
-    }
-
-    /// All pairs with recorded interactions, with their current doi.
-    pub fn current_pairs(&self, now: u64) -> Vec<(IndexId, IndexId, f64)> {
-        self.stats
-            .iter()
-            .map(|(&(a, b), s)| (a, b, s.current(now)))
-            .filter(|(_, _, d)| *d > 0.0)
-            .collect()
-    }
-
-    /// Drop statistics for pairs involving indices not kept.
-    pub fn retain(&mut self, keep: impl Fn(IndexId) -> bool) {
-        self.stats.retain(|(a, b), _| keep(*a) && keep(*b));
     }
 }
 
@@ -257,9 +232,6 @@ mod tests {
         assert!(stats.current_benefit(IndexId(1), 3) > 0.0);
         assert_eq!(stats.current_benefit(IndexId(2), 3), 0.0);
         assert_eq!(stats.current_benefit(IndexId(9), 3), 0.0);
-        assert_eq!(stats.known_indexes().count(), 1);
-        stats.retain(|id| id != IndexId(1));
-        assert_eq!(stats.known_indexes().count(), 0);
     }
 
     #[test]
@@ -269,10 +241,6 @@ mod tests {
         assert!(stats.current_doi(IndexId(1), IndexId(2), 4) > 0.0);
         assert!(stats.current_doi(IndexId(2), IndexId(1), 4) > 0.0);
         assert_eq!(stats.current_doi(IndexId(1), IndexId(1), 4), 0.0);
-        let pairs = stats.current_pairs(4);
-        assert_eq!(pairs.len(), 1);
-        stats.retain(|id| id != IndexId(1));
-        assert!(stats.current_pairs(4).is_empty());
     }
 
     #[test]

@@ -30,9 +30,6 @@ pub type ServiceSession = TuningSession<TenantEnv, Box<dyn IndexAdvisor + Send>>
 
 pub(crate) struct SessionSlot {
     label: String,
-    /// The per-session environment fork; shares the tenant cache but owns
-    /// its own what-if request counter.
-    env: TenantEnv,
     session: ServiceSession,
     /// Set when the session's advisor panicked: the panic message.  A
     /// faulted session is quarantined — it is skipped by every subsequent
@@ -348,12 +345,10 @@ impl TuningService {
         build: impl FnOnce(TenantEnv) -> Box<dyn IndexAdvisor + Send>,
     ) -> SessionId {
         let t = self.tenant_mut(tenant);
-        let env = t.env.fork_counter();
-        let advisor = build(env.clone());
-        let session = TuningSession::new(env.clone(), advisor);
+        let advisor = build(t.env.clone());
+        let session = TuningSession::new(t.env.clone(), advisor);
         t.slots.push(SessionSlot {
             label: label.into(),
-            env,
             session,
             fault: None,
         });
@@ -577,12 +572,6 @@ impl TuningService {
     /// A session's aggregate accounting.
     pub fn session_stats(&self, id: SessionId) -> SessionStats {
         self.slot_ref(id).session.stats()
-    }
-
-    /// What-if requests issued on behalf of a session (through its forked
-    /// environment counter).
-    pub fn session_whatif_requests(&self, id: SessionId) -> u64 {
-        self.slot_ref(id).env.whatif_requests()
     }
 
     /// A session's current recommendation.
@@ -1154,11 +1143,16 @@ mod tests {
             stats.cache_hits * 2 >= stats.requests,
             "expected cross-session hits, stats = {stats:?}"
         );
-        // Both sessions issued the same number of requests.
-        assert_eq!(
-            svc.session_whatif_requests(SessionId::new(ids[0], 0)),
-            svc.session_whatif_requests(SessionId::new(ids[0], 1)),
-        );
+        // Both sessions' advisors issued the same number of what-if calls.
+        // The cache served those plus each session's charge of the one
+        // statement.
+        let calls = |s: usize| {
+            svc.session(SessionId::new(ids[0], s))
+                .advisor()
+                .whatif_calls()
+        };
+        assert_eq!(calls(0), calls(1));
+        assert_eq!(stats.requests, calls(0) + calls(1) + 2);
     }
 
     #[test]

@@ -7,7 +7,6 @@ use simdb::index::{IndexId, IndexSet};
 use simdb::optimizer::PlanCost;
 use simdb::query::Statement;
 use simdb::whatif::WhatIfStats;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wfit_core::TuningEnv;
 
@@ -49,10 +48,10 @@ impl TenantOptions {
 /// Every clone shares the same [`Database`] and (optionally) the same
 /// [`SharedWhatIfCache`], so all sessions of a tenant answer what-if
 /// questions out of one memo, while each session builds its own IBGs
-/// through the default [`TuningEnv::ibg`].  Each *session* gets its own
-/// clone with a fresh request counter (see [`TenantEnv::fork_counter`]),
-/// which is how the service attributes what-if traffic to individual
-/// sessions even though the cache is shared.
+/// through the default [`TuningEnv::ibg`].  The environment counts no
+/// what-if calls of its own: a session's count is its advisor's
+/// [`wfit_core::IndexAdvisor::whatif_calls`], and the tenant's is the
+/// cache's [`WhatIfStats`].
 ///
 /// Because the handle is `Arc`-backed it is `'static`, `Send` and `Sync`:
 /// advisors built over it can live inside a long-running service and migrate
@@ -62,7 +61,6 @@ impl TenantOptions {
 pub struct TenantEnv {
     db: Arc<Database>,
     cache: Option<Arc<SharedWhatIfCache>>,
-    whatif_requests: Arc<AtomicU64>,
 }
 
 impl TenantEnv {
@@ -73,7 +71,6 @@ impl TenantEnv {
             cache: options
                 .cache
                 .map(|config| Arc::new(SharedWhatIfCache::with_config(config))),
-            whatif_requests: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -81,22 +78,6 @@ impl TenantEnv {
     /// shared cache.
     pub fn cached(db: Arc<Database>) -> Self {
         Self::with_options(db, TenantOptions::default())
-    }
-
-    /// An environment that always runs the optimizer (no shared cache) —
-    /// the control arm for cache-effect measurements.
-    pub fn uncached(db: Arc<Database>) -> Self {
-        Self::with_options(db, TenantOptions { cache: None })
-    }
-
-    /// A clone sharing the database and cache but carrying a **fresh**
-    /// what-if request counter.  The service forks one per session.
-    pub fn fork_counter(&self) -> Self {
-        Self {
-            db: self.db.clone(),
-            cache: self.cache.clone(),
-            whatif_requests: Arc::new(AtomicU64::new(0)),
-        }
     }
 
     /// The underlying database.
@@ -110,12 +91,6 @@ impl TenantEnv {
         self.cache.as_ref().map(|c| c.stats()).unwrap_or_default()
     }
 
-    /// What-if requests issued through *this* handle (i.e. by the session it
-    /// was forked for).
-    pub fn whatif_requests(&self) -> u64 {
-        self.whatif_requests.load(Ordering::Relaxed)
-    }
-
     /// The tenant's shared what-if cache, when one is attached.  The
     /// persistence layer exports/verifies it through this handle.
     pub fn shared_cache(&self) -> Option<&Arc<SharedWhatIfCache>> {
@@ -125,7 +100,6 @@ impl TenantEnv {
 
 impl TuningEnv for TenantEnv {
     fn whatif(&self, stmt: &Statement, config: &IndexSet) -> PlanCost {
-        self.whatif_requests.fetch_add(1, Ordering::Relaxed);
         match &self.cache {
             Some(cache) => cache.get_or_compute(stmt.fingerprint, config, || {
                 self.db.whatif_cost_uncached(stmt, config)
@@ -163,6 +137,11 @@ mod tests {
     use simdb::catalog::CatalogBuilder;
     use simdb::types::DataType;
 
+    /// An environment that always runs the optimizer: no tenant cache.
+    fn uncached_env(db: Arc<Database>) -> TenantEnv {
+        TenantEnv::with_options(db, TenantOptions { cache: None })
+    }
+
     fn db() -> Arc<Database> {
         let mut b = CatalogBuilder::new();
         b.table("t")
@@ -187,33 +166,28 @@ mod tests {
         assert_eq!(stats.optimizer_calls, 1);
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.evictions, 0);
-        assert_eq!(env.whatif_requests(), 2);
         let cache = env.shared_cache().expect("a cached env shares a cache");
         assert_eq!(cache.capacity(), None, "default cache is unbounded");
     }
 
     #[test]
-    fn forked_counters_share_the_cache() {
+    fn clones_share_the_cache() {
         let db = db();
         let env = TenantEnv::cached(db.clone());
-        let fork_a = env.fork_counter();
-        let fork_b = env.fork_counter();
+        let (session_a, session_b) = (env.clone(), env.clone());
         let q = db.parse("SELECT b FROM t WHERE a = 2").unwrap();
-        fork_a.cost(&q, &IndexSet::empty());
+        session_a.cost(&q, &IndexSet::empty());
         // The second session hits the entry the first one computed.
-        fork_b.cost(&q, &IndexSet::empty());
-        assert_eq!(fork_a.whatif_requests(), 1);
-        assert_eq!(fork_b.whatif_requests(), 1);
-        assert_eq!(env.whatif_requests(), 0);
+        session_b.cost(&q, &IndexSet::empty());
         let stats = env.cache_stats();
-        assert_eq!(stats.cache_hits, 1);
+        assert_eq!((stats.requests, stats.cache_hits), (2, 1));
     }
 
     #[test]
     fn cached_and_uncached_costs_agree() {
         let db = db();
         let cached = TenantEnv::cached(db.clone());
-        let uncached = TenantEnv::uncached(db.clone());
+        let uncached = uncached_env(db.clone());
         assert!(uncached.shared_cache().is_none() && cached.shared_cache().is_some());
         let q = db.parse("SELECT b FROM t WHERE a = 3").unwrap();
         let e = IndexSet::empty();
@@ -226,7 +200,7 @@ mod tests {
         let db = db();
         let bounded =
             TenantEnv::with_options(db.clone(), TenantOptions::default().with_cache_capacity(2));
-        let uncached = TenantEnv::uncached(db.clone());
+        let uncached = uncached_env(db.clone());
         assert_eq!(bounded.shared_cache().and_then(|c| c.capacity()), Some(2));
         let q = db.parse("SELECT b FROM t WHERE a = 1").unwrap();
         let ia = db.define_index("t", &["a"]).unwrap();

@@ -14,8 +14,11 @@
 //!   hits;
 //! * a fleet of **tuning sessions** per tenant — each a
 //!   [`wfit_core::TuningSession`] driving any boxed
-//!   [`wfit_core::IndexAdvisor`] (WFIT, BC, …) over the tenant's
-//!   environment ([`TenantEnv`]);
+//!   [`wfit_core::IndexAdvisor`] (WFIT, BC, …) over a clone of the tenant's
+//!   environment ([`TenantEnv`]); a session's what-if count is its
+//!   advisor's [`wfit_core::IndexAdvisor::whatif_calls`], as in an offline
+//!   replay, and the tenant's is its cache's
+//!   [`simdb::whatif::WhatIfStats`];
 //! * a sharded **ingress** of pending events — [`Event::Query`] and
 //!   [`Event::Vote`] items submitted with [`TuningService::submit`] (or a
 //!   cloned [`ServiceHandle`], from any thread, **while a drain is

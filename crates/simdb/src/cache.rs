@@ -1,16 +1,17 @@
-//! A concurrent, interned, capacity-bounded what-if cost cache shared across
-//! tuning sessions.
+//! The what-if memo: a concurrent, interned, optionally capacity-bounded
+//! cache of plan costs.
 //!
-//! [`crate::whatif::WhatIfCache`] is the per-[`crate::Database`] memo behind
-//! `whatif_cost`; this module provides the *service-level* layer on top: one
-//! [`SharedWhatIfCache`] per tenant, shared by every tuning session replaying
-//! that tenant's workload.  Redundant what-if optimization is the dominant
-//! cost of online tuning (the paper reports 5–100 optimizer calls per query,
-//! §6.2), and sessions of one tenant ask overwhelmingly overlapping
-//! questions, so sharing the memo converts most of that work into lookups.
+//! It is the workspace's one what-if memo.  Every [`crate::Database`] keeps an
+//! unbounded one behind `whatif_cost`, and every tenant of the service in
+//! `crates/service` keeps one, bounded or not, shared by all the tuning
+//! sessions replaying that tenant's workload.  Redundant what-if optimization
+//! is the dominant cost of online tuning (the paper reports 5–100 optimizer
+//! calls per query, §6.2), and sessions over one workload ask overwhelmingly
+//! overlapping questions, so sharing the memo converts most of that work into
+//! lookups.
 //!
-//! Three design points keep the shared cache cheap under concurrency *and*
-//! bounded in memory:
+//! Three design points keep the cache cheap under concurrency *and* bounded
+//! in memory:
 //!
 //! * **Interning.**  Statement fingerprints (`u64`) and index configurations
 //!   ([`IndexSet`], a sorted id vector) are interned to dense `u32` ids
@@ -19,8 +20,11 @@
 //!   hot map never clones an `IndexSet` per entry.
 //! * **Sharding.**  Entries are spread over up to [`SHARD_COUNT`] independent
 //!   `RwLock`-protected shards selected by a mix of the interned ids, so
-//!   concurrent sessions rarely contend on the same lock, and lookups (the
-//!   common case once the cache is warm) take only a read lock.
+//!   concurrent callers rarely contend on the same lock, and lookups (the
+//!   common case once the cache is warm) take only a read lock.  One service
+//!   worker drains each tenant, so a tenant's memo sees one caller at a
+//!   time; the concurrent callers are the offline harness's parallel cells,
+//!   which share their database's memo.
 //! * **Bounded occupancy.**  A [`CacheConfig`] capacity caps the number of
 //!   resident plan costs.  Each shard runs an independent CLOCK
 //!   (second-chance) sweep over its slots: hits set a per-slot reference bit
@@ -36,10 +40,11 @@
 //! events are drained sequentially by one service worker, so eviction order —
 //! and therefore every hit/miss/eviction counter — is a pure function of the
 //! tenant's event order, which is what lets bounded-cache scenarios live in
-//! the byte-identical golden regression suite.
+//! the byte-identical golden regression suite.  A database memo shared by
+//! parallel cells answers every request identically, but its counters depend
+//! on how the cells interleave.
 //!
-//! Hit/miss accounting uses the same [`WhatIfStats`] counters as the
-//! per-database cache, so reports can present both layers uniformly.
+//! Every memo reports its counters as a [`WhatIfStats`].
 
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -128,7 +133,8 @@ struct Shard {
 }
 
 /// A concurrent what-if cost cache with interned keys and optional capacity
-/// bounding, shared by all tuning sessions of one tenant.
+/// bounding: a database's memo, or one tenant's, shared by all its tuning
+/// sessions.
 ///
 /// ```
 /// use simdb::cache::{CacheConfig, SharedWhatIfCache};
@@ -252,11 +258,6 @@ impl SharedWhatIfCache {
         self.stmts.read().len()
     }
 
-    /// Number of distinct configurations seen.
-    pub fn distinct_configs(&self) -> usize {
-        self.configs.read().len()
-    }
-
     fn shard_of(&self, stmt: StmtId, config: ConfigId) -> usize {
         // Mix both ids so neither a statement-heavy nor a config-heavy key
         // distribution collapses onto one shard.
@@ -351,15 +352,6 @@ impl SharedWhatIfCache {
         }
     }
 
-    /// Reset the counters (cache contents and interners are kept, so
-    /// [`WhatIfStats::entries`] reflects the retained occupancy).
-    pub fn reset_stats(&self) {
-        self.requests.store(0, Ordering::Relaxed);
-        self.optimizer_calls.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-    }
-
     /// Number of cached plan costs across all shards.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.read().slots.len()).sum()
@@ -368,18 +360,6 @@ impl SharedWhatIfCache {
     /// Whether no plan cost is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drop all cached plans and interned ids.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut guard = shard.write();
-            guard.map.clear();
-            guard.slots.clear();
-            guard.hand = 0;
-        }
-        self.stmts.write().clear();
-        self.configs.write().clear();
     }
 
     /// Export the complete cache state — interners, per-shard slot arenas in
@@ -665,7 +645,6 @@ mod tests {
         // IndexSet equality (not identity) drives interning: a structurally
         // equal set re-uses the id.
         assert_eq!(cache.intern_config(&IndexSet::from_iter([IndexId(7)])), c_a);
-        assert_eq!(cache.distinct_configs(), 2);
     }
 
     #[test]
@@ -687,19 +666,7 @@ mod tests {
         assert_eq!(stats.entries, 3);
         assert!((stats.hit_rate() - 0.4).abs() < 1e-12);
         assert_eq!(cache.len(), 3);
-
-        cache.reset_stats();
-        assert_eq!(
-            cache.stats(),
-            WhatIfStats {
-                entries: 3,
-                ..WhatIfStats::default()
-            },
-            "reset_stats keeps the entries"
-        );
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.distinct_statements(), 0);
+        assert_eq!(cache.distinct_statements(), 2);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The [`Database`] façade: the one-stop interface the tuning algorithms use.
 //!
 //! A `Database` bundles a catalog, an index registry, the cost model and a
-//! what-if cache, and exposes exactly the services the paper requires from the
-//! DBMS: what-if optimization, candidate extraction and transition costs.
+//! what-if memo (an unbounded [`SharedWhatIfCache`]), and exposes exactly the
+//! services the paper requires from the DBMS: what-if optimization, candidate
+//! extraction and transition costs.
 
 use parking_lot::RwLock;
 
+use crate::cache::SharedWhatIfCache;
 use crate::catalog::Catalog;
 use crate::cost::CostModelConfig;
 use crate::error::Result;
@@ -15,7 +17,7 @@ use crate::optimizer::{Optimizer, PlanCost};
 use crate::query::Statement;
 use crate::sql::{parse, Binder};
 use crate::types::{ColumnId, TableId};
-use crate::whatif::{WhatIfCache, WhatIfStats};
+use crate::whatif::WhatIfStats;
 
 /// A simulated database instance.
 pub struct Database {
@@ -23,7 +25,7 @@ pub struct Database {
     registry: RwLock<IndexRegistry>,
     cost_config: CostModelConfig,
     transition_model: TransitionCostModel,
-    cache: WhatIfCache,
+    cache: SharedWhatIfCache,
 }
 
 impl Database {
@@ -47,7 +49,7 @@ impl Database {
             registry: RwLock::new(IndexRegistry::new()),
             cost_config,
             transition_model,
-            cache: WhatIfCache::new(),
+            cache: SharedWhatIfCache::new(),
         }
     }
 
@@ -100,20 +102,21 @@ impl Database {
     }
 
     /// What-if optimization: cost of `stmt` under hypothetical configuration
-    /// `config`.  Results are cached per `(statement, configuration)`.
+    /// `config`.  Results are memoized per `(statement, configuration)` in
+    /// the database's unbounded [`SharedWhatIfCache`], which every caller of
+    /// this database shares (the offline harness's parallel cells, for one).
     pub fn whatif_cost(&self, stmt: &Statement, config: &IndexSet) -> PlanCost {
         self.cache.get_or_compute(stmt.fingerprint, config, || {
-            let registry = self.registry.read();
-            let optimizer = Optimizer::new(&self.catalog, &registry, &self.cost_config);
-            optimizer.cost(stmt, config)
+            self.whatif_cost_uncached(stmt, config)
         })
     }
 
-    /// What-if optimization bypassing the database's own cache.
+    /// What-if optimization bypassing the database's own memo: one optimizer
+    /// call.
     ///
-    /// This is the entry point for callers that bring their *own* memoization
-    /// layer (e.g. a per-tenant [`crate::cache::SharedWhatIfCache`] shared by
-    /// several tuning sessions) and do not want every result stored twice.
+    /// This is the entry point for callers that bring their *own* memo (a
+    /// service tenant's [`SharedWhatIfCache`], shared by its tuning
+    /// sessions) and do not want every result stored twice.
     pub fn whatif_cost_uncached(&self, stmt: &Statement, config: &IndexSet) -> PlanCost {
         let registry = self.registry.read();
         let optimizer = Optimizer::new(&self.catalog, &registry, &self.cost_config);
@@ -152,14 +155,9 @@ impl Database {
             .transition_cost(&self.catalog, &registry, from, to)
     }
 
-    /// What-if usage counters.
+    /// Counters of the database's what-if memo.
     pub fn whatif_stats(&self) -> WhatIfStats {
         self.cache.stats()
-    }
-
-    /// Reset what-if usage counters.
-    pub fn reset_whatif_stats(&self) {
-        self.cache.reset_stats();
     }
 }
 
@@ -222,8 +220,7 @@ mod tests {
         assert_eq!(stats.requests, 3);
         assert_eq!(stats.optimizer_calls, 1);
         assert_eq!(stats.cache_hits, 2);
-        db.reset_whatif_stats();
-        assert_eq!(db.whatif_stats().requests, 0);
+        assert_eq!((stats.evictions, stats.entries), (0, 1));
     }
 
     #[test]

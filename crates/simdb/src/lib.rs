@@ -29,11 +29,11 @@
 //! * [`optimizer`] — the what-if optimizer proper, returning both the plan
 //!   cost and the set of indices the plan uses (needed by the index benefit
 //!   graph);
-//! * [`whatif`] — a caching, call-counting façade (the paper reports
-//!   what-if call counts as an overhead metric);
-//! * [`cache`] — a concurrent, interned what-if cost cache shared across all
-//!   tuning sessions of a tenant (the scaling layer the multi-tenant service
-//!   in `crates/service` builds on);
+//! * [`cache`] — the one what-if memo: a concurrent, interned, optionally
+//!   bounded cost cache, unbounded behind [`Database::whatif_cost`] and one
+//!   per tenant of the multi-tenant service in `crates/service`;
+//! * [`whatif`] — the memo's usage counters (the paper reports what-if call
+//!   counts as an overhead metric);
 //! * [`digest`] — the FNV-1a hasher behind every deterministic digest;
 //! * [`extract`] — `extractIndices(q)`.
 //!

@@ -12,8 +12,8 @@
 //!   replay of the same requests, bit for bit.
 //! * **Counters reconcile** — every request is counted as exactly one hit or
 //!   one miss, evictions never exceed inserts, occupancy never exceeds
-//!   capacity, and the per-session fork counters of a [`TenantEnv`] sum to
-//!   the shared cache's request counter.
+//!   capacity, and the requests each thread issues through its clone of a
+//!   [`TenantEnv`] sum to the shared cache's request counter.
 //!
 //! The harness golden suite covers the *deterministic* single-worker drain;
 //! this suite covers the concurrent access patterns the shared structures
@@ -162,7 +162,7 @@ fn concurrent_cache_counters_reconcile_with_total_calls() {
 }
 
 #[test]
-fn tenant_env_fork_counters_sum_to_shared_cache_requests() {
+fn tenant_env_per_thread_requests_sum_to_shared_cache_requests() {
     let (db, idx) = database();
     let env = TenantEnv::with_options(db.clone(), TenantOptions::default().with_cache_capacity(32));
     let stmts: Vec<_> = [
@@ -173,38 +173,47 @@ fn tenant_env_fork_counters_sum_to_shared_cache_requests() {
     .iter()
     .map(|sql| db.parse(sql).unwrap())
     .collect();
-    let forks: Vec<TenantEnv> = (0..THREADS).map(|_| env.fork_counter()).collect();
-
-    std::thread::scope(|scope| {
-        for (t, fork) in forks.iter().enumerate() {
-            let db = &db;
-            let idx = &idx;
-            let stmts = &stmts;
-            scope.spawn(move || {
-                for i in 0..96 {
-                    let stmt = &stmts[(t + i) % stmts.len()];
-                    let config = set_of(&idx[..], (t + i) % 4);
-                    // Cached answers equal the uncached oracle even while
-                    // other threads force evictions.
-                    assert_eq!(
-                        fork.cost(stmt, &config).to_bits(),
-                        db.whatif_cost_uncached(stmt, &config).total.to_bits(),
-                    );
-                    if i % 16 == 0 {
-                        // IBG builds interleave with raw cost probes.
-                        let shared = fork.ibg(stmt, IndexSet::from_iter(idx.iter().copied()));
-                        assert!(shared.graph.cost(&config) > 0.0);
+    let issued: Vec<u64> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let session = env.clone();
+                let db = &db;
+                let idx = &idx;
+                let stmts = &stmts;
+                scope.spawn(move || {
+                    let mut requests = 0u64;
+                    for i in 0..96 {
+                        let stmt = &stmts[(t + i) % stmts.len()];
+                        let config = set_of(&idx[..], (t + i) % 4);
+                        // Cached answers equal the uncached oracle even while
+                        // other threads force evictions.
+                        assert_eq!(
+                            session.cost(stmt, &config).to_bits(),
+                            db.whatif_cost_uncached(stmt, &config).total.to_bits(),
+                        );
+                        requests += 1;
+                        if i % 16 == 0 {
+                            // IBG builds interleave with raw cost probes.
+                            let shared =
+                                session.ibg(stmt, IndexSet::from_iter(idx.iter().copied()));
+                            assert!(shared.graph.cost(&config) > 0.0);
+                            requests += shared.graph.whatif_calls() as u64;
+                        }
                     }
-                }
-            });
-        }
+                    requests
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("stress thread panicked"))
+            .collect()
     });
 
-    // Per-session counters attribute exactly the shared cache's traffic:
-    // every what-if request went through exactly one fork.
-    let forked: u64 = forks.iter().map(|f| f.whatif_requests()).sum();
+    // The threads' own counts attribute exactly the shared cache's traffic:
+    // every what-if request went through exactly one thread's clone.
     let stats = env.cache_stats();
-    assert_eq!(forked, stats.requests);
+    assert_eq!(issued.iter().sum::<u64>(), stats.requests);
     assert_eq!(stats.cache_hits + stats.optimizer_calls, stats.requests);
     assert!(stats.entries <= 32);
 }
