@@ -201,6 +201,77 @@ proptest! {
     }
 }
 
+/// OPT against brute force: an oracle independent of both the kernel DP
+/// and the scan DP it replaced.
+mod opt_properties {
+    use super::*;
+    use advisors::compute_optimal;
+
+    /// Creation and drop costs, 0 included.
+    const TRANSITIONS: [f64; 6] = [0.0, 0.5, 2.5, 10.0, 30.0, 75.0];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// On tiny additive workloads (1–2 parts of at most 3 indexes, at
+        /// most 5 statements, at most 2^12 schedules) OPT's total is the
+        /// least total work of every schedule, and OPT's own schedule
+        /// replays to its total.
+        #[test]
+        fn opt_equals_brute_force(
+            sizes in proptest::collection::vec(0usize..=3, 2),
+            n_stmts in 1usize..=5,
+            savings in savings_strategy(6, 5),
+            transitions in proptest::collection::vec(0usize..TRANSITIONS.len(), 12),
+            initial in 0usize..64,
+        ) {
+            let n = sizes[0].max(1) + sizes[1];
+            let n_stmts = n_stmts.min(12 / n);
+            let savings: Vec<Vec<f64>> =
+                savings[..n].iter().map(|s| s[..n_stmts].to_vec()).collect();
+            // At most six savings below 40 each stay under the base of 250,
+            // so no cost is clamped at 0 and every partition is stable.
+            let (env, stmts, ids) = additive_env(&savings, 250.0, 0.0);
+            for (i, &id) in ids.iter().enumerate() {
+                env.set_create_cost(id, TRANSITIONS[transitions[2 * i]]);
+                env.set_drop_cost(id, TRANSITIONS[transitions[2 * i + 1]]);
+            }
+            let (first, second) = ids.split_at(sizes[0].max(1));
+            let partition: Vec<Vec<IndexId>> = [first, second]
+                .iter()
+                .filter(|part| !part.is_empty())
+                .map(|part| part.to_vec())
+                .collect();
+            let initial = hypercube::set_of(&ids, initial % (1 << n));
+            let opt = compute_optimal(&env, &stmts, &partition, &initial);
+
+            let work = |schedule: &[IndexSet]| {
+                total_work_of_schedule(&env, &stmts, schedule, &initial)[n_stmts - 1]
+            };
+            let configs = 1usize << n;
+            let best = (0..configs.pow(n_stmts as u32))
+                .map(|code| {
+                    let schedule: Vec<IndexSet> = (0..n_stmts)
+                        .map(|j| hypercube::set_of(&ids, code / configs.pow(j as u32) % configs))
+                        .collect();
+                    work(&schedule)
+                })
+                .fold(f64::INFINITY, f64::min);
+            prop_assert!(
+                (opt.total - best).abs() <= 1e-9 * best.abs(),
+                "OPT {} vs brute force {best} over {partition:?}",
+                opt.total
+            );
+            let replay = work(&opt.schedule);
+            prop_assert!(
+                (replay - opt.total).abs() <= 1e-9 * opt.total.abs(),
+                "OPT's schedule replays to {replay}, OPT reports {}",
+                opt.total
+            );
+        }
+    }
+}
+
 /// Properties of the index benefit graph and of stable partitions (the IBG
 /// invariants of Schnaitter et al. that WFIT's statistics maintenance
 /// relies on).
