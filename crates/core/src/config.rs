@@ -32,8 +32,10 @@ pub struct WfitConfig {
     /// out by current benefit).
     pub max_relevant_per_statement: usize,
     /// Upper bound on the size of a single part.  Parts larger than this are
-    /// never produced by `choosePartition` because the per-statement work of
-    /// WFA grows as `4^|C_k|`.
+    /// never produced by `choosePartition` because WFA keeps `2^|C_k|`
+    /// work-function values per part, and its per-statement update (one
+    /// [`crate::hypercube::min_plus_delta`] call) grows as `|C_k|·2^|C_k|`,
+    /// or as `4^|C_k|` when many states tie exactly.
     pub max_part_size: usize,
 }
 

@@ -291,7 +291,7 @@ mod tests {
     /// The `O(4^k)` scan is slow without optimization; CI runs this in
     /// release.
     #[test]
-    #[ignore = "slow in debug: cargo test --release -p wfit_core --lib hypercube -- --ignored"]
+    #[ignore = "slow in debug: cargo test --release -p wfit_core --lib -- --ignored"]
     fn min_plus_delta_matches_the_scan_at_k_9_and_10() {
         for k in [9, 10] {
             assert_matches_scan(k, 12, k as u64);

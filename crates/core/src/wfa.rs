@@ -5,15 +5,17 @@
 //! set of candidate indices (one part of the stable partition when used inside
 //! WFA⁺/WFIT).  Configurations are bitmasks over the part's index list (the
 //! [`crate::hypercube`] format), so a part of `k` indices stores `2^k`
-//! work-function values and every `analyzeQuery` performs the `O(4^k)`
-//! double loop of the recurrence
+//! work-function values.  Every `analyzeQuery` evaluates the recurrence
 //!
 //! ```text
 //! w_n(S) = min_{X ⊆ C} { w_{n−1}(X) + cost(q_n, X) + δ(X, S) }
 //! ```
 //!
-//! followed by the score minimization
-//! `currRec = argmin_{S ∈ p[S]} { w[S] + δ(S, currRec) }`.
+//! as one δ-transform of `f = w_{n−1} + cost(q_n, ·)`
+//! ([`hypercube::min_plus_delta`], `O(k·2^k)` passes over the hypercube's
+//! edges with the bits of the `O(4^k)` double loop over every `(X, S)`
+//! pair, which the unit tests keep as the reference), followed by the
+//! score minimization `currRec = argmin_{S ∈ p[S]} { w[S] + δ(S, currRec) }`.
 
 use crate::hypercube;
 use simdb::index::{IndexId, IndexSet};
@@ -160,28 +162,36 @@ impl WfaInstance {
     /// `analyzeQuery` when per-configuration costs are already available
     /// (`costs[mask] = cost(q, set_of(mask))`).
     pub fn analyze_query_with_costs(&mut self, costs: &[f64]) {
-        let size = self.w.len();
-        assert_eq!(costs.len(), size);
+        assert_eq!(costs.len(), self.w.len());
+        let (w_next, in_p) = self.next_work_function(costs);
+        self.advance(w_next, &in_p);
+    }
 
-        // Stage 1: update the work function.
-        let (w_next, in_p): (Vec<f64>, Vec<bool>) = (0..size)
-            .map(|s| {
-                let best = self
-                    .w
-                    .iter()
-                    .zip(costs)
-                    .enumerate()
-                    .map(|(x, (&w, &c))| w + c + self.delta(x, s))
-                    .fold(f64::INFINITY, f64::min);
-                // S ∈ p[S] iff the path that stays in S achieves the minimum.
-                let stay = self.w[s] + costs[s];
-                (best, stay <= best * (1.0 + EPS) + EPS)
-            })
-            .unzip();
+    /// Stage 1 of `analyzeQuery`: the next work function
+    /// `w_n(S) = min_X w_{n−1}(X) + cost(q_n, X) + δ(X, S)` and, per `S`,
+    /// whether `S ∈ p[S]` (the path that stays in `S` attains the minimum).
+    ///
+    /// One δ-transform of `f = w + cost`: the `O(4^k)` scan adds
+    /// `(w[X] + cost[X]) + δ(X, S)` in that order, and
+    /// [`hypercube::min_plus_delta`] returns that scan's least value bit for
+    /// bit, so `w_n` and `p[S]` are exactly the scan's.
+    fn next_work_function(&self, costs: &[f64]) -> (Vec<f64>, Vec<bool>) {
+        let f: Vec<f64> = self.w.iter().zip(costs).map(|(&w, &c)| w + c).collect();
+        let (w_next, _) = hypercube::min_plus_delta(&self.create, &self.drop, &f);
+        let in_p = f
+            .iter()
+            .zip(&w_next)
+            .map(|(&stay, &best)| stay <= best * (1.0 + EPS) + EPS)
+            .collect();
+        (w_next, in_p)
+    }
+
+    /// Stage 2 of `analyzeQuery`: adopt `w_next` and pick the next
+    /// recommendation among the states with `S ∈ p[S]`, minimizing
+    /// `score(S) = w[S] + δ(S, currRec)`.
+    fn advance(&mut self, w_next: Vec<f64>, in_p: &[bool]) {
+        let size = w_next.len();
         self.w = w_next;
-
-        // Stage 2: pick the next recommendation among states with S ∈ p[S],
-        // minimizing score(S) = w[S] + δ(S, currRec).
         let mut best_state = self.curr_rec;
         let mut best_score = f64::INFINITY;
         let mut have = false;
@@ -250,6 +260,8 @@ fn lex_prefer(a: usize, b: usize) -> bool {
 mod tests {
     use super::*;
     use crate::env::{mock_statement, MockEnv, TuningEnv};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// The paper's Figure 2 / Example 4.1 scenario: one index `a` with create
     /// cost 20 and drop cost 0; three queries with
@@ -467,6 +479,132 @@ mod tests {
         assert_eq!(wfa.work_value(&IndexSet::single(a)), 0.0);
         assert_eq!(wfa.work_value(&IndexSet::single(b)), 12.0); // drop a, create b
         assert_eq!(wfa.work_value(&IndexSet::from_iter([a, b])), 10.0);
+    }
+
+    /// The `O(4^k)` recurrence [`WfaInstance::next_work_function`] must
+    /// reproduce: for every `S`, fold `w[X] + cost[X] + δ(X, S)` over every
+    /// `X`, and test `S ∈ p[S]` against that minimum.
+    fn scan_next_work_function(wfa: &WfaInstance, costs: &[f64]) -> (Vec<f64>, Vec<bool>) {
+        (0..wfa.w.len())
+            .map(|s| {
+                let best = wfa
+                    .w
+                    .iter()
+                    .zip(costs)
+                    .enumerate()
+                    .map(|(x, (&w, &c))| w + c + wfa.delta(x, s))
+                    .fold(f64::INFINITY, f64::min);
+                let stay = wfa.w[s] + costs[s];
+                (best, stay <= best * (1.0 + EPS) + EPS)
+            })
+            .unzip()
+    }
+
+    /// Values with exact ties and zeros whose sums round.
+    const GRID: [f64; 9] = [0.0, 0.1, 0.2, 0.3, 0.7, 1.1, 2.5, 3.3, 10.1];
+
+    /// How the transition and statement costs of one oracle case are drawn.
+    #[derive(Debug, Clone, Copy)]
+    enum Mix {
+        /// Continuous transition and statement costs.
+        Continuous,
+        /// Transition and statement costs from [`GRID`].
+        Grid,
+        /// WFIT-shaped statement costs from [`GRID`] that ignore every index
+        /// outside a random `used` mask (a per-case mask narrowed per
+        /// statement): states that differ only in unused indexes tie in real
+        /// arithmetic and round apart.
+        Unused,
+    }
+
+    /// One statement's (or a `with_state` start's) per-configuration costs.
+    fn draw_costs(rng: &mut StdRng, mix: Mix, size: usize, used: usize) -> Vec<f64> {
+        let mut grid = || GRID[rng.gen_range(0..GRID.len())] * 100.0;
+        match mix {
+            Mix::Continuous => (0..size).map(|_| rng.gen_range(0.0..1000.0)).collect(),
+            Mix::Grid => (0..size).map(|_| grid()).collect(),
+            Mix::Unused => {
+                let table: Vec<f64> = (0..size).map(|_| grid()).collect();
+                (0..size).map(|x| table[x & used]).collect()
+            }
+        }
+    }
+
+    /// Replay random statements, with a vote before about one in four,
+    /// against a kernel instance and a scan instance from the same start
+    /// (`new` from a random initial set, or `with_state`), and assert after
+    /// every statement that both computed bit-equal `w`, the same `p[S]`
+    /// and the same recommendation.
+    fn assert_matches_scan(k: usize, cases: usize, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ids: Vec<IndexId> = (0..k as u32).map(IndexId).collect();
+        let size = 1usize << k;
+        for case in 0..cases {
+            for mix in [Mix::Continuous, Mix::Grid, Mix::Unused] {
+                let grid = |rng: &mut StdRng| GRID[rng.gen_range(0..GRID.len())];
+                let (create, drop): (Vec<f64>, Vec<f64>) = (0..k)
+                    .map(|_| match mix {
+                        Mix::Continuous => (rng.gen_range(0.0..500.0), rng.gen_range(0.0..50.0)),
+                        Mix::Grid | Mix::Unused => (grid(&mut rng) * 100.0, grid(&mut rng)),
+                    })
+                    .unzip();
+                let used = rng.gen_range(0..size);
+                let start = rng.gen_range(0..size);
+                let mut fast = if rng.gen_bool(0.5) {
+                    WfaInstance::new(ids.clone(), create, drop, &hypercube::set_of(&ids, start))
+                } else {
+                    let w = draw_costs(&mut rng, mix, size, used);
+                    let rec = hypercube::set_of(&ids, start);
+                    WfaInstance::with_state(ids.clone(), create, drop, w, &rec)
+                };
+                let mut slow = fast.clone();
+                for n in 0..8 {
+                    if rng.gen_bool(0.25) {
+                        let plus = rng.gen_range(0..size) & rng.gen_range(0..size);
+                        let minus = rng.gen_range(0..size) & rng.gen_range(0..size) & !plus;
+                        let (plus, minus) = (fast.set_of(plus), fast.set_of(minus));
+                        fast.apply_feedback(&plus, &minus);
+                        slow.apply_feedback(&plus, &minus);
+                    }
+                    let narrowed = used & rng.gen_range(0..size);
+                    let costs = draw_costs(&mut rng, mix, size, narrowed);
+                    let (w_fast, p_fast) = fast.next_work_function(&costs);
+                    let (w_slow, p_slow) = scan_next_work_function(&slow, &costs);
+                    let case = format!("k {k}, {mix:?}, case {case}, statement {n}");
+                    for s in 0..size {
+                        assert_eq!(
+                            (w_fast[s].to_bits(), p_fast[s]),
+                            (w_slow[s].to_bits(), p_slow[s]),
+                            "{case}, S {s}: kernel ({}, {}) vs scan ({}, {})",
+                            w_fast[s],
+                            p_fast[s],
+                            w_slow[s],
+                            p_slow[s]
+                        );
+                    }
+                    fast.advance(w_fast, &p_fast);
+                    slow.advance(w_slow, &p_slow);
+                    assert_eq!(fast.recommend(), slow.recommend(), "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn work_function_update_matches_the_scan() {
+        for k in 0..=8 {
+            assert_matches_scan(k, (1024 >> k).max(4), k as u64);
+        }
+    }
+
+    /// The `O(4^k)` scan is slow without optimization; CI runs this in
+    /// release.
+    #[test]
+    #[ignore = "slow in debug: cargo test --release -p wfit_core --lib -- --ignored"]
+    fn work_function_update_matches_the_scan_at_k_9_and_10() {
+        for k in [9, 10] {
+            assert_matches_scan(k, 4, k as u64);
+        }
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! [`Ingress`] (sharded, interior-mutable, accepts [`TuningService::submit`]
 //! concurrently with a running drain); round planning lives in
 //! [`crate::scheduler::plan`] (deterministic placement of whole tenants on
-//! worker bins); this module owns the registry, executes a plan on a
-//! `std::thread::scope` worker pool, and keeps the books
-//! ([`BatchReport`], [`SchedStats`], per-tenant counters).
+//! worker bins); this module owns the registry, executes a plan (the
+//! polling thread drains the first bin itself, and a `std::thread::scope`
+//! worker drains each other bin), and keeps the books ([`BatchReport`],
+//! [`SchedStats`], per-tenant counters).
 
 use crate::env::{TenantEnv, TenantOptions};
 use crate::event::{Event, SessionId, TenantId};
@@ -50,10 +51,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Run one session-level call, quarantining the slot instead of unwinding
-/// across the worker pool: before this guard existed, an advisor panic
-/// crossed `std::thread::scope` and poisoned the whole drain (`poll`
-/// aborted via `join().expect`, wedging every subsequent round).  The
-/// session may be left mid-update — that is exactly why the slot is
+/// out of its bin: without this guard an advisor panic aborts `poll`,
+/// directly when it hits the bin the polling thread drains and through
+/// `join().expect` when it hits a worker's, wedging every subsequent round.
+/// The session may be left mid-update — that is exactly why the slot is
 /// excluded from all further rounds rather than recovered.
 fn guard_session(slot: &mut SessionSlot, call: impl FnOnce(&mut ServiceSession)) {
     if slot.fault.is_some() {
@@ -280,7 +281,9 @@ impl TuningService {
         Self::with_workers(workers)
     }
 
-    /// An empty service draining with at most `max_workers` worker threads.
+    /// An empty service draining on at most `max_workers` threads per
+    /// round: the polling thread plus up to `max_workers − 1` scoped
+    /// workers.
     pub fn with_workers(max_workers: usize) -> Self {
         Self {
             tenants: Vec::new(),
@@ -413,9 +416,12 @@ impl TuningService {
 
     /// Execute **one** scheduling round: snapshot every tenant queue, place
     /// each busy tenant whole on a worker bin ([`crate::scheduler::plan`]),
-    /// drain the bins on a `std::thread::scope` worker pool, and return the
-    /// round's wall-clock report.  Events submitted while the round runs
-    /// (through [`TuningService::handle`]) are left for the next round.
+    /// drain the bins, and return the round's wall-clock report.  The
+    /// calling thread drains the plan's first bin itself while one
+    /// `std::thread::scope` worker per other bin drains that bin, so a
+    /// one-bin round (every round of a one-worker service) spawns no
+    /// thread.  Events submitted while the round runs (through
+    /// [`TuningService::handle`]) are left for the next round.
     pub fn poll(&mut self) -> BatchReport {
         let runs = self.ingress.drain_all();
         let total: u64 = runs.iter().map(|r| r.len() as u64).sum();
@@ -457,21 +463,22 @@ impl TuningService {
             }
         }
 
+        let drain_bin = |bin: Vec<(usize, &mut [SessionSlot], Vec<Event>)>| {
+            bin.into_iter()
+                .map(|(t, slots, events)| (t, drain_run(slots, &events)))
+                .collect::<Vec<_>>()
+        };
         let results: Vec<(usize, Vec<u64>)> = std::thread::scope(|scope| {
+            let mut bins = bins.into_iter();
+            let first = bins.next().expect("a busy round plans at least one bin");
             let handles: Vec<_> = bins
-                .into_iter()
-                .map(|bin| {
-                    scope.spawn(move || {
-                        bin.into_iter()
-                            .map(|(t, slots, events)| (t, drain_run(slots, &events)))
-                            .collect::<Vec<_>>()
-                    })
-                })
+                .map(|bin| scope.spawn(move || drain_bin(bin)))
                 .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("service worker panicked"))
-                .collect()
+            let mut results = drain_bin(first);
+            for handle in handles {
+                results.extend(handle.join().expect("service worker panicked"));
+            }
+            results
         });
 
         let mut all = Vec::new();
@@ -1015,6 +1022,8 @@ mod tests {
     use simdb::catalog::CatalogBuilder;
     use simdb::query::Statement;
     use simdb::types::DataType;
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
     use wfit_core::{Wfit, WfitConfig};
 
     fn db() -> Arc<Database> {
@@ -1359,56 +1368,143 @@ mod tests {
         }
     }
 
+    /// Records the thread each statement of its session is analyzed on.
+    struct ThreadProbe(Arc<Mutex<Vec<ThreadId>>>);
+
+    impl IndexAdvisor for ThreadProbe {
+        fn analyze_query(&mut self, _stmt: &Statement) {
+            self.0.lock().unwrap().push(std::thread::current().id());
+        }
+        fn recommend(&self) -> IndexSet {
+            IndexSet::empty()
+        }
+        fn name(&self) -> String {
+            "thread-probe".into()
+        }
+    }
+
+    /// Register a [`ThreadProbe`] session on `tenant`; the returned list
+    /// fills as the session analyzes statements.
+    fn add_probe(svc: &mut TuningService, tenant: TenantId) -> Arc<Mutex<Vec<ThreadId>>> {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let probe = seen.clone();
+        svc.add_session(tenant, "probe", move |_env| Box::new(ThreadProbe(probe)));
+        seen
+    }
+
+    /// For each statement a probe saw, whether it ran on `polling`.
+    fn on_thread(seen: &Mutex<Vec<ThreadId>>, polling: ThreadId) -> Vec<bool> {
+        seen.lock().unwrap().iter().map(|&t| t == polling).collect()
+    }
+
+    /// The polling thread drains a round's first bin itself and spawns a
+    /// worker only for every other bin: a one-bin round runs entirely on
+    /// the polling thread, and a two-tenant round on two workers runs
+    /// exactly one tenant off it.
+    #[test]
+    fn the_polling_thread_drains_the_first_bin() {
+        let polling = std::thread::current().id();
+        let round = |workers: usize, tenants: usize| {
+            let mut svc = TuningService::with_workers(workers);
+            let probes: Vec<_> = (0..tenants)
+                .map(|t| {
+                    let id = svc.add_tenant(format!("tenant-{t}"), db());
+                    let seen = add_probe(&mut svc, id);
+                    let q = svc.env(id).database().parse("SELECT b FROM t WHERE a = 1");
+                    let q = Arc::new(q.unwrap());
+                    for _ in 0..3 {
+                        svc.submit(Event::query(id, q.clone()));
+                    }
+                    seen
+                })
+                .collect();
+            assert_eq!(svc.poll().events, 3 * tenants as u64);
+            assert_eq!(svc.sched_stats().rounds, 1);
+            probes
+                .iter()
+                .map(|seen| on_thread(seen, polling))
+                .collect::<Vec<_>>()
+        };
+        // One bin: one tenant on two workers, or two tenants on one.
+        assert_eq!(round(2, 1), vec![vec![true; 3]]);
+        assert_eq!(round(1, 2), vec![vec![true; 3]; 2]);
+        // Two bins: tenant 0 on the polling thread, tenant 1 on a worker.
+        assert_eq!(round(2, 2), vec![vec![true; 3], vec![false; 3]]);
+    }
+
     /// Regression: an advisor panic inside a drain used to unwind across
     /// the worker scope and abort `poll` through `join().expect`, wedging
     /// every subsequent round.  The panic is now caught at the session
     /// boundary: the faulted session is quarantined, its tenant's other
-    /// sessions and all later rounds keep working.
+    /// sessions and all later rounds keep working.  One panicky session
+    /// sits on the bin the polling thread drains, the other on a spawned
+    /// worker's bin.
     #[test]
     fn advisor_panic_quarantines_the_session_not_the_daemon() {
+        let polling = std::thread::current().id();
         let mut svc = TuningService::with_workers(2);
-        let id = svc.add_tenant("acme", db());
-        let healthy = svc.add_session(id, "wfit", wfit_builder);
-        let doomed = svc.add_session(id, "panicky", |_env| {
-            Box::new(PanickyAdvisor {
-                seen: 0,
-                panic_at: 2,
+        // Equal loads: acme is placed on bin 0 (the polling thread's),
+        // globex on bin 1 (a spawned worker's).
+        let tenants: Vec<_> = [("acme", 2), ("globex", 3)]
+            .into_iter()
+            .map(|(name, panic_at)| {
+                let id = svc.add_tenant(name, db());
+                let healthy = svc.add_session(id, "wfit", wfit_builder);
+                let doomed = svc.add_session(id, "panicky", move |_env| {
+                    Box::new(PanickyAdvisor { seen: 0, panic_at })
+                });
+                let seen = add_probe(&mut svc, id);
+                (id, healthy, doomed, seen)
             })
-        });
-        let database = svc.env(id).database().clone();
-        let q = move |k: u32| {
-            Arc::new(
-                database
-                    .parse(&format!("SELECT b FROM t WHERE a = {k}"))
-                    .unwrap(),
-            )
+            .collect();
+        let submit = |svc: &TuningService, id: TenantId, k: u32| {
+            let q = svc
+                .env(id)
+                .database()
+                .parse(&format!("SELECT b FROM t WHERE a = {k}"))
+                .unwrap();
+            svc.submit(Event::query(id, Arc::new(q)));
         };
         for k in 0..4 {
-            svc.submit(Event::query(id, q(k)));
+            for &(id, ..) in &tenants {
+                submit(&svc, id, k);
+            }
         }
         let batch = svc.process_pending();
-        assert_eq!(batch.events, 4, "the round completes despite the panic");
-        assert_eq!(svc.session_stats(healthy).queries, 4);
-        assert_eq!(svc.faulted_sessions(), vec![doomed]);
-        assert!(svc
-            .session_fault(doomed)
-            .unwrap()
-            .contains("injected advisor failure"));
-        assert!(svc.session_fault(healthy).is_none());
-        let frozen = svc.session_stats(doomed).queries;
+        assert_eq!(batch.events, 8, "the round completes despite the panics");
+        assert_eq!(on_thread(&tenants[0].3, polling), vec![true; 4]);
+        assert_eq!(on_thread(&tenants[1].3, polling), vec![false; 4]);
+        let doomed: Vec<SessionId> = tenants.iter().map(|t| t.2).collect();
+        assert_eq!(svc.faulted_sessions(), doomed);
+        let mut frozen = Vec::new();
+        for &(_, healthy, doomed, _) in &tenants {
+            assert_eq!(svc.session_stats(healthy).queries, 4);
+            assert!(svc
+                .session_fault(doomed)
+                .unwrap()
+                .contains("injected advisor failure"));
+            assert!(svc.session_fault(healthy).is_none());
+            frozen.push(svc.session_stats(doomed).queries);
+        }
+        assert_eq!(frozen, vec![2, 3], "each froze at the query it failed on");
 
-        // Later rounds still drain; the quarantined session is skipped and
-        // its accounting stays frozen.
-        for k in 0..2 {
-            svc.submit(Event::query(id, q(k)));
+        // Later rounds still drain; the quarantined sessions are skipped and
+        // their accounting stays frozen.
+        for &(id, ..) in &tenants {
+            for k in 0..2 {
+                submit(&svc, id, k);
+            }
+            svc.submit(Event::vote(id, IndexSet::empty(), IndexSet::empty()));
         }
-        svc.submit(Event::vote(id, IndexSet::empty(), IndexSet::empty()));
         let batch = svc.process_pending();
-        assert_eq!(batch.events, 3);
-        assert_eq!(svc.session_stats(healthy).queries, 6);
-        assert_eq!(svc.session_stats(healthy).votes, 1);
-        assert_eq!(svc.session_stats(doomed).queries, frozen);
-        assert_eq!(svc.session_stats(doomed).votes, 0);
+        assert_eq!(batch.events, 6);
+        for (&(_, healthy, doomed, _), frozen) in tenants.iter().zip(frozen) {
+            assert_eq!(svc.session_stats(healthy).queries, 6);
+            assert_eq!(svc.session_stats(healthy).votes, 1);
+            assert_eq!(svc.session_stats(doomed).queries, frozen);
+            assert_eq!(svc.session_stats(doomed).votes, 0);
+        }
+        assert_eq!(svc.faulted_sessions(), doomed);
     }
 
     fn persist_dir(tag: &str) -> std::path::PathBuf {

@@ -37,8 +37,8 @@
 //!   submission order;
 //! * a **scheduler** ([`scheduler`]) — each drain round places every busy
 //!   tenant whole on one worker bin (heaviest tenant first, onto the
-//!   lightest bin) from the queue-depth snapshot, and a scoped worker pool
-//!   drains the bins in parallel.
+//!   lightest bin) from the queue-depth snapshot; the polling thread drains
+//!   the first bin while a scoped worker thread drains each other bin.
 //!
 //! Per-session results are bit-deterministic: every session processes its
 //! tenant's events in submission order, one worker drains each tenant, the
