@@ -17,7 +17,7 @@
 //!    transition cost) does not exceed the estimated cost of keeping the
 //!    current configuration — otherwise the advisor *falls back* to the
 //!    current configuration and counts a [`BanditAdvisor::safety_fallbacks`]
-//!    event.  This is the "safety guarantee" knob of both bandit papers.
+//!    event.  This is the "safety guarantee" of both bandit papers.
 //! 3. **Determinism.**  No wall clock and no hidden RNG state: scores are a
 //!    pure function of (statement history, votes, seed).  Ties between
 //!    equal-scoring arms are broken by a splitmix64 hash of
@@ -31,6 +31,11 @@
 //! through [`TuningEnv::ibg`] exactly like WFIT and BC, so `whatif_calls`
 //! are comparable cell-for-cell and the shared service cache benefits the
 //! bandit the same way.
+//!
+//! The model's settings are constants: the exploration width `ALPHA`, the
+//! ridge regularizer `RIDGE`, the feature window `HIST_SIZE`, the deployment
+//! cap `MAX_CONFIG_SIZE` and the amortization `HORIZON`.  [`BanditConfig`]
+//! carries only the tie-break seed.
 //!
 //! DBA votes use the ski-rental semantics of the WFIT feedback loop: a
 //! positive vote **pins** an arm (it is recommended immediately and added to
@@ -53,47 +58,41 @@ use wfit_core::env::TuningEnv;
 /// `[bias, statement marginal benefit, sliding current benefit, interaction mass]`.
 const DIM: usize = 4;
 
-/// Tuning knobs of the bandit arm.  All defaults are deterministic
-/// constants; the only per-cell degree of freedom the harness uses is
-/// `seed`.
+/// UCB exploration width `α` (larger explores more aggressively).
+const ALPHA: f64 = 0.6;
+
+/// Ridge regularizer `λ`: the model starts from `A = λI`.
+const RIDGE: f64 = 1.0;
+
+/// Sliding-window size for the `idxStats` / `intStats` features (the
+/// paper's `histSize`).
+const HIST_SIZE: usize = 100;
+
+/// Maximum number of indexes the bandit deploys at once.
+const MAX_CONFIG_SIZE: usize = 8;
+
+/// Horizon (in statements) over which the safety gate and the creation-cost
+/// penalty amortize transition costs.
+const HORIZON: f64 = 16.0;
+
+/// The bandit arm's one per-cell setting: the seed of its splitmix64
+/// tie-break hash.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BanditConfig {
-    /// UCB exploration width `α` (larger explores more aggressively).
-    pub alpha: f64,
-    /// Ridge regularizer `λ` (the model starts from `A = λI`).
-    pub ridge: f64,
-    /// Sliding-window size for the `idxStats` / `intStats` features
-    /// (the paper's `histSize`).
-    pub hist_size: usize,
     /// Seed for the splitmix64 tie-break hash.
     pub seed: u64,
-    /// Maximum number of indexes the bandit will deploy at once.
-    pub max_config_size: usize,
-    /// Horizon (in statements) over which transition costs are amortized by
-    /// the safety gate and the creation-cost penalty.
-    pub horizon: f64,
 }
 
 impl Default for BanditConfig {
     fn default() -> Self {
-        Self {
-            alpha: 0.6,
-            ridge: 1.0,
-            hist_size: 100,
-            seed: 0xC2CB,
-            max_config_size: 8,
-            horizon: 16.0,
-        }
+        Self::with_seed(0xC2CB)
     }
 }
 
 impl BanditConfig {
-    /// The default configuration with a specific tie-break seed.
+    /// The configuration with a specific tie-break seed.
     pub fn with_seed(seed: u64) -> Self {
-        Self {
-            seed,
-            ..Self::default()
-        }
+        Self { seed }
     }
 }
 
@@ -141,7 +140,7 @@ pub struct BanditAdvisor<E: TuningEnv> {
     statements: u64,
     whatif_calls: u64,
     safety_fallbacks: u64,
-    config: BanditConfig,
+    seed: u64,
 }
 
 impl<E: TuningEnv> BanditAdvisor<E> {
@@ -153,7 +152,7 @@ impl<E: TuningEnv> BanditAdvisor<E> {
         arms.dedup();
         let mut a_matrix = [[0.0; DIM]; DIM];
         for (i, row) in a_matrix.iter_mut().enumerate() {
-            row[i] = config.ridge.max(1e-9);
+            row[i] = RIDGE;
         }
         Self {
             env,
@@ -161,15 +160,15 @@ impl<E: TuningEnv> BanditAdvisor<E> {
             current: IndexSet::empty(),
             a_matrix,
             b_vec: [0.0; DIM],
-            idx_stats: IndexStatistics::new(config.hist_size),
-            int_stats: InteractionStats::new(config.hist_size),
+            idx_stats: IndexStatistics::new(HIST_SIZE),
+            int_stats: InteractionStats::new(HIST_SIZE),
             pinned: HashMap::new(),
             banned: HashMap::new(),
             last_gate: None,
             statements: 0,
             whatif_calls: 0,
             safety_fallbacks: 0,
-            config,
+            seed: config.seed,
         }
     }
 
@@ -229,7 +228,7 @@ impl<E: TuningEnv> BanditAdvisor<E> {
     fn ucb(&self, theta: &[f64; DIM], a_inv: &[[f64; DIM]; DIM], x: &[f64; DIM]) -> f64 {
         let mean: f64 = (0..DIM).map(|i| theta[i] * x[i]).sum();
         let var = quad_form(a_inv, x).max(0.0);
-        mean + self.config.alpha * var.sqrt()
+        mean + ALPHA * var.sqrt()
     }
 
     /// Amortized creation-cost penalty for arms not currently deployed.
@@ -237,15 +236,14 @@ impl<E: TuningEnv> BanditAdvisor<E> {
         if self.current.contains(id) {
             0.0
         } else {
-            self.env.create_cost(id) / (self.config.horizon * scale)
+            self.env.create_cost(id) / (HORIZON * scale)
         }
     }
 
     /// Deterministic tie-break hash for equal-scoring arms.
     fn tiebreak(&self, id: IndexId) -> u64 {
         splitmix64(
-            self.config
-                .seed
+            self.seed
                 .wrapping_add(self.statements)
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 ^ id.0 as u64,
@@ -323,7 +321,7 @@ impl<E: TuningEnv> IndexAdvisor for BanditAdvisor<E> {
                 .filter(|id| self.pinned.contains_key(id)),
         );
         for &(id, score, _) in &scored {
-            if proposal.len() >= self.config.max_config_size {
+            if proposal.len() >= MAX_CONFIG_SIZE {
                 break;
             }
             if self.banned.contains_key(&id) || proposal.contains(id) {
@@ -339,7 +337,7 @@ impl<E: TuningEnv> IndexAdvisor for BanditAdvisor<E> {
             if self.banned.contains_key(&id) || proposal.contains(id) || self.current.contains(id) {
                 continue;
             }
-            if score > 0.0 && proposal.len() < self.config.max_config_size {
+            if score > 0.0 && proposal.len() < MAX_CONFIG_SIZE {
                 proposal = proposal.union(&IndexSet::single(id));
             }
             break;
@@ -351,7 +349,7 @@ impl<E: TuningEnv> IndexAdvisor for BanditAdvisor<E> {
         let mut adopted_config = self.current.clone();
         if proposal != self.current {
             let transition = self.env.transition_cost(&self.current, &proposal);
-            let est_proposed = ibg.cost(&proposal) + transition / self.config.horizon;
+            let est_proposed = ibg.cost(&proposal) + transition / HORIZON;
             let est_stay = ibg.cost(&self.current);
             let adopted = est_proposed <= est_stay + 1e-12;
             if adopted {
@@ -391,7 +389,7 @@ impl<E: TuningEnv> IndexAdvisor for BanditAdvisor<E> {
             self.idx_stats.record(id, self.statements, b);
         }
         // Pairwise interactions only within the deployed configuration — the
-        // doi scan is bounded by `max_config_size`² IBG memo lookups.
+        // doi scan is bounded by `MAX_CONFIG_SIZE`² IBG memo lookups.
         let deployed: Vec<IndexId> = self.current.iter().collect();
         for (i, &a) in deployed.iter().enumerate() {
             for &b in deployed.iter().skip(i + 1) {
@@ -512,6 +510,7 @@ fn quad_form(m: &[[f64; DIM]; DIM], x: &[f64; DIM]) -> f64 {
 mod tests {
     use super::*;
     use wfit_core::env::{mock_statement, MockEnv};
+    use wfit_core::hypercube;
 
     fn scripted() -> (MockEnv, Statement, Statement, IndexId) {
         let env = MockEnv::new(40.0, 1.0);
@@ -547,14 +546,11 @@ mod tests {
     #[test]
     fn safety_gate_blocks_harmful_deployments_and_counts_fallbacks() {
         let (env, _good, bad, a) = scripted();
-        // Huge exploration width: the UCB score of the (harmful) arm stays
-        // positive, so the model keeps proposing it — only the gate stands
-        // between the proposal and a costly deployment.
-        let config = BanditConfig {
-            alpha: 1e6,
-            ..BanditConfig::default()
-        };
-        let mut bandit = BanditAdvisor::new(&env, vec![a], config);
+        // The arm is never played, so the model learns nothing about it: its
+        // exploration bonus keeps its UCB score positive and the model keeps
+        // proposing it.  Only the gate stands between the proposal and a
+        // costly deployment.
+        let mut bandit = BanditAdvisor::new(&env, vec![a], BanditConfig::default());
         for _ in 0..5 {
             bandit.analyze_query(&bad);
             assert!(
@@ -657,22 +653,25 @@ mod tests {
 
     #[test]
     fn max_config_size_bounds_the_deployment() {
+        // Ten arms that each save 10 on the statement, additively: every arm
+        // the bandit adds helps, so only the cap stops it from deploying all
+        // ten.
         let env = MockEnv::new(1.0, 0.0);
         let q = mock_statement(9);
-        env.set_default_cost(&q, 100.0);
-        let arms: Vec<IndexId> = (0..6).map(IndexId).collect();
-        for &id in &arms {
-            env.set_cost(&q, &IndexSet::single(id), 50.0);
+        let arms: Vec<IndexId> = (0..10).map(IndexId).collect();
+        for mask in 0..1usize << arms.len() {
+            let config = hypercube::set_of(&arms, mask);
+            env.set_cost(&q, &config, 1000.0 - 10.0 * config.len() as f64);
         }
-        let config = BanditConfig {
-            max_config_size: 2,
-            ..BanditConfig::default()
-        };
-        let mut bandit = BanditAdvisor::new(&env, arms, config);
+        let mut bandit = BanditAdvisor::new(&env, arms, BanditConfig::default());
+        let mut largest = 0;
         for _ in 0..20 {
             bandit.analyze_query(&q);
-            assert!(bandit.recommend().len() <= 2);
+            let deployed = bandit.recommend().len();
+            assert!(deployed <= MAX_CONFIG_SIZE, "{deployed} indexes deployed");
+            largest = largest.max(deployed);
         }
+        assert_eq!(largest, MAX_CONFIG_SIZE);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use ibg::IndexBenefitGraph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simdb::index::{IndexId, IndexSet};
-use wfit_core::candidates::{choose_partition, offline_selection};
+use wfit_core::candidates::{choose_partition, offline_selection, MAX_PART_SIZE};
 use wfit_core::config::WfitConfig;
 use wfit_core::env::TuningEnv;
 use wfit_core::hypercube;
@@ -128,7 +128,7 @@ fn bench_choose_partition(c: &mut Criterion) {
                 &Vec::new(),
                 &weights,
                 config.state_cnt,
-                config.max_part_size,
+                MAX_PART_SIZE,
                 config.rand_cnt,
                 &mut rng,
             )

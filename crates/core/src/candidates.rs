@@ -139,6 +139,17 @@ pub fn top_indices<E: TuningEnv>(
     scored.into_iter().take(limit).map(|(_, a)| a).collect()
 }
 
+/// Upper bound on the size of a single part.  Parts larger than this are
+/// never produced by `choosePartition` because WFA keeps `2^|C_k|`
+/// work-function values per part, and its per-statement update (one
+/// [`crate::hypercube::min_plus_delta`] call) grows as `|C_k|·2^|C_k|`, or
+/// as `4^|C_k|` when many states tie exactly.
+pub const MAX_PART_SIZE: usize = 10;
+
+/// Seed of the RNG behind `choosePartition`'s randomized merge passes, so
+/// partitions are a pure function of the workload.
+pub(crate) const PARTITION_SEED: u64 = 0x5EED_CAFE;
+
 /// `choosePartition(D, stateCnt)` (Figure 7): find a feasible partition of `D`
 /// minimizing the loss (interaction weight across parts).
 ///
@@ -345,16 +356,16 @@ pub fn offline_selection<E: TuningEnv>(
         normalize(candidates.iter().map(|&c| vec![c]).collect())
     } else {
         let minimal = connected_components(&candidates, &weights, 0.0);
-        if is_feasible(&minimal, config.state_cnt, config.max_part_size) {
+        if is_feasible(&minimal, config.state_cnt, MAX_PART_SIZE) {
             minimal
         } else {
-            let mut rng = StdRng::seed_from_u64(config.partition_seed);
+            let mut rng = StdRng::seed_from_u64(PARTITION_SEED);
             choose_partition(
                 &candidates,
                 &minimal,
                 &weights,
                 config.state_cnt,
-                config.max_part_size,
+                MAX_PART_SIZE,
                 config.rand_cnt.max(16),
                 &mut rng,
             )

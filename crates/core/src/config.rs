@@ -1,9 +1,16 @@
 //! Configuration knobs of the WFIT algorithm.
+//!
+//! [`WfitConfig`] holds only the knobs that callers vary.  The
+//! implementation limits no caller varies are constants next to the code
+//! that reads them: [`crate::candidates::MAX_PART_SIZE`] bounds a part,
+//! `candidates::PARTITION_SEED` seeds `choosePartition`'s randomized merges,
+//! and `wfit::MAX_RELEVANT_PER_STATEMENT` caps the candidates of one
+//! statement's index benefit graph.
 
 use serde::{Deserialize, Serialize};
 
-/// Tuning knobs exposed by `chooseCands` (Section 5.2.2) plus a few
-/// implementation limits.
+/// Tuning knobs exposed by `chooseCands` (Section 5.2.2) and the WFIT-IND
+/// switch.
 ///
 /// The defaults match the experimental setup of Section 6:
 /// `idxCnt = 40`, `stateCnt = 500`, `histSize = 100`.
@@ -20,23 +27,10 @@ pub struct WfitConfig {
     /// Number of randomized iterations performed by `choosePartition`
     /// (`RAND_CNT` in Figure 7).
     pub rand_cnt: usize,
-    /// Deterministic seed for the randomized partitioning.
-    pub partition_seed: u64,
     /// When `true`, all indices are assumed independent (every part is a
     /// singleton).  This is the paper's WFIT-IND variant, used in Figures 8
     /// and 10 to show the value of modeling index interactions.
     pub assume_independence: bool,
-    /// Maximum number of candidates considered relevant to a single statement
-    /// when building its index benefit graph (an implementation limit keeping
-    /// per-statement analysis bounded; candidates beyond the limit are ranked
-    /// out by current benefit).
-    pub max_relevant_per_statement: usize,
-    /// Upper bound on the size of a single part.  Parts larger than this are
-    /// never produced by `choosePartition` because WFA keeps `2^|C_k|`
-    /// work-function values per part, and its per-statement update (one
-    /// [`crate::hypercube::min_plus_delta`] call) grows as `|C_k|·2^|C_k|`,
-    /// or as `4^|C_k|` when many states tie exactly.
-    pub max_part_size: usize,
 }
 
 impl Default for WfitConfig {
@@ -46,10 +40,7 @@ impl Default for WfitConfig {
             state_cnt: 500,
             hist_size: 100,
             rand_cnt: 8,
-            partition_seed: 0x5EED_CAFE,
             assume_independence: false,
-            max_relevant_per_statement: 16,
-            max_part_size: 10,
         }
     }
 }

@@ -65,7 +65,11 @@ pub trait TuningEnv {
     /// Cost `δ⁻(a)` of dropping index `a`.
     fn drop_cost(&self, id: IndexId) -> f64;
 
-    /// Transition cost `δ(from, to)` (default: sum of per-index costs).
+    /// Transition cost `δ(from, to)`: `δ⁺` of every index in `to − from`,
+    /// then `δ⁻` of every index in `from − to`, each in ascending id order.
+    /// This default is the one implementation of `δ` over index sets; every
+    /// environment in this workspace uses it, and
+    /// [`crate::hypercube::delta`] is its bitmask counterpart.
     fn transition_cost(&self, from: &IndexSet, to: &IndexSet) -> f64 {
         let mut cost = 0.0;
         for id in to.difference(from).iter() {
@@ -135,10 +139,6 @@ impl TuningEnv for simdb::database::Database {
 
     fn drop_cost(&self, id: IndexId) -> f64 {
         simdb::database::Database::drop_cost(self, id)
-    }
-
-    fn transition_cost(&self, from: &IndexSet, to: &IndexSet) -> f64 {
-        simdb::database::Database::transition_cost(self, from, to)
     }
 
     fn extract_candidates(&self, stmt: &Statement) -> Vec<IndexId> {

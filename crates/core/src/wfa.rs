@@ -38,8 +38,6 @@ pub struct WfaInstance {
     w: Vec<f64>,
     /// Bitmask of the current recommendation.
     curr_rec: usize,
-    /// Number of statements analyzed so far.
-    analyzed: u64,
 }
 
 impl WfaInstance {
@@ -71,7 +69,6 @@ impl WfaInstance {
             drop,
             w: vec![0.0; size],
             curr_rec: initial_mask,
-            analyzed: 0,
         };
         for s in 0..size {
             instance.w[s] = instance.delta(initial_mask, s);
@@ -96,7 +93,6 @@ impl WfaInstance {
             drop,
             w,
             curr_rec: curr,
-            analyzed: 0,
         }
     }
 
@@ -108,11 +104,6 @@ impl WfaInstance {
     /// Number of configurations tracked (`2^|C_k|`).
     pub fn state_count(&self) -> usize {
         self.w.len()
-    }
-
-    /// Number of statements analyzed so far.
-    pub fn analyzed_statements(&self) -> u64 {
-        self.analyzed
     }
 
     /// The current recommendation of this instance.
@@ -212,7 +203,6 @@ impl WfaInstance {
             "Borodin & El-Yaniv Lemma 9.2: p[S] membership is always satisfiable"
         );
         self.curr_rec = best_state;
-        self.analyzed += 1;
     }
 
     /// `WFIT.feedback` restricted to this instance (the per-part loop body of

@@ -2,7 +2,9 @@
 //! candidate / partition maintenance.
 
 use crate::advisor::IndexAdvisor;
-use crate::candidates::{choose_partition, is_feasible, top_indices, CandidatePool};
+use crate::candidates::{
+    choose_partition, is_feasible, top_indices, CandidatePool, MAX_PART_SIZE, PARTITION_SEED,
+};
 use crate::config::WfitConfig;
 use crate::env::TuningEnv;
 use crate::hypercube;
@@ -13,6 +15,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simdb::index::{IndexId, IndexSet};
 use simdb::query::Statement;
+
+/// Maximum number of candidates considered relevant to a single statement
+/// when building its index benefit graph: a limit keeping per-statement
+/// analysis bounded.  Candidates beyond it are ranked out by current benefit.
+const MAX_RELEVANT_PER_STATEMENT: usize = 16;
 
 /// The WFIT semi-automatic index advisor.
 ///
@@ -56,7 +63,7 @@ impl<E: TuningEnv> Wfit<E> {
             .iter()
             .map(|part| new_instance(&env, part, &initial))
             .collect();
-        let rng = StdRng::seed_from_u64(config.partition_seed);
+        let rng = StdRng::seed_from_u64(PARTITION_SEED);
         let mut pool = CandidatePool::new(config.hist_size);
         pool.add_candidates(&initial.iter().collect::<Vec<_>>());
         Self {
@@ -93,7 +100,7 @@ impl<E: TuningEnv> Wfit<E> {
             .iter()
             .map(|part| new_instance(&env, part, &initial))
             .collect();
-        let rng = StdRng::seed_from_u64(config.partition_seed);
+        let rng = StdRng::seed_from_u64(PARTITION_SEED);
         let mut pool = CandidatePool::new(config.hist_size);
         let members: Vec<IndexId> = partition.iter().flatten().copied().collect();
         pool.add_candidates(&members);
@@ -170,14 +177,13 @@ impl<E: TuningEnv> Wfit<E> {
         }
         // Cap the per-statement analysis: keep monitored + highest current
         // benefit candidates.
-        let cap = self.config.max_relevant_per_statement.max(1);
-        if relevant.len() > cap {
+        if relevant.len() > MAX_RELEVANT_PER_STATEMENT {
             relevant.sort_by(|a, b| {
                 let ka = (monitored.contains(*a), self.pool.current_benefit(*a));
                 let kb = (monitored.contains(*b), self.pool.current_benefit(*b));
                 kb.partial_cmp(&ka).unwrap_or(std::cmp::Ordering::Equal)
             });
-            relevant.truncate(cap);
+            relevant.truncate(MAX_RELEVANT_PER_STATEMENT);
         }
         IndexSet::from_iter(relevant)
     }
@@ -222,7 +228,7 @@ impl<E: TuningEnv> Wfit<E> {
             &self.partition,
             &weights,
             self.config.state_cnt,
-            self.config.max_part_size,
+            MAX_PART_SIZE,
             self.config.rand_cnt,
             &mut self.rng,
         )
@@ -309,11 +315,7 @@ impl<E: TuningEnv> IndexAdvisor for Wfit<E> {
             self.pool.update_stats(ibg.as_ref());
             let new_partition = self.choose_cands(ibg.as_ref());
             if new_partition != self.partition
-                && is_feasible(
-                    &new_partition,
-                    self.config.state_cnt.max(2),
-                    self.config.max_part_size,
-                )
+                && is_feasible(&new_partition, self.config.state_cnt.max(2), MAX_PART_SIZE)
             {
                 self.repartition(new_partition);
             }

@@ -51,8 +51,6 @@ pub struct ServiceScenarioSpec {
     /// The session fleet instantiated for every tenant; session `s` of
     /// tenant `t` reports as cell `t{t}/{label}` ([`AdvisorSpec::label`]).
     pub sessions: Vec<AdvisorSpec>,
-    /// `stateCnt` for the offline candidate selection and the OPT oracle.
-    pub selection_state_cnt: u64,
     /// Whether tenants get a shared what-if cache (`false` is the control
     /// arm: every request runs the optimizer).
     pub shared_cache: bool,
@@ -130,7 +128,6 @@ impl ServiceScenarioSpec {
                 AdvisorSpec::WfitIndependent,
                 AdvisorSpec::Bc,
             ],
-            selection_state_cnt: 500,
             shared_cache: true,
             feedback_every: 0,
             cache_capacity: 0,
@@ -389,7 +386,7 @@ fn run_internal(
     );
 
     // Per-tenant offline preparation, in parallel (order restored by index).
-    let state_cnts = state_cnts_needed(spec.selection_state_cnt, &spec.sessions);
+    let state_cnts = state_cnts_needed(&spec.sessions);
     let prepared: Vec<PreparedWorkload> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..spec.tenants)
             .map(|t| {
@@ -903,7 +900,7 @@ mod tests {
                 statements_per_phase: 2,
                 ..BenchmarkSpec::default()
             },
-            &state_cnts_needed(500, &fleet),
+            &state_cnts_needed(&fleet),
         );
         let checkpoints = checkpoint_positions(prep.statements.len());
 

@@ -58,13 +58,15 @@ impl AdvisorSpec {
     }
 }
 
+/// `stateCnt` of every scenario's default offline candidate selection, the
+/// stable partition and the OPT oracle (the paper's Section 6 value).
+const SELECTION_STATE_CNT: u64 = 500;
+
 /// Every distinct `stateCnt` a fleet needs an offline selection for:
-/// `default` first, then the `WfitFixed` overrides in fleet order.
-pub(crate) fn state_cnts_needed<'a>(
-    default: u64,
-    fleet: impl IntoIterator<Item = &'a AdvisorSpec>,
-) -> Vec<u64> {
-    let mut cnts = vec![default];
+/// `SELECTION_STATE_CNT` first, then the `WfitFixed` overrides in fleet
+/// order.
+pub(crate) fn state_cnts_needed<'a>(fleet: impl IntoIterator<Item = &'a AdvisorSpec>) -> Vec<u64> {
+    let mut cnts = vec![SELECTION_STATE_CNT];
     for advisor in fleet {
         if let AdvisorSpec::WfitFixed { state_cnt } = *advisor {
             if !cnts.contains(&state_cnt) {
@@ -163,23 +165,19 @@ pub struct ScenarioSpec {
     /// The workload phases (primary/secondary data set drift and update
     /// fractions per phase).
     pub phases: Vec<PhaseSpec>,
-    /// `stateCnt` for the default offline candidate selection, the stable
-    /// partition and the OPT oracle.
-    pub selection_state_cnt: u64,
     /// The advisor fleet.
     pub cells: Vec<CellSpec>,
 }
 
 impl ScenarioSpec {
     /// A scenario over the paper's eight-phase workload with the default
-    /// seed and `stateCnt = 500`.
+    /// seed.
     pub fn new(name: impl Into<String>, statements_per_phase: usize) -> Self {
         Self {
             name: name.into(),
             statements_per_phase,
             seed: BenchmarkSpec::default().seed,
             phases: default_phases(),
-            selection_state_cnt: 500,
             cells: Vec::new(),
         }
     }
@@ -216,13 +214,11 @@ impl ScenarioSpec {
         self.statements_per_phase * self.phases.len()
     }
 
-    /// Every distinct `stateCnt` that needs an offline selection: the
-    /// scenario default plus any `WfitFixed` overrides.
+    /// Every distinct `stateCnt` that needs an offline selection: 500 (the
+    /// paper's default, `SELECTION_STATE_CNT`) plus any `WfitFixed`
+    /// overrides.
     pub fn state_cnts_needed(&self) -> Vec<u64> {
-        state_cnts_needed(
-            self.selection_state_cnt,
-            self.cells.iter().map(|c| &c.advisor),
-        )
+        state_cnts_needed(self.cells.iter().map(|c| &c.advisor))
     }
 }
 

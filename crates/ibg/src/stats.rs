@@ -72,11 +72,6 @@ impl SlidingStat {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// The most recent recorded entry, if any.
-    pub fn last_entry(&self) -> Option<(u64, f64)> {
-        self.entries.first().copied()
-    }
 }
 
 /// `idxStats`: per-index benefit windows.
@@ -206,7 +201,6 @@ mod tests {
             s.record(n, n as f64);
         }
         assert_eq!(s.len(), 3);
-        assert_eq!(s.last_entry(), Some((5, 5.0)));
         // Only entries 3, 4, 5 remain.
         let c = s.current(5);
         let expected: f64 = [5.0 / 1.0, 9.0 / 2.0, 12.0 / 3.0]

@@ -521,11 +521,6 @@ impl TuningService {
         }
     }
 
-    /// Number of registered tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
     /// Number of sessions across all tenants.
     pub fn session_count(&self) -> usize {
         self.tenants.iter().map(|t| t.slots.len()).sum()

@@ -118,10 +118,6 @@ impl TuningEnv for TenantEnv {
         self.db.drop_cost(id)
     }
 
-    fn transition_cost(&self, from: &IndexSet, to: &IndexSet) -> f64 {
-        self.db.transition_cost(from, to)
-    }
-
     fn extract_candidates(&self, stmt: &Statement) -> Vec<IndexId> {
         self.db.extract_candidates(stmt)
     }

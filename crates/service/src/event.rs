@@ -79,12 +79,6 @@ impl Event {
     pub fn is_sheddable(&self) -> bool {
         matches!(self, Event::Query { .. })
     }
-
-    /// The complement of [`Event::is_sheddable`]: votes outrank queries at
-    /// the admission gate.
-    pub fn is_high_priority(&self) -> bool {
-        !self.is_sheddable()
-    }
 }
 
 #[cfg(test)]
@@ -103,6 +97,5 @@ mod tests {
     fn votes_outrank_queries() {
         let vote = Event::vote(TenantId(0), IndexSet::empty(), IndexSet::empty());
         assert!(!vote.is_sheddable());
-        assert!(vote.is_high_priority());
     }
 }

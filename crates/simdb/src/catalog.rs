@@ -31,13 +31,6 @@ pub struct ColumnMeta {
     pub width: f64,
 }
 
-impl ColumnMeta {
-    /// Fully qualified name, `table.column`.
-    pub fn qualified_name(&self, catalog: &Catalog) -> String {
-        format!("{}.{}", catalog.table(self.table).name, self.name)
-    }
-}
-
 /// Statistics and metadata for a single table.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TableMeta {
@@ -75,11 +68,6 @@ impl Catalog {
     /// Number of tables in the catalog.
     pub fn table_count(&self) -> usize {
         self.tables.len()
-    }
-
-    /// Number of columns across all tables.
-    pub fn column_count(&self) -> usize {
-        self.columns.len()
     }
 
     /// Metadata for a table.
@@ -337,7 +325,6 @@ mod tests {
     fn builder_registers_tables_and_columns() {
         let c = sample_catalog();
         assert_eq!(c.table_count(), 2);
-        assert_eq!(c.column_count(), 6);
         let t = c.table_by_name("tpch.lineitem").unwrap();
         assert_eq!(c.table(t).columns.len(), 4);
         assert!(c.table(t).row_count > 5e6);

@@ -6,6 +6,21 @@ use crate::index::IndexId;
 use crate::query::{Predicate, PredicateKind};
 use crate::types::{ColumnId, TableId};
 
+/// Cost of reading one page sequentially: the unit every other cost is
+/// scaled against.
+pub(crate) const SEQ_PAGE_COST: f64 = 1.0;
+/// Cost of reading one page at a random position.
+pub(crate) const RANDOM_PAGE_COST: f64 = 4.0;
+/// CPU cost of processing one heap tuple.
+pub(crate) const CPU_TUPLE_COST: f64 = 0.01;
+/// CPU cost of processing one index entry.
+const CPU_INDEX_TUPLE_COST: f64 = 0.005;
+/// CPU cost of evaluating one predicate on one row.
+const CPU_OPERATOR_COST: f64 = 0.0025;
+/// Discount on the random page reads of an index scan's heap fetches,
+/// modelling partial clustering and buffer-pool hits.
+const FETCH_DISCOUNT: f64 = 0.5;
+
 /// The chosen access path for one table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableAccessPlan {
@@ -102,9 +117,7 @@ fn seq_scan(
     let rows = meta.row_count;
     let pages = meta.pages();
     let npreds = predicates.len() as f64 + probe.map(|_| 1.0).unwrap_or(0.0);
-    let cost = pages * ctx.config.seq_page_cost
-        + rows * ctx.config.cpu_tuple_cost
-        + rows * npreds * ctx.config.cpu_operator_cost;
+    let cost = pages * SEQ_PAGE_COST + rows * CPU_TUPLE_COST + rows * npreds * CPU_OPERATOR_COST;
     let output_rows = (rows * total_selectivity(predicates, probe)).max(1.0);
     TableAccessPlan {
         cost,
@@ -212,22 +225,20 @@ fn index_scan(
         1.0 // full index scan (only useful when covering or providing order)
     };
 
-    let descent = def.height(ctx.catalog) * ctx.config.random_page_cost;
-    let leaf = scan_fraction * idx_pages * ctx.config.seq_page_cost
-        + scan_fraction * rows * ctx.config.cpu_index_tuple_cost;
+    let descent = def.height(ctx.catalog) * RANDOM_PAGE_COST;
+    let leaf =
+        scan_fraction * idx_pages * SEQ_PAGE_COST + scan_fraction * rows * CPU_INDEX_TUPLE_COST;
 
     let matched_rows = rows * scan_fraction;
     let fetch = if covering {
         0.0
     } else {
-        ctx.pages_fetched(matched_rows, heap_pages)
-            * ctx.config.random_page_cost
-            * ctx.config.fetch_discount
+        ctx.pages_fetched(matched_rows, heap_pages) * RANDOM_PAGE_COST * FETCH_DISCOUNT
     };
 
     // Residual predicates are evaluated on every fetched row.
     let residual_count = predicates.len().saturating_sub(prefix.matched_columns) as f64;
-    let residual = matched_rows * residual_count * ctx.config.cpu_operator_cost;
+    let residual = matched_rows * residual_count * CPU_OPERATOR_COST;
 
     let cost = descent + leaf + fetch + residual;
     let output_rows = (rows * total_selectivity(predicates, probe)).max(1.0);
@@ -269,22 +280,19 @@ fn index_intersection(
     let def_b = ctx.registry.def(b);
 
     let leaf = |def: &crate::index::IndexDef, sel: f64| {
-        def.height(ctx.catalog) * ctx.config.random_page_cost
-            + sel * def.pages(ctx.catalog) * ctx.config.seq_page_cost
-            + sel * rows * ctx.config.cpu_index_tuple_cost
+        def.height(ctx.catalog) * RANDOM_PAGE_COST
+            + sel * def.pages(ctx.catalog) * SEQ_PAGE_COST
+            + sel * rows * CPU_INDEX_TUPLE_COST
     };
-    let bitmap_cpu =
-        (pa.matched_selectivity + pb.matched_selectivity) * rows * ctx.config.cpu_operator_cost;
+    let bitmap_cpu = (pa.matched_selectivity + pb.matched_selectivity) * rows * CPU_OPERATOR_COST;
 
     let combined_sel = (pa.matched_selectivity * pb.matched_selectivity).clamp(1e-9, 1.0);
     let fetched_rows = rows * combined_sel;
-    let fetch = ctx.pages_fetched(fetched_rows, heap_pages)
-        * ctx.config.random_page_cost
-        * ctx.config.fetch_discount;
+    let fetch = ctx.pages_fetched(fetched_rows, heap_pages) * RANDOM_PAGE_COST * FETCH_DISCOUNT;
 
     let residual_count =
         predicates.len().saturating_sub(2) as f64 + probe.map(|_| 1.0).unwrap_or(0.0);
-    let residual = fetched_rows * residual_count * ctx.config.cpu_operator_cost;
+    let residual = fetched_rows * residual_count * CPU_OPERATOR_COST;
 
     let cost = leaf(def_a, pa.matched_selectivity)
         + leaf(def_b, pb.matched_selectivity)
@@ -309,14 +317,12 @@ fn index_intersection(
 mod tests {
     use super::*;
     use crate::catalog::{Catalog, CatalogBuilder};
-    use crate::cost::CostModelConfig;
     use crate::index::{IndexRegistry, IndexSet};
     use crate::types::DataType;
 
     struct Fixture {
         catalog: Catalog,
         registry: IndexRegistry,
-        config: CostModelConfig,
         table: TableId,
         col_a: ColumnId,
         col_b: ColumnId,
@@ -346,7 +352,6 @@ mod tests {
         Fixture {
             catalog,
             registry,
-            config: CostModelConfig::default(),
             table,
             col_a,
             col_b,
@@ -369,7 +374,7 @@ mod tests {
     #[test]
     fn selective_equality_prefers_index() {
         let f = fixture();
-        let ctx = CostContext::new(&f.catalog, &f.registry, &f.config);
+        let ctx = CostContext::new(&f.catalog, &f.registry);
         let p = pred(&f, f.col_a, PredicateKind::Equality, 1e-5);
         let preds = [&p];
         let no_index = best_access_path(&ctx, f.table, &preds, &[f.col_a], &[], &[], None);
@@ -382,7 +387,7 @@ mod tests {
     #[test]
     fn unselective_predicate_prefers_seq_scan() {
         let f = fixture();
-        let ctx = CostContext::new(&f.catalog, &f.registry, &f.config);
+        let ctx = CostContext::new(&f.catalog, &f.registry);
         let p = pred(&f, f.col_c, PredicateKind::Range, 0.9);
         let idx_c = {
             // build an index on c on the fly via a fresh registry clone
@@ -400,7 +405,7 @@ mod tests {
     #[test]
     fn covering_index_avoids_heap_fetch() {
         let f = fixture();
-        let ctx = CostContext::new(&f.catalog, &f.registry, &f.config);
+        let ctx = CostContext::new(&f.catalog, &f.registry);
         let p = pred(&f, f.col_a, PredicateKind::Range, 0.05);
         let preds = [&p];
         // Non-covering: query also needs column c.
@@ -430,7 +435,7 @@ mod tests {
     #[test]
     fn multi_column_prefix_match_beats_single_column() {
         let f = fixture();
-        let ctx = CostContext::new(&f.catalog, &f.registry, &f.config);
+        let ctx = CostContext::new(&f.catalog, &f.registry);
         let p1 = pred(&f, f.col_a, PredicateKind::Equality, 1e-5);
         let p2 = pred(&f, f.col_b, PredicateKind::Range, 0.01);
         let preds = [&p1, &p2];
@@ -443,7 +448,7 @@ mod tests {
     #[test]
     fn intersection_used_when_combined_selectivity_pays_off() {
         let f = fixture();
-        let ctx = CostContext::new(&f.catalog, &f.registry, &f.config);
+        let ctx = CostContext::new(&f.catalog, &f.registry);
         // Each predicate is mildly selective; combined they are very selective.
         let p1 = pred(&f, f.col_a, PredicateKind::Range, 0.02);
         let p2 = pred(&f, f.col_b, PredicateKind::Range, 0.02);
@@ -474,7 +479,7 @@ mod tests {
     #[test]
     fn probe_constraint_enables_index_use_without_predicates() {
         let f = fixture();
-        let ctx = CostContext::new(&f.catalog, &f.registry, &f.config);
+        let ctx = CostContext::new(&f.catalog, &f.registry);
         let probe = ProbeConstraint {
             column: f.col_a,
             selectivity: 1e-5,
@@ -488,7 +493,7 @@ mod tests {
     #[test]
     fn order_providing_index_reports_order() {
         let f = fixture();
-        let ctx = CostContext::new(&f.catalog, &f.registry, &f.config);
+        let ctx = CostContext::new(&f.catalog, &f.registry);
         let plan = best_access_path(&ctx, f.table, &[], &[f.col_a], &[f.idx_a], &[f.col_a], None);
         assert!(plan.provides_order, "{}", plan.description);
         let seq = best_access_path(&ctx, f.table, &[], &[f.col_a], &[], &[f.col_a], None);
@@ -498,7 +503,7 @@ mod tests {
     #[test]
     fn output_rows_reflect_all_predicates() {
         let f = fixture();
-        let ctx = CostContext::new(&f.catalog, &f.registry, &f.config);
+        let ctx = CostContext::new(&f.catalog, &f.registry);
         let p1 = pred(&f, f.col_a, PredicateKind::Equality, 0.001);
         let p2 = pred(&f, f.col_c, PredicateKind::Range, 0.5);
         let preds = [&p1, &p2];
@@ -510,7 +515,7 @@ mod tests {
     #[test]
     fn more_indexes_never_increase_cost() {
         let f = fixture();
-        let ctx = CostContext::new(&f.catalog, &f.registry, &f.config);
+        let ctx = CostContext::new(&f.catalog, &f.registry);
         let p = pred(&f, f.col_a, PredicateKind::Equality, 1e-4);
         let preds = [&p];
         let small = best_access_path(&ctx, f.table, &preds, &[f.col_a], &[f.idx_b], &[], None);
@@ -529,7 +534,7 @@ mod tests {
     #[test]
     fn used_indexes_are_subset_of_available() {
         let f = fixture();
-        let ctx = CostContext::new(&f.catalog, &f.registry, &f.config);
+        let ctx = CostContext::new(&f.catalog, &f.registry);
         let p1 = pred(&f, f.col_a, PredicateKind::Range, 0.01);
         let p2 = pred(&f, f.col_b, PredicateKind::Range, 0.01);
         let preds = [&p1, &p2];

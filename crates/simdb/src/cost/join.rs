@@ -12,6 +12,9 @@ use crate::index::{IndexId, IndexSet};
 use crate::query::SelectStmt;
 use crate::types::{ColumnId, TableId};
 
+/// CPU cost per row of building or probing a hash table.
+const HASH_ROW_COST: f64 = 0.015;
+
 /// Outcome of planning a `SELECT`.
 #[derive(Debug, Clone)]
 pub struct SelectPlan {
@@ -55,7 +58,7 @@ pub fn cost_select(ctx: &CostContext<'_>, stmt: &SelectStmt, config: &IndexSet) 
             cost += ctx.sort_cost(rows);
         }
         if !stmt.group_by.is_empty() {
-            cost += rows * ctx.config.hash_row_cost;
+            cost += rows * HASH_ROW_COST;
             rows = grouped_rows(ctx, rows, &stmt.group_by);
         }
         used.extend(t.base_plan.used_indexes.iter().copied());
@@ -120,7 +123,7 @@ pub fn cost_select(ctx: &CostContext<'_>, stmt: &SelectStmt, config: &IndexSet) 
         total_cost += ctx.sort_cost(current_rows);
     }
     if !stmt.group_by.is_empty() {
-        total_cost += current_rows * ctx.config.hash_row_cost;
+        total_cost += current_rows * HASH_ROW_COST;
         current_rows = grouped_rows(ctx, current_rows, &stmt.group_by);
     }
 
@@ -215,8 +218,8 @@ fn plan_join_step(
         None => {
             // Cross product via hash join of the base plans.
             let cost = inner.base_plan.cost
-                + inner.base_plan.output_rows * ctx.config.hash_row_cost
-                + outer_rows * ctx.config.hash_row_cost;
+                + inner.base_plan.output_rows * HASH_ROW_COST
+                + outer_rows * HASH_ROW_COST;
             JoinStep {
                 cost,
                 output_rows: (outer_rows * inner.base_plan.output_rows).max(1.0),
@@ -235,8 +238,8 @@ fn plan_join_step(
 
             // Option 1: hash join over the inner base plan.
             let hash_cost = inner.base_plan.cost
-                + inner.base_plan.output_rows * ctx.config.hash_row_cost
-                + outer_rows * ctx.config.hash_row_cost;
+                + inner.base_plan.output_rows * HASH_ROW_COST
+                + outer_rows * HASH_ROW_COST;
 
             // Option 2: index nested loop — probe the inner table once per
             // outer row using an index whose leading column is the join column.
@@ -321,7 +324,6 @@ fn dedup(mut v: Vec<IndexId>) -> Vec<IndexId> {
 mod tests {
     use super::*;
     use crate::catalog::{Catalog, CatalogBuilder};
-    use crate::cost::CostModelConfig;
     use crate::index::IndexRegistry;
     use crate::query::{build, PredicateKind};
     use crate::types::DataType;
@@ -329,7 +331,6 @@ mod tests {
     struct Fixture {
         catalog: Catalog,
         registry: IndexRegistry,
-        config: CostModelConfig,
         orders: TableId,
         lineitem: TableId,
         o_orderkey: ColumnId,
@@ -365,7 +366,6 @@ mod tests {
         Fixture {
             catalog,
             registry,
-            config: CostModelConfig::default(),
             orders,
             lineitem,
             o_orderkey,
@@ -394,7 +394,7 @@ mod tests {
     #[test]
     fn join_column_index_reduces_cost() {
         let f = fixture();
-        let ctx = CostContext::new(&f.catalog, &f.registry, &f.config);
+        let ctx = CostContext::new(&f.catalog, &f.registry);
         let q = join_query(&f);
         let without = cost_select(&ctx, &q, &IndexSet::empty());
         let with = cost_select(&ctx, &q, &IndexSet::single(f.idx_l_orderkey));
@@ -411,7 +411,7 @@ mod tests {
     #[test]
     fn selection_index_on_outer_also_helps() {
         let f = fixture();
-        let ctx = CostContext::new(&f.catalog, &f.registry, &f.config);
+        let ctx = CostContext::new(&f.catalog, &f.registry);
         let q = join_query(&f);
         let base = cost_select(&ctx, &q, &IndexSet::empty());
         let with = cost_select(&ctx, &q, &IndexSet::single(f.idx_o_custkey));
@@ -421,7 +421,7 @@ mod tests {
     #[test]
     fn both_indexes_cheapest() {
         let f = fixture();
-        let ctx = CostContext::new(&f.catalog, &f.registry, &f.config);
+        let ctx = CostContext::new(&f.catalog, &f.registry);
         let q = join_query(&f);
         let a = cost_select(&ctx, &q, &IndexSet::single(f.idx_o_custkey));
         let b = cost_select(&ctx, &q, &IndexSet::single(f.idx_l_orderkey));
@@ -437,7 +437,7 @@ mod tests {
     #[test]
     fn single_table_query_with_order_by_pays_sort_without_index() {
         let f = fixture();
-        let ctx = CostContext::new(&f.catalog, &f.registry, &f.config);
+        let ctx = CostContext::new(&f.catalog, &f.registry);
         let stmt = build::select()
             .table(f.lineitem)
             .predicate(f.lineitem, f.l_price, PredicateKind::Range, 0.2)
@@ -458,7 +458,7 @@ mod tests {
     #[test]
     fn cross_product_without_join_predicate_still_plans() {
         let f = fixture();
-        let ctx = CostContext::new(&f.catalog, &f.registry, &f.config);
+        let ctx = CostContext::new(&f.catalog, &f.registry);
         let stmt = build::select()
             .table(f.orders)
             .table(f.lineitem)
@@ -477,7 +477,7 @@ mod tests {
     #[test]
     fn more_indexes_never_hurt_select_cost() {
         let f = fixture();
-        let ctx = CostContext::new(&f.catalog, &f.registry, &f.config);
+        let ctx = CostContext::new(&f.catalog, &f.registry);
         let q = join_query(&f);
         let configs = [
             IndexSet::empty(),
@@ -499,7 +499,7 @@ mod tests {
     #[test]
     fn group_by_caps_output_rows() {
         let f = fixture();
-        let ctx = CostContext::new(&f.catalog, &f.registry, &f.config);
+        let ctx = CostContext::new(&f.catalog, &f.registry);
         let mut q = join_query(&f);
         q.group_by = vec![f.o_custkey];
         let plan = cost_select(&ctx, &q, &IndexSet::empty());
@@ -509,7 +509,7 @@ mod tests {
     #[test]
     fn used_indexes_always_in_config() {
         let f = fixture();
-        let ctx = CostContext::new(&f.catalog, &f.registry, &f.config);
+        let ctx = CostContext::new(&f.catalog, &f.registry);
         let q = join_query(&f);
         let config = IndexSet::single(f.idx_l_orderkey);
         let plan = cost_select(&ctx, &q, &config);

@@ -15,6 +15,12 @@
 //! * join columns with an index enable index-nested-loop joins;
 //! * update statements pay a maintenance penalty for every index on the
 //!   modified table that contains a modified column.
+//!
+//! The model's constants are `const`s next to the code that reads them: the
+//! page and tuple costs of scans and index access in [`access`], the
+//! hash-join row cost in [`join`], the sort cost here, and the row-write and
+//! index-maintenance costs in [`update`].  The cost of building or dropping
+//! an index (`δ`) is not a plan cost; it lives in [`crate::index`].
 
 pub mod access;
 pub mod join;
@@ -22,50 +28,9 @@ pub mod update;
 
 use crate::catalog::Catalog;
 use crate::index::IndexRegistry;
-use serde::{Deserialize, Serialize};
 
-/// Tunable constants of the cost model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CostModelConfig {
-    /// Cost of reading one page sequentially.
-    pub seq_page_cost: f64,
-    /// Cost of reading one page at a random position.
-    pub random_page_cost: f64,
-    /// CPU cost of processing one heap tuple.
-    pub cpu_tuple_cost: f64,
-    /// CPU cost of processing one index entry.
-    pub cpu_index_tuple_cost: f64,
-    /// CPU cost of evaluating one operator / predicate on one row.
-    pub cpu_operator_cost: f64,
-    /// CPU cost per row of building or probing a hash table.
-    pub hash_row_cost: f64,
-    /// CPU cost per comparison while sorting.
-    pub sort_row_cost: f64,
-    /// Base cost of writing one modified heap row.
-    pub write_row_cost: f64,
-    /// Cost of maintaining one index entry for one modified row.
-    pub index_maintenance_row_cost: f64,
-    /// Discount factor applied to heap fetches from an index scan to model
-    /// partial clustering / buffer-pool hits.
-    pub fetch_discount: f64,
-}
-
-impl Default for CostModelConfig {
-    fn default() -> Self {
-        Self {
-            seq_page_cost: 1.0,
-            random_page_cost: 4.0,
-            cpu_tuple_cost: 0.01,
-            cpu_index_tuple_cost: 0.005,
-            cpu_operator_cost: 0.0025,
-            hash_row_cost: 0.015,
-            sort_row_cost: 0.01,
-            write_row_cost: 1.0,
-            index_maintenance_row_cost: 2.0,
-            fetch_discount: 0.5,
-        }
-    }
-}
+/// CPU cost per comparison while sorting.
+const SORT_ROW_COST: f64 = 0.01;
 
 /// Read-only bundle of everything the costing functions need.
 pub struct CostContext<'a> {
@@ -73,22 +38,12 @@ pub struct CostContext<'a> {
     pub catalog: &'a Catalog,
     /// Index definitions.
     pub registry: &'a IndexRegistry,
-    /// Cost constants.
-    pub config: &'a CostModelConfig,
 }
 
 impl<'a> CostContext<'a> {
     /// Create a costing context.
-    pub fn new(
-        catalog: &'a Catalog,
-        registry: &'a IndexRegistry,
-        config: &'a CostModelConfig,
-    ) -> Self {
-        Self {
-            catalog,
-            registry,
-            config,
-        }
+    pub fn new(catalog: &'a Catalog, registry: &'a IndexRegistry) -> Self {
+        Self { catalog, registry }
     }
 
     /// Cardenas/Yao approximation of the number of distinct pages touched when
@@ -105,7 +60,7 @@ impl<'a> CostContext<'a> {
         if rows <= 1.0 {
             return 0.0;
         }
-        rows * rows.log2().max(1.0) * self.config.sort_row_cost
+        rows * rows.log2().max(1.0) * SORT_ROW_COST
     }
 }
 
@@ -124,8 +79,7 @@ mod tests {
             .finish();
         let catalog = b.build();
         let registry = IndexRegistry::new();
-        let config = CostModelConfig::default();
-        let ctx = CostContext::new(&catalog, &registry, &config);
+        let ctx = CostContext::new(&catalog, &registry);
 
         // Fetching few rows from many pages touches about that many pages.
         let few = ctx.pages_fetched(10.0, 10_000.0);
@@ -142,8 +96,7 @@ mod tests {
     fn sort_cost_grows_superlinearly() {
         let catalog = Catalog::default();
         let registry = IndexRegistry::new();
-        let config = CostModelConfig::default();
-        let ctx = CostContext::new(&catalog, &registry, &config);
+        let ctx = CostContext::new(&catalog, &registry);
         let small = ctx.sort_cost(1_000.0);
         let large = ctx.sort_cost(10_000.0);
         assert!(large > 10.0 * small);
@@ -152,9 +105,10 @@ mod tests {
 
     #[test]
     fn default_config_orders_io_costs_sensibly() {
-        let c = CostModelConfig::default();
-        assert!(c.random_page_cost > c.seq_page_cost);
-        assert!(c.cpu_tuple_cost < c.seq_page_cost);
-        assert!(c.index_maintenance_row_cost > c.write_row_cost);
+        const {
+            assert!(access::RANDOM_PAGE_COST > access::SEQ_PAGE_COST);
+            assert!(access::CPU_TUPLE_COST < access::SEQ_PAGE_COST);
+            assert!(update::INDEX_MAINTENANCE_ROW_COST > update::WRITE_ROW_COST);
+        }
     }
 }

@@ -12,6 +12,11 @@ use crate::index::{IndexId, IndexSet};
 use crate::query::{DeleteStmt, InsertStmt, UpdateStmt};
 use crate::types::ColumnId;
 
+/// Cost of writing one modified heap row.
+pub(crate) const WRITE_ROW_COST: f64 = 1.0;
+/// Cost of maintaining one index entry for one modified row.
+pub(crate) const INDEX_MAINTENANCE_ROW_COST: f64 = 2.0;
+
 /// Outcome of planning a data-modification statement.
 #[derive(Debug, Clone)]
 pub struct UpdatePlan {
@@ -44,7 +49,7 @@ pub fn cost_update(ctx: &CostContext<'_>, stmt: &UpdateStmt, config: &IndexSet) 
     let locate = best_access_path(ctx, stmt.table, &preds, &required, &available, &[], None);
     let affected = locate.output_rows.min(table_meta.row_count);
 
-    let mut cost = locate.cost + affected * ctx.config.write_row_cost;
+    let mut cost = locate.cost + affected * WRITE_ROW_COST;
     let mut used = locate.used_indexes.clone();
 
     // Every materialized index on this table whose key contains a modified
@@ -53,7 +58,7 @@ pub fn cost_update(ctx: &CostContext<'_>, stmt: &UpdateStmt, config: &IndexSet) 
         let def = ctx.registry.def(idx);
         let touches_modified = def.key_columns.iter().any(|c| stmt.set_columns.contains(c));
         if touches_modified {
-            cost += affected * ctx.config.index_maintenance_row_cost;
+            cost += affected * INDEX_MAINTENANCE_ROW_COST;
             if !used.contains(&idx) {
                 used.push(idx);
             }
@@ -84,11 +89,11 @@ pub fn cost_delete(ctx: &CostContext<'_>, stmt: &DeleteStmt, config: &IndexSet) 
     let locate = best_access_path(ctx, stmt.table, &preds, &required, &available, &[], None);
     let affected = locate.output_rows.min(table_meta.row_count);
 
-    let mut cost = locate.cost + affected * ctx.config.write_row_cost;
+    let mut cost = locate.cost + affected * WRITE_ROW_COST;
     let mut used = locate.used_indexes.clone();
     // Deleting a row touches every index on the table.
     for &idx in &available {
-        cost += affected * ctx.config.index_maintenance_row_cost;
+        cost += affected * INDEX_MAINTENANCE_ROW_COST;
         if !used.contains(&idx) {
             used.push(idx);
         }
@@ -113,10 +118,10 @@ pub fn cost_insert(ctx: &CostContext<'_>, stmt: &InsertStmt, config: &IndexSet) 
         .filter(|i| config.contains(*i))
         .collect();
 
-    let mut cost = rows * ctx.config.write_row_cost;
+    let mut cost = rows * WRITE_ROW_COST;
     let mut used = Vec::new();
     for &idx in &available {
-        cost += rows * ctx.config.index_maintenance_row_cost;
+        cost += rows * INDEX_MAINTENANCE_ROW_COST;
         used.push(idx);
     }
 
@@ -132,7 +137,6 @@ pub fn cost_insert(ctx: &CostContext<'_>, stmt: &InsertStmt, config: &IndexSet) 
 mod tests {
     use super::*;
     use crate::catalog::{Catalog, CatalogBuilder};
-    use crate::cost::CostModelConfig;
     use crate::index::IndexRegistry;
     use crate::query::{Predicate, PredicateKind};
     use crate::types::{DataType, TableId};
@@ -140,7 +144,6 @@ mod tests {
     struct Fixture {
         catalog: Catalog,
         registry: IndexRegistry,
-        config: CostModelConfig,
         table: TableId,
         key: ColumnId,
         payload: ColumnId,
@@ -165,7 +168,6 @@ mod tests {
         Fixture {
             catalog,
             registry,
-            config: CostModelConfig::default(),
             table,
             key,
             payload,
@@ -191,7 +193,7 @@ mod tests {
     #[test]
     fn index_on_predicate_column_speeds_up_update() {
         let f = fixture();
-        let ctx = CostContext::new(&f.catalog, &f.registry, &f.config);
+        let ctx = CostContext::new(&f.catalog, &f.registry);
         let stmt = update_stmt(&f);
         let without = cost_update(&ctx, &stmt, &IndexSet::empty());
         let with = cost_update(&ctx, &stmt, &IndexSet::single(f.idx_key));
@@ -202,7 +204,7 @@ mod tests {
     #[test]
     fn index_on_modified_column_slows_down_update() {
         let f = fixture();
-        let ctx = CostContext::new(&f.catalog, &f.registry, &f.config);
+        let ctx = CostContext::new(&f.catalog, &f.registry);
         let stmt = update_stmt(&f);
         let without = cost_update(&ctx, &stmt, &IndexSet::empty());
         let with = cost_update(&ctx, &stmt, &IndexSet::single(f.idx_payload));
@@ -213,7 +215,7 @@ mod tests {
     #[test]
     fn unrelated_index_does_not_change_update_cost() {
         let f = fixture();
-        let ctx = CostContext::new(&f.catalog, &f.registry, &f.config);
+        let ctx = CostContext::new(&f.catalog, &f.registry);
         // An index on the predicate column but a statement that modifies it —
         // build a separate index on l_tax only and a statement touching l_price.
         let stmt = UpdateStmt {
@@ -237,7 +239,7 @@ mod tests {
     #[test]
     fn delete_maintains_all_indexes() {
         let f = fixture();
-        let ctx = CostContext::new(&f.catalog, &f.registry, &f.config);
+        let ctx = CostContext::new(&f.catalog, &f.registry);
         let stmt = DeleteStmt {
             table: f.table,
             predicates: vec![Predicate {
@@ -261,7 +263,7 @@ mod tests {
     #[test]
     fn insert_cost_scales_with_rows_and_indexes() {
         let f = fixture();
-        let ctx = CostContext::new(&f.catalog, &f.registry, &f.config);
+        let ctx = CostContext::new(&f.catalog, &f.registry);
         let small = InsertStmt {
             table: f.table,
             row_count: 1.0,
@@ -281,7 +283,7 @@ mod tests {
     #[test]
     fn affected_rows_bounded_by_table_size() {
         let f = fixture();
-        let ctx = CostContext::new(&f.catalog, &f.registry, &f.config);
+        let ctx = CostContext::new(&f.catalog, &f.registry);
         let stmt = UpdateStmt {
             table: f.table,
             set_columns: vec![f.payload],

@@ -1,54 +1,40 @@
 //! The [`Database`] façade: the one-stop interface the tuning algorithms use.
 //!
-//! A `Database` bundles a catalog, an index registry, the cost model and a
-//! what-if memo (an unbounded [`SharedWhatIfCache`]), and exposes exactly the
-//! services the paper requires from the DBMS: what-if optimization, candidate
-//! extraction and transition costs.
+//! A `Database` bundles a catalog, an index registry and a what-if memo (an
+//! unbounded [`SharedWhatIfCache`]), and exposes exactly the services the
+//! paper requires from the DBMS: what-if optimization, candidate extraction
+//! and the per-index create and drop costs `δ⁺` and `δ⁻`.
 
 use parking_lot::RwLock;
 
 use crate::cache::SharedWhatIfCache;
 use crate::catalog::Catalog;
-use crate::cost::CostModelConfig;
 use crate::error::Result;
 use crate::extract::extract_indices;
-use crate::index::{IndexDef, IndexId, IndexRegistry, IndexSet, TransitionCostModel};
+use crate::index::{IndexId, IndexRegistry, IndexSet};
 use crate::optimizer::{Optimizer, PlanCost};
 use crate::query::Statement;
 use crate::sql::{parse, Binder};
 use crate::types::{ColumnId, TableId};
 use crate::whatif::WhatIfStats;
 
+/// Cost `δ⁻(a)` of dropping any index: a catalog update, essentially free
+/// next to building one, which is what makes `δ` asymmetric.
+pub(crate) const DROP_COST: f64 = 1.0;
+
 /// A simulated database instance.
 pub struct Database {
     catalog: Catalog,
     registry: RwLock<IndexRegistry>,
-    cost_config: CostModelConfig,
-    transition_model: TransitionCostModel,
     cache: SharedWhatIfCache,
 }
 
 impl Database {
-    /// Create a database over the given catalog with default cost models.
+    /// Create a database over the given catalog.
     pub fn new(catalog: Catalog) -> Self {
-        Self::with_configs(
-            catalog,
-            CostModelConfig::default(),
-            TransitionCostModel::default(),
-        )
-    }
-
-    /// Create a database with explicit cost-model configurations.
-    pub fn with_configs(
-        catalog: Catalog,
-        cost_config: CostModelConfig,
-        transition_model: TransitionCostModel,
-    ) -> Self {
         Self {
             catalog,
             registry: RwLock::new(IndexRegistry::new()),
-            cost_config,
-            transition_model,
             cache: SharedWhatIfCache::new(),
         }
     }
@@ -56,11 +42,6 @@ impl Database {
     /// The schema catalog.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
-    }
-
-    /// The cost model configuration.
-    pub fn cost_config(&self) -> &CostModelConfig {
-        &self.cost_config
     }
 
     /// Parse and bind a SQL statement.
@@ -84,11 +65,6 @@ impl Database {
     /// Define (intern) an index by ids.
     pub fn define_index_on(&self, table: TableId, columns: Vec<ColumnId>) -> IndexId {
         self.registry.write().intern(table, columns)
-    }
-
-    /// A snapshot of the definition of an index.
-    pub fn index_def(&self, id: IndexId) -> IndexDef {
-        self.registry.read().def(id).clone()
     }
 
     /// Human-readable name of an index.
@@ -119,7 +95,7 @@ impl Database {
     /// sessions) and do not want every result stored twice.
     pub fn whatif_cost_uncached(&self, stmt: &Statement, config: &IndexSet) -> PlanCost {
         let registry = self.registry.read();
-        let optimizer = Optimizer::new(&self.catalog, &registry, &self.cost_config);
+        let optimizer = Optimizer::new(&self.catalog, &registry);
         optimizer.cost(stmt, config)
     }
 
@@ -136,23 +112,12 @@ impl Database {
 
     /// Cost `δ⁺(a)` of creating index `a`.
     pub fn create_cost(&self, id: IndexId) -> f64 {
-        let registry = self.registry.read();
-        self.transition_model
-            .create_cost(&self.catalog, registry.def(id))
+        self.registry.read().def(id).create_cost(&self.catalog)
     }
 
-    /// Cost `δ⁻(a)` of dropping index `a`.
-    pub fn drop_cost(&self, id: IndexId) -> f64 {
-        let registry = self.registry.read();
-        self.transition_model
-            .drop_cost(&self.catalog, registry.def(id))
-    }
-
-    /// Transition cost `δ(from, to)`.
-    pub fn transition_cost(&self, from: &IndexSet, to: &IndexSet) -> f64 {
-        let registry = self.registry.read();
-        self.transition_model
-            .transition_cost(&self.catalog, &registry, from, to)
+    /// Cost `δ⁻(a)` of dropping index `a` (`DROP_COST` for every index).
+    pub fn drop_cost(&self, _id: IndexId) -> f64 {
+        DROP_COST
     }
 
     /// Counters of the database's what-if memo.
@@ -242,8 +207,7 @@ mod tests {
         let db = db();
         let idx = db.define_index("tpch.orders", &["o_custkey"]).unwrap();
         assert!(db.create_cost(idx) > db.drop_cost(idx));
-        let d = db.transition_cost(&IndexSet::empty(), &IndexSet::single(idx));
-        assert!((d - db.create_cost(idx)).abs() < 1e-9);
+        assert_eq!(db.drop_cost(idx), DROP_COST);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Secondary index definitions, configurations and transition costs.
+//! Secondary index definitions, configurations and the cost of building an
+//! index.
 //!
 //! The paper models the physical design as a subset of a universe `I` of
 //! candidate indices.  Changing the materialized set from `X` to `Y` costs
@@ -7,6 +8,12 @@
 //! *not* symmetric (creation is much more expensive than dropping) — this
 //! asymmetry is precisely what makes the competitive analysis in the paper
 //! non-trivial.
+//!
+//! This module prices one index: [`IndexDef::create_cost`] is `δ⁺(a)`, a
+//! function of the definition and the catalog.  Dropping costs a flat
+//! `DROP_COST` (see [`crate::database::Database::drop_cost`]).  The sum over index sets is
+//! `TuningEnv::transition_cost` in `wfit_core`, the one implementation of
+//! `δ(X, Y)`.
 
 use crate::catalog::Catalog;
 use crate::types::{ColumnId, TableId, PAGE_SIZE};
@@ -27,6 +34,13 @@ impl fmt::Display for IndexId {
         write!(f, "I{}", self.0)
     }
 }
+
+/// I/O cost per heap page scanned while building an index.
+const BUILD_SCAN_PAGE_COST: f64 = 1.0;
+/// CPU cost per row sorted while building an index.
+const BUILD_SORT_ROW_COST: f64 = 0.02;
+/// I/O cost per index page written while building an index.
+const BUILD_WRITE_PAGE_COST: f64 = 1.0;
 
 /// Definition of a secondary B-tree index: an ordered sequence of key columns
 /// over one table.
@@ -67,6 +81,17 @@ impl IndexDef {
     pub fn height(&self, catalog: &Catalog) -> f64 {
         let pages = self.pages(catalog);
         (pages.log2() / 8.0).ceil().max(1.0)
+    }
+
+    /// Cost `δ⁺` of building the index: scan the table, sort its rows on
+    /// the key and write the leaf pages.
+    pub fn create_cost(&self, catalog: &Catalog) -> f64 {
+        let table = catalog.table(self.table);
+        let rows = table.row_count;
+        let scan = table.pages() * BUILD_SCAN_PAGE_COST;
+        let sort = rows * rows.max(2.0).log2() * BUILD_SORT_ROW_COST / 10.0;
+        let write = self.pages(catalog) * BUILD_WRITE_PAGE_COST;
+        scan + sort + write
     }
 }
 
@@ -173,11 +198,6 @@ impl IndexSet {
         self.ids.iter().all(|id| other.contains(*id))
     }
 
-    /// The symmetric difference `self △ other`.
-    pub fn symmetric_difference(&self, other: &IndexSet) -> IndexSet {
-        self.difference(other).union(&other.difference(self))
-    }
-
     /// Access the underlying sorted slice of ids.
     pub fn as_slice(&self) -> &[IndexId] {
         &self.ids
@@ -265,67 +285,6 @@ impl IndexRegistry {
     }
 }
 
-/// Cost model for index transitions (`δ` in the paper).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TransitionCostModel {
-    /// I/O cost per heap page scanned while building an index.
-    pub build_scan_page_cost: f64,
-    /// CPU cost per row sorted while building an index.
-    pub build_sort_row_cost: f64,
-    /// I/O cost per index page written while building an index.
-    pub build_write_page_cost: f64,
-    /// Flat cost of dropping an index (catalog update; essentially free
-    /// compared to creation, which is what makes `δ` asymmetric).
-    pub drop_cost: f64,
-}
-
-impl Default for TransitionCostModel {
-    fn default() -> Self {
-        Self {
-            build_scan_page_cost: 1.0,
-            build_sort_row_cost: 0.02,
-            build_write_page_cost: 1.0,
-            drop_cost: 1.0,
-        }
-    }
-}
-
-impl TransitionCostModel {
-    /// Cost `δ⁺(a)` of creating index `a`.
-    pub fn create_cost(&self, catalog: &Catalog, def: &IndexDef) -> f64 {
-        let table = catalog.table(def.table);
-        let rows = table.row_count;
-        let scan = table.pages() * self.build_scan_page_cost;
-        let sort = rows * rows.max(2.0).log2() * self.build_sort_row_cost / 10.0;
-        let write = def.pages(catalog) * self.build_write_page_cost;
-        scan + sort + write
-    }
-
-    /// Cost `δ⁻(a)` of dropping index `a`.
-    pub fn drop_cost(&self, _catalog: &Catalog, _def: &IndexDef) -> f64 {
-        self.drop_cost
-    }
-
-    /// Transition cost `δ(X, Y)`: create everything in `Y − X`, drop
-    /// everything in `X − Y`.
-    pub fn transition_cost(
-        &self,
-        catalog: &Catalog,
-        registry: &IndexRegistry,
-        from: &IndexSet,
-        to: &IndexSet,
-    ) -> f64 {
-        let mut cost = 0.0;
-        for id in to.difference(from).iter() {
-            cost += self.create_cost(catalog, registry.def(id));
-        }
-        for id in from.difference(to).iter() {
-            cost += self.drop_cost(catalog, registry.def(id));
-        }
-        cost
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,7 +343,6 @@ mod tests {
         assert_eq!(s1.union(&s2).len(), 3);
         assert_eq!(s1.intersection(&s2).as_slice(), &[b]);
         assert_eq!(s1.difference(&s2).as_slice(), &[a]);
-        assert_eq!(s1.symmetric_difference(&s2).len(), 2);
         assert!(IndexSet::single(a).is_subset_of(&s1));
         assert!(!s1.is_subset_of(&s2));
     }
@@ -416,41 +374,12 @@ mod tests {
         let t1 = catalog.table_by_name("t1").unwrap();
         let a = catalog.column_by_name("a", &[]).unwrap();
         let id = reg.intern(t1, vec![a]);
-        let model = TransitionCostModel::default();
-        let create = model.create_cost(&catalog, reg.def(id));
-        let drop = model.drop_cost(&catalog, reg.def(id));
+        let create = reg.def(id).create_cost(&catalog);
+        let drop = crate::database::DROP_COST;
         assert!(
             create > 100.0 * drop,
             "create {create} should dwarf drop {drop}"
         );
-    }
-
-    #[test]
-    fn transition_cost_asymmetric_but_triangle() {
-        let (catalog, mut reg) = setup();
-        let t1 = catalog.table_by_name("t1").unwrap();
-        let t2 = catalog.table_by_name("t2").unwrap();
-        let a = catalog.column_by_name("a", &[]).unwrap();
-        let x = catalog.column_by_name("x", &[]).unwrap();
-        let i1 = reg.intern(t1, vec![a]);
-        let i2 = reg.intern(t2, vec![x]);
-        let model = TransitionCostModel::default();
-        let e = IndexSet::empty();
-        let s1 = IndexSet::single(i1);
-        let s12 = IndexSet::from_iter([i1, i2]);
-
-        let d_up = model.transition_cost(&catalog, &reg, &e, &s1);
-        let d_down = model.transition_cost(&catalog, &reg, &s1, &e);
-        assert!(d_up > d_down, "asymmetry: create > drop");
-
-        // Triangle inequality: δ(∅, s12) ≤ δ(∅, s1) + δ(s1, s12)
-        let direct = model.transition_cost(&catalog, &reg, &e, &s12);
-        let via = model.transition_cost(&catalog, &reg, &e, &s1)
-            + model.transition_cost(&catalog, &reg, &s1, &s12);
-        assert!(direct <= via + 1e-9);
-
-        // δ(X, X) = 0
-        assert_eq!(model.transition_cost(&catalog, &reg, &s1, &s1), 0.0);
     }
 
     #[test]
@@ -462,10 +391,7 @@ mod tests {
         let x = catalog.column_by_name("x", &[]).unwrap();
         let big = reg.intern(t1, vec![a]);
         let small = reg.intern(t2, vec![x]);
-        let model = TransitionCostModel::default();
-        assert!(
-            model.create_cost(&catalog, reg.def(big)) > model.create_cost(&catalog, reg.def(small))
-        );
+        assert!(reg.def(big).create_cost(&catalog) > reg.def(small).create_cost(&catalog));
         assert!(reg.def(big).pages(&catalog) > reg.def(small).pages(&catalog));
         assert!(reg.def(big).height(&catalog) >= 1.0);
     }

@@ -19,7 +19,7 @@
 //!
 //! * [`catalog`] — tables, columns and their statistics;
 //! * [`index`] — secondary index definitions, an interning registry,
-//!   [`index::IndexSet`] configurations, and creation/drop (transition) costs;
+//!   [`index::IndexSet`] configurations, and the cost of building an index;
 //! * [`sql`] — a tokenizer, recursive-descent parser and binder for the SQL
 //!   subset used by the benchmark workloads;
 //! * [`query`] — bound logical statements (the optimizer's input);

@@ -10,7 +10,7 @@
 use crate::catalog::Catalog;
 use crate::cost::join::cost_select;
 use crate::cost::update::{cost_delete, cost_insert, cost_update};
-use crate::cost::{CostContext, CostModelConfig};
+use crate::cost::CostContext;
 use crate::index::{IndexRegistry, IndexSet};
 use crate::query::{Statement, StatementKind};
 use serde::{Deserialize, Serialize};
@@ -34,13 +34,9 @@ pub struct Optimizer<'a> {
 
 impl<'a> Optimizer<'a> {
     /// Create an optimizer.
-    pub fn new(
-        catalog: &'a Catalog,
-        registry: &'a IndexRegistry,
-        config: &'a CostModelConfig,
-    ) -> Self {
+    pub fn new(catalog: &'a Catalog, registry: &'a IndexRegistry) -> Self {
         Self {
-            ctx: CostContext::new(catalog, registry, config),
+            ctx: CostContext::new(catalog, registry),
         }
     }
 
@@ -94,7 +90,6 @@ mod tests {
     struct Fixture {
         catalog: Catalog,
         registry: IndexRegistry,
-        config: CostModelConfig,
         idx_a: IndexId,
         idx_b: IndexId,
         stmt: Statement,
@@ -136,7 +131,6 @@ mod tests {
         Fixture {
             catalog,
             registry,
-            config: CostModelConfig::default(),
             idx_a,
             idx_b,
             stmt,
@@ -148,7 +142,7 @@ mod tests {
     fn used_indexes_determine_cost() {
         // The IBG property: cost(q, Y) == cost(q, used(q, Y)).
         let f = fixture();
-        let opt = Optimizer::new(&f.catalog, &f.registry, &f.config);
+        let opt = Optimizer::new(&f.catalog, &f.registry);
         for config in [
             IndexSet::empty(),
             IndexSet::single(f.idx_a),
@@ -173,7 +167,7 @@ mod tests {
     #[test]
     fn select_cost_monotone_in_configuration() {
         let f = fixture();
-        let opt = Optimizer::new(&f.catalog, &f.registry, &f.config);
+        let opt = Optimizer::new(&f.catalog, &f.registry);
         let empty = opt.cost(&f.stmt, &IndexSet::empty()).total;
         let a = opt.cost(&f.stmt, &IndexSet::single(f.idx_a)).total;
         let ab = opt
@@ -186,7 +180,7 @@ mod tests {
     #[test]
     fn update_cost_can_increase_with_indexes() {
         let f = fixture();
-        let opt = Optimizer::new(&f.catalog, &f.registry, &f.config);
+        let opt = Optimizer::new(&f.catalog, &f.registry);
         // idx_a is on the modified column a → pure maintenance overhead.
         let without = opt.cost(&f.upd, &IndexSet::empty()).total;
         let with = opt.cost(&f.upd, &IndexSet::single(f.idx_a)).total;
@@ -197,7 +191,7 @@ mod tests {
     fn intersection_creates_interaction() {
         // benefit of idx_a depends on whether idx_b is present.
         let f = fixture();
-        let opt = Optimizer::new(&f.catalog, &f.registry, &f.config);
+        let opt = Optimizer::new(&f.catalog, &f.registry);
         let c_empty = opt.cost(&f.stmt, &IndexSet::empty()).total;
         let c_a = opt.cost(&f.stmt, &IndexSet::single(f.idx_a)).total;
         let c_b = opt.cost(&f.stmt, &IndexSet::single(f.idx_b)).total;
@@ -215,7 +209,7 @@ mod tests {
     #[test]
     fn plan_description_is_informative() {
         let f = fixture();
-        let opt = Optimizer::new(&f.catalog, &f.registry, &f.config);
+        let opt = Optimizer::new(&f.catalog, &f.registry);
         let plan = opt.cost(&f.stmt, &IndexSet::from_iter([f.idx_a, f.idx_b]));
         assert!(
             plan.description.contains("Index"),

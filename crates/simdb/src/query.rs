@@ -165,13 +165,6 @@ impl Statement {
         }
     }
 
-    /// Wrap a [`StatementKind`] and remember the originating SQL text.
-    pub fn with_sql(kind: StatementKind, sql: impl Into<String>) -> Self {
-        let mut s = Self::new(kind);
-        s.sql = Some(sql.into());
-        s
-    }
-
     /// Tables referenced by the statement.
     pub fn tables(&self) -> Vec<TableId> {
         match &self.kind {

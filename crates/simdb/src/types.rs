@@ -52,12 +52,6 @@ impl DataType {
             DataType::Text => 24.0,
         }
     }
-
-    /// Whether values of this type can be compared with `<`/`BETWEEN` using
-    /// numeric interpolation for selectivity purposes.
-    pub fn is_rangeable(self) -> bool {
-        !matches!(self, DataType::Text)
-    }
 }
 
 /// A literal value appearing in a SQL statement.
@@ -160,13 +154,6 @@ mod tests {
         ] {
             assert!(dt.width() > 0.0);
         }
-    }
-
-    #[test]
-    fn text_is_not_rangeable() {
-        assert!(!DataType::Text.is_rangeable());
-        assert!(DataType::Integer.is_rangeable());
-        assert!(DataType::Date.is_rangeable());
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Property-based tests of the core invariants claimed by the paper.
 
 use proptest::prelude::*;
+use simdb::catalog::CatalogBuilder;
+use simdb::database::Database;
 use simdb::index::{IndexId, IndexSet};
+use simdb::types::DataType;
 use wfit::core::env::{mock_statement, MockEnv, TuningEnv};
 use wfit::core::evaluator::{total_work_of_schedule, FeedbackStream};
 use wfit::core::hypercube;
@@ -49,6 +52,80 @@ fn savings_strategy(n_indexes: usize, n_stmts: usize) -> impl Strategy<Value = V
         proptest::collection::vec(-20.0f64..40.0, n_stmts),
         n_indexes,
     )
+}
+
+/// A database over a large and a small table with eight real indexes, so
+/// their create costs span orders of magnitude.
+fn catalog_indexes() -> (Database, Vec<IndexId>) {
+    let mut b = CatalogBuilder::new();
+    b.table("big")
+        .rows(6_000_000.0)
+        .column("a", DataType::Integer, 1_500_000.0)
+        .column("b", DataType::Decimal, 900_000.0)
+        .column("c", DataType::Text, 500.0)
+        .finish();
+    b.table("small")
+        .rows(10_000.0)
+        .column("x", DataType::Integer, 10_000.0)
+        .column("y", DataType::Integer, 100.0)
+        .finish();
+    let db = Database::new(b.build());
+    let defs: [(&str, &[&str]); 8] = [
+        ("big", &["a"]),
+        ("small", &["x"]),
+        ("big", &["b"]),
+        ("small", &["y"]),
+        ("big", &["c"]),
+        ("big", &["a", "b"]),
+        ("small", &["x", "y"]),
+        ("big", &["c", "a"]),
+    ];
+    let ids = defs
+        .iter()
+        .map(|(table, columns)| db.define_index(table, columns).unwrap())
+        .collect();
+    (db, ids)
+}
+
+/// δ's laws over `env`'s sets `set_of(ids, mask)`: creating one index costs
+/// more than dropping it, and the triangle inequality, identity,
+/// non-negativity and Lemma A.2's cyclic identity hold on the three masks.
+fn assert_delta_laws(env: &impl TuningEnv, ids: &[IndexId], masks: &[usize]) {
+    let d = |a: usize, b: usize| {
+        env.transition_cost(&hypercube::set_of(ids, a), &hypercube::set_of(ids, b))
+    };
+    for i in 0..ids.len() {
+        assert!(d(0, 1 << i) > d(1 << i, 0), "asymmetry: create > drop");
+    }
+    let (x, y, z) = (masks[0], masks[1], masks[2]);
+    let via = d(x, z) + d(z, y);
+    assert!(d(x, y) <= via + 1e-12 * via.max(1.0), "triangle inequality");
+    assert_eq!(d(x, x), 0.0);
+    assert!(d(x, y) >= 0.0);
+    let forward = d(x, y) + d(y, z) + d(z, x);
+    let backward = d(x, z) + d(z, y) + d(y, x);
+    assert!(
+        (forward - backward).abs() <= 1e-12 * forward.max(1.0),
+        "Lemma A.2"
+    );
+}
+
+/// `hypercube::delta` over `create` and `drop` agrees with `env`'s
+/// `TuningEnv::transition_cost` on the images of `from` and `to`.
+fn assert_delta_matches(
+    env: &impl TuningEnv,
+    ids: &[IndexId],
+    create: &[f64],
+    drop: &[f64],
+    from: usize,
+    to: usize,
+) {
+    let fast = hypercube::delta(create, drop, from, to);
+    let reference = env.transition_cost(&hypercube::set_of(ids, from), &hypercube::set_of(ids, to));
+    assert!(
+        (fast - reference).abs() <= 1e-9 * fast.abs().max(reference.abs()),
+        "δ({from:#b}, {to:#b}) = {fast} vs transition_cost {reference}"
+    );
 }
 
 proptest! {
@@ -115,7 +192,7 @@ proptest! {
     }
 
     /// δ is asymmetric but satisfies the triangle inequality and the cyclic
-    /// identity of Lemma A.2.
+    /// identity of Lemma A.2, on scripted costs and on real catalog indexes.
     #[test]
     fn transition_cost_properties(
         creates in proptest::collection::vec(1.0f64..100.0, 4),
@@ -127,22 +204,16 @@ proptest! {
             env.set_create_cost(ids[i], *c);
             env.set_drop_cost(ids[i], c / 10.0);
         }
-        let set_of = |mask: usize| hypercube::set_of(&ids, mask);
-        let (x, y, z) = (set_of(masks[0]), set_of(masks[1]), set_of(masks[2]));
-        // Triangle inequality.
-        prop_assert!(env.transition_cost(&x, &y) <= env.transition_cost(&x, &z) + env.transition_cost(&z, &y) + 1e-9);
-        // Identity and non-negativity.
-        prop_assert_eq!(env.transition_cost(&x, &x), 0.0);
-        prop_assert!(env.transition_cost(&x, &y) >= 0.0);
-        // Lemma A.2: cost of a cycle equals the cost of the reversed cycle.
-        let forward = env.transition_cost(&x, &y) + env.transition_cost(&y, &z) + env.transition_cost(&z, &x);
-        let backward = env.transition_cost(&x, &z) + env.transition_cost(&z, &y) + env.transition_cost(&y, &x);
-        prop_assert!((forward - backward).abs() < 1e-9);
+        assert_delta_laws(&env, &ids, &masks);
+        let (db, real) = catalog_indexes();
+        assert_delta_laws(&db, &real[..4], &masks);
     }
 
     /// WFA's and OPT's bitmask `δ` agrees with the `TuningEnv::transition_cost`
-    /// the `totWork` accounting charges, on the `set_of` images of the masks
-    /// (the two sum in different orders, hence the relative tolerance).
+    /// default the `totWork` accounting charges, on the `set_of` images of
+    /// the masks, over scripted costs and over a `Database`'s own create and
+    /// drop costs of real catalog indexes (the two sum in different orders,
+    /// hence the relative tolerance).
     #[test]
     fn hypercube_delta_matches_transition_cost(
         create in proptest::collection::vec(0.0f64..1e6, 8),
@@ -156,15 +227,12 @@ proptest! {
             env.set_create_cost(id, create[i]);
             env.set_drop_cost(id, drop[i]);
         }
-        let fast = hypercube::delta(&create, &drop, from, to);
-        let reference = env.transition_cost(
-            &hypercube::set_of(&ids, from),
-            &hypercube::set_of(&ids, to),
-        );
-        prop_assert!(
-            (fast - reference).abs() <= 1e-9 * fast.abs().max(reference.abs()),
-            "δ({from:#b}, {to:#b}) = {fast} vs transition_cost {reference}"
-        );
+        assert_delta_matches(&env, &ids, &create, &drop, from, to);
+
+        let (db, real) = catalog_indexes();
+        let create: Vec<f64> = real.iter().map(|&id| db.create_cost(id)).collect();
+        let drop: Vec<f64> = real.iter().map(|&id| db.drop_cost(id)).collect();
+        assert_delta_matches(&db, &real, &create, &drop, from, to);
     }
 
     /// The recommendation of a WFA instance is always drawn from its own
@@ -305,10 +373,7 @@ mod ibg_properties {
     use super::*;
     use ibg::partition::{normalize, Partition};
     use ibg::IndexBenefitGraph;
-    use simdb::catalog::CatalogBuilder;
-    use simdb::database::Database;
     use simdb::query::{build, PredicateKind};
-    use simdb::types::DataType;
 
     fn database() -> (Database, Vec<IndexId>) {
         let mut b = CatalogBuilder::new();
@@ -431,11 +496,8 @@ mod ibg_properties {
 mod cache_properties {
     use super::*;
     use simdb::cache::{CacheConfig, SharedWhatIfCache};
-    use simdb::catalog::CatalogBuilder;
-    use simdb::database::Database;
     use simdb::optimizer::PlanCost;
     use simdb::query::{build, PredicateKind};
-    use simdb::types::DataType;
     use simdb::whatif::WhatIfStats;
 
     fn database() -> (Database, Vec<IndexId>) {
@@ -583,10 +645,7 @@ mod cache_properties {
 /// Property tests against the real simulated DBMS (fewer cases, heavier).
 mod simdb_properties {
     use super::*;
-    use simdb::catalog::CatalogBuilder;
-    use simdb::database::Database;
     use simdb::query::{build, PredicateKind};
-    use simdb::types::DataType;
 
     fn database() -> (Database, Vec<IndexId>, simdb::TableId, Vec<simdb::ColumnId>) {
         let mut b = CatalogBuilder::new();
@@ -796,9 +855,6 @@ mod bandit_properties {
 /// order.
 mod ingress_properties {
     use super::*;
-    use simdb::catalog::CatalogBuilder;
-    use simdb::database::Database;
-    use simdb::types::DataType;
     use std::sync::Arc;
     use wfit::service::{
         Event, Ingress, IngressConfig, IngressStats, RejectReason, SubmitOutcome, TenantId,
